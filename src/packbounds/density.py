@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from .formulas import unit_ball_volume
 from .geometry import (
@@ -83,8 +82,8 @@ class DensityEstimate:
     def __post_init__(self):
         if not (0.0 <= self.value <= 1.0):
             raise ValueError(f"density {self.value} outside [0, 1]")
-        if self.stderr < 0.0:
-            raise ValueError("stderr must be nonnegative")
+        if not (math.isfinite(self.stderr) and self.stderr >= 0.0):
+            raise ValueError(f"stderr must be finite and nonnegative, got {self.stderr}")
 
 
 @dataclass(frozen=True)
@@ -164,8 +163,8 @@ def _stratified_vector_estimate(sample_fn, dim, n, seed, antithetic=False):
     matrix of integrand values, drawing any further randomness from rng.
     Returns (mean vector, covariance matrix of the mean).
     """
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
+    if n < 2:
+        raise ValueError("sample count must be >= 2, the least that gives an error estimate")
     strata = _STRATA if n >= 16 * _STRATA else 1
     counts = [n // strata + (1 if k < n % strata else 0) for k in range(strata)]
     # chunk size shrinks with the integrand dimension to cap memory; it is a
@@ -175,8 +174,6 @@ def _stratified_vector_estimate(sample_fn, dim, n, seed, antithetic=False):
     covs = np.zeros((strata, dim, dim))
     for k in range(strata):
         nk = counts[k]
-        if nk == 0:
-            continue
         rng = substream(seed, k)
         s1 = np.zeros(dim)
         s2 = np.zeros((dim, dim))
@@ -196,13 +193,9 @@ def _stratified_vector_estimate(sample_fn, dim, n, seed, antithetic=False):
             done += m
         mean_k = s1 / nk
         means[k] = mean_k
-        if nk > 1:
-            cov_k = (s2 - nk * np.outer(mean_k, mean_k)) / (nk - 1)
-            covs[k] = cov_k / nk
-        else:
-            covs[k] = np.full((dim, dim), np.inf)
-    weight = np.array([1.0 if c > 0 else 0.0 for c in counts])
-    weight /= weight.sum()
+        covs[k] = (s2 - nk * np.outer(mean_k, mean_k)) / (nk - 1) / nk
+    # n >= 2 leaves no stratum empty (16 strata only from n = 256 on)
+    weight = np.full(strata, 1.0 / strata)
     value = weight @ means
     cov = np.einsum("k,kij->ij", weight**2, covs)
     return value, cov
@@ -461,6 +454,8 @@ def _chain_grid_pass(config: WedgeConfig, ns: int, na: int, nr: int) -> float:
 
 def _low_dim_quad(config: WedgeConfig) -> tuple[float, float]:
     """Adaptive quadrature anchors for the d = 2, 3 simplex."""
+    from scipy.integrate import quad as _quad  # the package's only scipy use
+
     chain = config.chain
     xi1 = chain.xi[0]
     eta = chain.eta

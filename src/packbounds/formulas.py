@@ -270,9 +270,7 @@ def reach_bound(d: int) -> float:
     """sqrt(2d/(d+1) - 2(d-2)/(d-1)) + sqrt(2d/(d+1)), shown <= 2 for d >= 3."""
     _check_dimension(d, 3)
     ld2 = 2.0 * d / (d + 1)
-    value = math.sqrt(ld2 - 2.0 * (d - 2) / (d - 1)) + math.sqrt(ld2)
-    assert value <= 2.0 + EDGE_TOL
-    return value
+    return math.sqrt(ld2 - 2.0 * (d - 2) / (d - 1)) + math.sqrt(ld2)
 
 
 def zeta(s: float) -> float:

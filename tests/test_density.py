@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +101,8 @@ def test_stderr_scales_like_inverse_sqrt_n():
 def test_surface_density_rejects_bad_n():
     with pytest.raises(ValueError):
         dn.simplex_density(8, 0, SEED)
+    with pytest.raises(ValueError):
+        dn.simplex_density(8, 1, SEED)  # one sample has no error estimate
     with pytest.raises(ValueError):
         dn.simplex_density(1, 100, SEED)
     with pytest.raises(ValueError):
@@ -297,3 +302,18 @@ def test_density_estimate_validation():
         dn.DensityEstimate(1.5, 0.0, 0, 0, "closed_form")
     with pytest.raises(ValueError):
         dn.DensityEstimate(0.5, -1.0, 0, 0, "closed_form")
+
+
+@pytest.mark.parametrize("stderr", [math.nan, math.inf])
+def test_density_estimate_rejects_nonfinite_stderr(stderr):
+    with pytest.raises(ValueError):
+        dn.DensityEstimate(0.5, stderr, 10, 0, "monte_carlo")
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the d <= 3 quadrature anchors and is imported there
+    src = str(Path(dn.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import packbounds; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
