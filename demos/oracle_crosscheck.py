@@ -41,7 +41,7 @@ def main():
         for d in ds:
             cfg = make(d)
             mc = surface_density(cfg, 4 * 10**5, SEED + 10 * d)
-            quad = quadrature_density(cfg, ns=256, na=256, nr=128)
+            quad = quadrature_density(cfg)
             sep = abs(mc.value - quad.value) / math.hypot(mc.stderr, quad.stderr)
             print(f"  {label:8s} d={d}: mc {mc.value:.7f} +- {mc.stderr:.1e} | "
                   f"quad {quad.value:.7f} +- {quad.stderr:.1e} | "

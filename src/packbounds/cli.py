@@ -263,7 +263,8 @@ def cmd_records(args) -> int:
     for d in sorted({r["d"] for r in records}):
         if not (args.dmin <= d <= args.dmax):
             continue
-        if d >= 4:
+        # the wedge bound is proven for d >= 8 only; below that sigma holds
+        if d >= 8:
             gap = improvement_gap(d, args.samples, spawn_key(args.seed, d))
             bounds[d] = ("sigma_hat", gap.sigma_hat)
         else:

@@ -20,7 +20,8 @@ lead coordinate (the join parameter t of a wedge, the leading ordered
 coordinate of a simplex) with one Philox substream per stratum keyed by
 (seed, stratum), so results are reproducible bit-for-bit and independent of
 any parallel scheduling.  Quadrature propagates the chain's ordered
-variables through a (level, accumulated squared norm) grid and reports the
+variables through a (level, accumulated squared norm) grid, integrates a
+wedge's planar radius by a series in its radial moments, and reports the
 disagreement of two refinements as its error estimate.
 """
 
@@ -388,16 +389,16 @@ def _shift_add(dest: np.ndarray, src: np.ndarray, offset: int, weight: float):
         dest[:m] += weight * src[-offset : -offset + m]
 
 
-def _chain_grid_pass(config: WedgeConfig, ns: int, na: int, nr: int) -> float:
-    """One grid evaluation of the surface-density integral.
+def _chain_mass_grid(config: WedgeConfig, ns: int, na: int):
+    """Mass of the ordered chain variables on an (own value, squared norm) grid.
 
     Propagates the mass of the ordered chain variables over an
     (own value, accumulated squared norm) grid with midpoint cells and a
-    linearly split deposit along the accumulated axis.
+    linearly split deposit along the accumulated axis.  Returns ``(W, s_mid,
+    a_nodes)``: W[i, j] is the mass whose last variable sits in the cell at
+    s_mid[i] and whose accumulated squared norm is a_nodes[j].
     """
     chain = config.chain
-    d = config.d
-    xi1 = chain.xi[0]
     etas = chain.eta_array[1:]
     amax = float(np.sum(etas**2)) + 1e-30
     ds = 1.0 / ns
@@ -429,26 +430,93 @@ def _chain_grid_pass(config: WedgeConfig, ns: int, na: int, nr: int) -> float:
             _shift_add(Wn[i], src[i], j0[i], 1.0 - frac[i])
             _shift_add(Wn[i], src[i], j0[i] + 1, frac[i])
         W = Wn
+    return W, s_mid, a_nodes
+
+
+# relative truncation error allowed in the radial series
+_SERIES_TOL = 1e-17
+# chain rows contracted at once: keeps each temporary near half a megabyte
+_ROW_BLOCK = 64
+
+
+def _series_terms(q: float, p: float) -> int:
+    """Number of terms M of the radial series for a ratio bound q < 1.
+
+    Term m is bounded by |C(-p, m)| q^m times the leading term.  For p >= 1
+    the ratio of consecutive bounds, q (p + m)/(m + 1), falls with m, so once
+    it is below 1 the tail from m on is at most the m-th bound over one minus
+    that ratio.  Every cell is at least (1 + q)^-p times its leading term,
+    so M is the first m at which (1 + q)^p times that tail is below
+    _SERIES_TOL.
+    """
+    scale = (1.0 + q) ** p
+    bound, m = 1.0, 0
+    while True:
+        ratio = q * (p + m) / (m + 1)
+        if ratio < 1.0 and scale * bound / (1.0 - ratio) < _SERIES_TOL:
+            return m
+        bound *= ratio
+        m += 1
+
+
+def _chain_grid_pass(config: WedgeConfig, ns: int, na: int, nr: int) -> float:
+    """One grid evaluation of the surface-density integral.
+
+    The chain mass comes from _chain_mass_grid.  For a wedge, the planar
+    radius r is integrated against the domain's radial mass with nr midpoint
+    nodes r_k and weights w_k, and every cell (i, j) needs
+
+        g(i, j) = sum_k w_k (c_ij + t_i^2 (r_k^2 - rho))^(-p),   p = d/2,
+
+    with rho = r_max^2 / 2 and c_ij = xi_1^2 + a_j + t_i^2 rho.  The binomial
+    series in the radial moments evaluates it as
+
+        g(i, j) = c_ij^-p sum_m C(-p, m) nu_m y_ij^m,   y_ij = t_i^2 rho / c_ij,
+        nu_m = sum_k w_k ((r_k^2 - rho) / rho)^m,
+
+    so the moments are taken once per pass and each cell costs one power and
+    M multiply-adds (Horner in y) in place of nr powers.  |nu_m| <= nu_0 and
+    y <= q = max t^2 rho / (xi_1^2 + t^2 rho) < 1, because xi_1 > 0: the
+    series converges for every configuration, and M follows from q and p
+    (_series_terms) with a relative truncation error below 1e-17.  For the
+    canonical wedges d = 4..12, q lies between 0.12 and 0.014.
+    """
+    d = config.d
+    xi1 = config.chain.xi[0]
+    W, s_mid, a_nodes = _chain_mass_grid(config, ns, na)
+    base = xi1 * xi1 + a_nodes
 
     if config.is_simplex:
         mass_a = W.sum(axis=0)
-        g = (xi1 * xi1 + a_nodes) ** (-0.5 * d)
+        g = base ** (-0.5 * d)
         return float(xi1 * (mass_a @ g) / mass_a.sum())
 
+    p = 0.5 * d
     r_nodes, r_w = _radial_nodes(config.domain, nr)
-    r_sq = r_nodes * r_nodes
-    base = xi1 * xi1 + a_nodes
+    rho = 0.5 * config.domain.max_radius**2
     t2 = s_mid * s_mid
+    n_terms = _series_terms(t2[-1] * rho / (base[0] + t2[-1] * rho), p)
+    z = (r_nodes * r_nodes - rho) / rho
+    coef = np.empty(n_terms)
+    binom, z_pow = 1.0, np.ones_like(z)
+    for m in range(n_terms):
+        coef[m] = binom * float(r_w @ z_pow)
+        binom *= (-p - m) / (m + 1)
+        z_pow *= z
+
     num = 0.0
-    den = 0.0
-    for i in range(ns):
-        row = W[i]
-        if not row.any():
-            continue
-        u = base[:, None] + t2[i] * r_sq[None, :]
-        g_row = (u ** (-0.5 * d)) @ r_w
-        num += t2[i] * float(row @ g_row)
-        den += t2[i] * float(row.sum()) * float(r_w.sum())
+    for lo in range(0, len(t2), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        lead = (t2[rows] * rho)[:, None]
+        c = base[None, :] + lead
+        y = lead / c
+        g = np.full_like(c, coef[-1])
+        for b in coef[-2::-1]:
+            g *= y
+            g += b
+        g *= c ** -p
+        num += float(t2[rows] @ np.einsum("ij,ij->i", W[rows], g))
+    den = float(t2 @ W.sum(axis=1)) * float(r_w.sum())
     return float(xi1 * num / den)
 
 
@@ -487,6 +555,13 @@ def quadrature_density(
     doubled; the reported value is the fine pass and stderr is the
     refinement disagreement.  Raises if the disagreement exceeds tol.
     Guarded to d <= 12 (cost grows with the number of chain levels).
+
+    A wedge's planar radius (nr midpoint nodes) is contracted by a binomial
+    series in the radial moments about half the squared domain radius, not
+    node by node.  Its ratio q = max t^2 rho / (xi_1^2 + t^2 rho) is below 1
+    for every configuration because xi_1 > 0, and the number of terms is
+    the least whose tail bound is below 1e-17 of the value (12 to 20 terms
+    for the canonical wedges); see _chain_grid_pass.
     """
     d = config.d
     if d > 12:

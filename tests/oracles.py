@@ -136,3 +136,33 @@ def planar_corner_density() -> float:
     """Ball density in the regular triangle of edge 2 (arc over area)."""
     # covered area: three pi/3 sectors of unit radius; triangle area sqrt(3)
     return (math.pi / 2.0) / math.sqrt(3.0)
+
+
+def direct_chain_grid_pass(config, ns, na, nr):
+    """The wedge's grid pass with the radial axis contracted term by term.
+
+    Shares the chain-mass propagation and the radial nodes with the library
+    and raises the full (na + 1) x nr matrix xi_1^2 + a_j + t_i^2 r_k^2 to
+    the power -d/2 for every chain row, so it checks the radial-moment
+    series of ``density._chain_grid_pass`` and nothing else.
+    """
+    from packbounds.density import _chain_mass_grid, _radial_nodes
+
+    d = config.d
+    xi1 = config.chain.xi[0]
+    W, s_mid, a_nodes = _chain_mass_grid(config, ns, na)
+    r_nodes, r_w = _radial_nodes(config.domain, nr)
+    r_sq = r_nodes * r_nodes
+    base = xi1 * xi1 + a_nodes
+    t2 = s_mid * s_mid
+    num = 0.0
+    den = 0.0
+    for i in range(ns):
+        row = W[i]
+        if not row.any():
+            continue
+        u = base[:, None] + t2[i] * r_sq[None, :]
+        g_row = (u ** (-0.5 * d)) @ r_w
+        num += t2[i] * float(row @ g_row)
+        den += t2[i] * float(row.sum()) * float(r_w.sum())
+    return float(xi1 * num / den)

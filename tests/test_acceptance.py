@@ -60,20 +60,20 @@ def test_02_spatial_anchor():
 
 def test_03_cross_oracle_agreement():
     worst = 0.0
-    for d in range(2, 11):
+    for d in range(2, 13):
         q = dn.quadrature_density(geo.canonical_simplex(d), ns=256, na=256, nr=128)
         m = dn.simplex_density(d, 2 * 10**5, spawn_key(SEED, 3, d))
         sep = abs(q.value - m.value) / math.hypot(q.stderr, m.stderr)
         worst = max(worst, sep)
         assert sep <= 3.0, f"simplex d={d}: {q.value} vs {m.value}"
-    for d in range(4, 11):
+    for d in range(4, 13):
         q = dn.quadrature_density(geo.canonical_wedge(d), ns=256, na=256, nr=128)
         m = dn.wedge_density(d, 2 * 10**5, spawn_key(SEED, 3, 100 + d))
         sep = abs(q.value - m.value) / math.hypot(q.stderr, m.stderr)
         worst = max(worst, sep)
         assert sep <= 3.0, f"wedge d={d}: {q.value} vs {m.value}"
-    report(3, f"quadrature vs Monte-Carlo agree for simplex d=2..10 and "
-              f"wedge d=4..10 (worst separation {worst:.2f} combined se)")
+    report(3, f"quadrature vs Monte-Carlo agree for simplex d=2..12 and "
+              f"wedge d=4..12 (worst separation {worst:.2f} combined se)")
 
 
 def test_04_membership_against_oracle():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -187,6 +189,19 @@ def test_records_outside_range_listed_without_bound(capsys, tmp_path):
     )
     assert code == 0
     assert "24" in out
+
+
+def test_records_bound_kind_follows_proven_range(capsys, tmp_path):
+    # sigma_hat is a proven bound only for d >= 8; below that sigma is used
+    f = tmp_path / "two.csv"
+    f.write_text("d,density,name,source\n6,0.3,six,made up\n8,0.2,eight,made up\n")
+    code, out, _ = run_cli(
+        capsys, "records", str(f), "--format", "csv", "--samples", "20000"
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    kinds = {int(row["d"]): row["bound_kind"] for row in rows}
+    assert kinds == {6: "sigma", 8: "sigma_hat"}
 
 
 def test_bundled_records_file_exists():

@@ -1,12 +1,17 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import planar_corner_density, tetrahedron_corner_density
+from oracles import (
+    direct_chain_grid_pass,
+    planar_corner_density,
+    tetrahedron_corner_density,
+)
 from packbounds import density as dn
 from packbounds import formulas as fm
 from packbounds import geometry as geo
@@ -247,6 +252,32 @@ def test_quadrature_cross_oracle(cfg_make, d):
     q = dn.quadrature_density(cfg_make(d), ns=256, na=256, nr=128)
     m = dn.surface_density(cfg_make(d), 400_000, SEED + d)
     assert abs(q.value - m.value) <= 3.0 * math.hypot(q.stderr, m.stderr)
+
+
+@pytest.mark.parametrize(
+    "cfg_make,d",
+    [(geo.canonical_wedge, d) for d in range(4, 13)] + [(geo.sector_wedge, 8)],
+)
+def test_radial_series_matches_direct_contraction(cfg_make, d):
+    cfg = cfg_make(d)
+    series = dn._chain_grid_pass(cfg, 128, 128, 64)
+    direct = direct_chain_grid_pass(cfg, 128, 128, 64)
+    assert abs(series - direct) <= 1e-13 * abs(direct)
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+@pytest.mark.parametrize("q", [Fraction(1, 100), Fraction(1, 8), Fraction(1, 2), Fraction(9, 10)])
+def test_radial_series_term_count_bounds_tail(p, q):
+    # at y = -q every term of sum_m C(-p, m) y^m is positive, so the exact
+    # tail there is the largest any cell can leave; it must stay below the
+    # tolerance relative to the smallest cell value, (1 + q)^-p
+    n_terms = dn._series_terms(float(q), p)
+    partial, binom = Fraction(0), Fraction(1)
+    for m in range(n_terms):
+        partial += binom * (-q) ** m
+        binom *= Fraction(-p - m, m + 1)
+    tail = (1 - q) ** -p - partial
+    assert 0 < tail * (1 + q) ** p < Fraction(dn._SERIES_TOL)
 
 
 def test_quadrature_guard_and_tolerance():
