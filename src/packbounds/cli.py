@@ -24,7 +24,7 @@ import time
 from importlib import resources
 
 from . import __version__
-from .density import improvement_gap, limiting_density_profile, simplex_density
+from .density import improvement_gap, limiting_density_profile, simplex_density, voronoi_bounds
 from .formulas import height_breakpoints, reference_bounds, sector_geometry, truncation_scalars
 from .geometry import canonical_chain
 from .streams import spawn_key
@@ -65,6 +65,7 @@ def _bounds_rows(d_min, d_max, n, seed):
     rows = []
     for d in range(d_min, d_max + 1):
         gap = improvement_gap(d, n, spawn_key(seed, d))
+        volume_lower, surface_lower = voronoi_bounds(d, gap.sigma_hat)
         ref = reference_bounds(d)
         rows.append(
             {
@@ -72,8 +73,8 @@ def _bounds_rows(d_min, d_max, n, seed):
                 "sigma": {"value": gap.sigma.value, "stderr": gap.sigma.stderr},
                 "sigma_hat": {"value": gap.sigma_hat.value, "stderr": gap.sigma_hat.stderr},
                 "lambda": {"value": gap.lam.value, "stderr": gap.lam.stderr},
-                "volume_lower": ref.omega_d / gap.sigma_hat.value,
-                "surface_lower": d * ref.omega_d / gap.sigma_hat.value,
+                "volume_lower": volume_lower,
+                "surface_lower": surface_lower,
                 "daniels": ref.daniels,
                 "kl": ref.kl,
                 "ball_lower": ref.ball_lower,
@@ -341,11 +342,11 @@ def cmd_plot_data(args) -> int:
         if args.dmin < 4:
             print("gap_vs_d requires dmin >= 4", file=sys.stderr)
             return 2
-        rows = []
-        for d in range(args.dmin, args.dmax + 1):
-            gap = improvement_gap(d, args.samples, spawn_key(args.seed, d))
-            rows.append([str(d), _fmt(gap.sigma.value), _fmt(gap.sigma_hat.value),
-                         _fmt(gap.gap), _fmt(gap.gap_stderr)])
+        rows = [
+            [str(r["d"]), _fmt(r["sigma"]["value"]), _fmt(r["sigma_hat"]["value"]),
+             _fmt(r["_gap"]), _fmt(r["_gap_stderr"])]
+            for r in _bounds_rows(args.dmin, args.dmax, args.samples, args.seed)
+        ]
         text = _tsv(["d", "sigma", "sigma_hat", "gap", "gap_stderr"], rows)
     elif kind == "dlim_profile":
         d = args.d or 8

@@ -19,10 +19,17 @@ Monte-Carlo draws are stratified into 16 equal-probability strata of the
 lead coordinate (the join parameter t of a wedge, the leading ordered
 coordinate of a simplex) with one Philox substream per stratum keyed by
 (seed, stratum), so results are reproducible bit-for-bit and independent of
-any parallel scheduling.  Quadrature propagates the chain's ordered
-variables through a (level, accumulated squared norm) grid, integrates a
-wedge's planar radius by a series in its radial moments, and reports the
-disagreement of two refinements as its error estimate.
+any parallel scheduling.  Each sample is one draw of the ordered chain,
+from the shared kernel geometry._ordered_chain (the lead coordinate plus one
+sorted uniform tail), and one estimator, _cone_estimate, serves sigma,
+sigma_hat and lambda: the surface density, the paired gap and the limiting
+profile differ only in the squared planar radii that t^2 multiplies (one
+domain sample, the triangle's then the sector's, or fixed radii).
+
+Quadrature propagates the chain's ordered variables through a (level,
+accumulated squared norm) grid, integrates a wedge's planar radius by a
+series in its radial moments, and reports the disagreement of two
+refinements as its error estimate.
 """
 
 from __future__ import annotations
@@ -36,9 +43,9 @@ from .formulas import unit_ball_volume
 from .geometry import (
     ChainSpec,
     WedgeConfig,
+    _ordered_chain,
     canonical_simplex,
     canonical_wedge,
-    lead_transform,
     sector_wedge,
 )
 from .streams import substream
@@ -132,40 +139,48 @@ class ProfileEstimate:
 # stratified Monte-Carlo core
 
 
-def _tail_count(d: int, is_simplex: bool) -> int:
-    return d - 2 if is_simplex else d - 4
+def _sampled_r2(*domains):
+    """Planar source: one fresh sample of each domain, as squared radii."""
+
+    def planar(rng, m):
+        for domain in domains:
+            q = domain.sample(m, rng)
+            yield q[:, 0] ** 2 + q[:, 1] ** 2
+
+    return planar
 
 
-def _norm_sq(chain: ChainSpec, is_simplex: bool, lead, tail, r2):
-    """Squared norms of base points given the ordered parametrization."""
-    eta = chain.eta_array
-    xi1 = chain.xi[0]
-    s = np.full_like(lead, xi1 * xi1)
-    if is_simplex:
-        coeff = eta[1:] ** 2
-        s = s + coeff[0] * lead * lead
-        if tail is not None and tail.shape[1]:
-            scaled = lead[:, None] * tail
-            s = s + (scaled * scaled) @ coeff[1:]
-    else:
-        coeff = eta[1:] ** 2
-        if tail is not None and tail.shape[1]:
-            mid = lead[:, None] + (1.0 - lead[:, None]) * tail
-            s = s + (mid * mid) @ coeff[:-1]
-        s = s + coeff[-1] * lead * lead
-        s = s + lead * lead * r2
-    return s
+def _cone_estimate(chain: ChainSpec, is_simplex: bool, planar, dim, n, seed, antithetic=False):
+    """Stratified mean of xi_1 |y|^-d over base points y from shared chain draws.
 
-
-def _stratified_vector_estimate(sample_fn, dim, n, seed, antithetic=False):
-    """Stratified mean of a vector-valued integrand.
-
-    sample_fn(rng, u) maps lead uniforms u (shape (m,)) to an (m, dim)
-    matrix of integrand values, drawing any further randomness from rng.
-    Returns (mean vector, covariance matrix of the mean).
+    Every sample is one chain draw (geometry._ordered_chain).  For the
+    simplex, dim is 1 and planar is None.  For a wedge, planar(rng, m)
+    yields dim squared planar radii r^2, one array of m (or one scalar) at a
+    time, and column j of the integrand uses |y|^2 = chain part + t^2 r_j^2
+    with the same chain draw for every column.  Each column is its own
+    contiguous expression; a broadcast (m, dim) one was slower.  Returns
+    (mean vector, covariance matrix of the mean).
     """
     if n < 2:
         raise ValueError("sample count must be >= 2, the least that gives an error estimate")
+    d = chain.d
+    xi1 = chain.xi[0]
+    coeff = chain.eta_array[1:] ** 2
+
+    def integrand(rng, u):
+        lead, inner = _ordered_chain(d, is_simplex, u, rng)
+        # levels are summed in chain order, as lead is the first simplex
+        # level and the last wedge level
+        s = np.full(len(u), xi1 * xi1)
+        if is_simplex:
+            s = s + coeff[0] * lead * lead
+            s = s + (inner * inner) @ coeff[1:]
+            return (xi1 * s ** (-0.5 * d))[:, None]
+        s = s + (inner * inner) @ coeff[:-1]
+        s = s + coeff[-1] * lead * lead
+        t2 = lead * lead
+        return np.column_stack([xi1 * (s + t2 * r2) ** (-0.5 * d) for r2 in planar(rng, len(u))])
+
     strata = _STRATA if n >= 16 * _STRATA else 1
     counts = [n // strata + (1 if k < n % strata else 0) for k in range(strata)]
     # chunk size shrinks with the integrand dimension to cap memory; it is a
@@ -184,11 +199,11 @@ def _stratified_vector_estimate(sample_fn, dim, n, seed, antithetic=False):
             u = rng.random(m)
             if antithetic:
                 g = 0.5 * (
-                    sample_fn(rng, (k + u) / strata)
-                    + sample_fn(rng, (k + 1.0 - u) / strata)
+                    integrand(rng, (k + u) / strata)
+                    + integrand(rng, (k + 1.0 - u) / strata)
                 )
             else:
-                g = sample_fn(rng, (k + u) / strata)
+                g = integrand(rng, (k + u) / strata)
             s1 += g.sum(axis=0)
             s2 += g.T @ g
             done += m
@@ -212,25 +227,8 @@ def surface_density(
     sample is paired with its lead-reflected partner (twice the integrand
     evaluations for the same n).
     """
-    chain = config.chain
-    d = config.d
-    is_simplex = config.is_simplex
-    tail_m = _tail_count(d, is_simplex)
-    domain = config.domain
-
-    def sample_fn(rng, u):
-        m = len(u)
-        lead = lead_transform(d, is_simplex, u)
-        tail = np.sort(rng.random((m, tail_m)), axis=1)[:, ::-1] if tail_m else None
-        if is_simplex:
-            s = _norm_sq(chain, True, lead, tail, None)
-        else:
-            q = domain.sample(m, rng)
-            r2 = q[:, 0] ** 2 + q[:, 1] ** 2
-            s = _norm_sq(chain, False, lead, tail, r2)
-        return (chain.xi[0] * s ** (-0.5 * d))[:, None]
-
-    value, cov = _stratified_vector_estimate(sample_fn, 1, n, seed, antithetic)
+    planar = None if config.is_simplex else _sampled_r2(config.domain)
+    value, cov = _cone_estimate(config.chain, config.is_simplex, planar, 1, n, seed, antithetic)
     return DensityEstimate(
         value=float(value[0]),
         stderr=float(math.sqrt(max(cov[0, 0], 0.0))),
@@ -302,29 +300,11 @@ def limiting_density_profile(
     differences along the profile carry honest (and small) error bars.
     """
     _check_profile_chain(chain)
-    d = chain.d
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or len(r) == 0 or np.any(r < 0):
         raise ValueError("radii must be a nonempty 1D array of nonnegative reals")
-    tail_m = d - 4
     r2 = r * r
-
-    def sample_fn(rng, u):
-        m = len(u)
-        lead = lead_transform(d, False, u)
-        tail = np.sort(rng.random((m, tail_m)), axis=1)[:, ::-1] if tail_m else None
-        eta = chain.eta_array
-        xi1 = chain.xi[0]
-        coeff = eta[1:] ** 2
-        base = np.full(m, xi1 * xi1)
-        if tail is not None and tail.shape[1]:
-            mid = lead[:, None] + (1.0 - lead[:, None]) * tail
-            base = base + (mid * mid) @ coeff[:-1]
-        base = base + coeff[-1] * lead * lead
-        s = base[:, None] + np.outer(lead * lead, r2)
-        return xi1 * s ** (-0.5 * d)
-
-    values, cov = _stratified_vector_estimate(sample_fn, len(r), n, seed)
+    values, cov = _cone_estimate(chain, False, lambda rng, m: r2, len(r), n, seed)
     return ProfileEstimate(radii=r, values=values, cov=cov, n=n, seed=seed)
 
 
@@ -627,28 +607,7 @@ def improvement_gap(d: int, n: int, seed: int, antithetic: bool = True) -> Impro
     sec = sector_domain(d)
     w_tri = tri.area / (tri.area + sec.area)
     w_sec = 1.0 - w_tri
-    tail_m = d - 4
-    eta = chain.eta_array
-    xi1 = chain.xi[0]
-    coeff = eta[1:] ** 2
-
-    def sample_fn(rng, u):
-        m = len(u)
-        lead = lead_transform(d, False, u)
-        base = np.full(m, xi1 * xi1)
-        if tail_m:
-            tail = np.sort(rng.random((m, tail_m)), axis=1)[:, ::-1]
-            mid = lead[:, None] + (1.0 - lead[:, None]) * tail
-            base = base + (mid * mid) @ coeff[:-1]
-        base = base + coeff[-1] * lead * lead
-        q_t = tri.sample(m, rng)
-        q_s = sec.sample(m, rng)
-        t2 = lead * lead
-        g_t = xi1 * (base + t2 * (q_t[:, 0] ** 2 + q_t[:, 1] ** 2)) ** (-0.5 * d)
-        g_s = xi1 * (base + t2 * (q_s[:, 0] ** 2 + q_s[:, 1] ** 2)) ** (-0.5 * d)
-        return np.column_stack([g_t, g_s])
-
-    values, cov = _stratified_vector_estimate(sample_fn, 2, n, seed, antithetic)
+    values, cov = _cone_estimate(chain, False, _sampled_r2(tri, sec), 2, n, seed, antithetic)
     t_val, s_val = float(values[0]), float(values[1])
     se_t = math.sqrt(max(cov[0, 0], 0.0))
     se_s = math.sqrt(max(cov[1, 1], 0.0))

@@ -67,8 +67,6 @@ __all__ = [
     "cone_contains_many",
     "lead_transform",
     "sample_base",
-    "sample_base_params",
-    "assemble_base_points",
     "base_volume",
 ]
 
@@ -201,6 +199,47 @@ def _segment_circle_area(a: np.ndarray, b: np.ndarray, R: float) -> float:
     return total
 
 
+def _inside_edges(p: np.ndarray, verts: np.ndarray, tol: float) -> np.ndarray:
+    """Points on the inner side (within tol) of every edge of a ccw convex polygon."""
+    ok = np.ones(len(p), dtype=bool)
+    for i in range(len(verts)):
+        a, b = verts[i], verts[(i + 1) % len(verts)]
+        e = b - a
+        ln = math.hypot(*e)
+        signed = (e[0] * (p[:, 1] - a[1]) - e[1] * (p[:, 0] - a[0])) / ln
+        ok &= signed >= -tol
+    return ok
+
+
+def _fan_radial_mass(r, verts: np.ndarray) -> np.ndarray:
+    """Radial mass of a polygon containing the origin, as a fan of edge triangles."""
+    r = np.asarray(r, dtype=float)
+    meas = np.zeros_like(r)
+    for i in range(len(verts)):
+        meas = meas + _fan_measure(r, verts[i], verts[(i + 1) % len(verts)])
+    return r * np.maximum(meas, 0.0)
+
+
+def _polar_points(R: float, ang0: float, ang1: float, n: int, rng) -> np.ndarray:
+    """n uniform points of the sector of radius R between angles ang0 and ang1."""
+    ang = rng.uniform(ang0, ang1, size=n)
+    r = R * np.sqrt(rng.random(n))
+    return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+
+
+def _disc_rejection(R: float, n: int, rng, accept) -> np.ndarray:
+    """n uniform points of the disc of radius R for which accept(points) holds."""
+    out = np.empty((n, 2))
+    got = 0
+    while got < n:
+        cand = _polar_points(R, 0.0, 2.0 * math.pi, max(2 * (n - got), 64), rng)
+        keep = cand[accept(cand)]
+        take = min(n - got, len(keep))
+        out[got : got + take] = keep[:take]
+        got += take
+    return out
+
+
 class PlanarDomain:
     """Common surface for the 2D base regions.
 
@@ -244,16 +283,7 @@ class Triangle(PlanarDomain):
         self.max_radius = float(np.max(np.hypot(verts[:, 0], verts[:, 1])))
 
     def contains(self, pts, tol: float = EDGE_TOL):
-        p = _as_points(pts)
-        ok = np.ones(len(p), dtype=bool)
-        v = self.vertices
-        for i in range(3):
-            a, b = v[i], v[(i + 1) % 3]
-            e = b - a
-            ln = math.hypot(*e)
-            signed = (e[0] * (p[:, 1] - a[1]) - e[1] * (p[:, 0] - a[0])) / ln
-            ok &= signed >= -tol
-        return ok
+        return _inside_edges(_as_points(pts), self.vertices, tol)
 
     def sample(self, n, rng):
         u = rng.random((n, 2))
@@ -263,12 +293,7 @@ class Triangle(PlanarDomain):
         return v[0] + u[:, :1] * (v[1] - v[0]) + u[:, 1:] * (v[2] - v[0])
 
     def radial_mass(self, r):
-        r = np.asarray(r, dtype=float)
-        v = self.vertices
-        meas = np.zeros_like(r)
-        for i in range(3):
-            meas = meas + _fan_measure(r, v[i], v[(i + 1) % 3])
-        return r * np.maximum(meas, 0.0)
+        return _fan_radial_mass(r, self.vertices)
 
     def radial_breakpoints(self):
         v = self.vertices
@@ -311,9 +336,7 @@ class Sector(PlanarDomain):
         return (r <= self.radius + tol) & (side0 >= -tol) & (side1 <= tol)
 
     def sample(self, n, rng):
-        ang = rng.uniform(self.ang0, self.ang1, size=n)
-        r = self.radius * np.sqrt(rng.random(n))
-        return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+        return _polar_points(self.radius, self.ang0, self.ang1, n, rng)
 
     def radial_mass(self, r):
         r = np.asarray(r, dtype=float)
@@ -335,9 +358,7 @@ class Disc(PlanarDomain):
         return np.hypot(p[:, 0], p[:, 1]) <= self.radius + tol
 
     def sample(self, n, rng):
-        ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        r = self.radius * np.sqrt(rng.random(n))
-        return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+        return _polar_points(self.radius, 0.0, 2.0 * math.pi, n, rng)
 
     def radial_mass(self, r):
         r = np.asarray(r, dtype=float)
@@ -377,21 +398,12 @@ class DiscSquare(PlanarDomain):
     def sample(self, n, rng):
         R, g = self.radius, self.half_width
         if R <= g:
-            return Disc(R).sample(n, rng)
+            return _polar_points(R, 0.0, 2.0 * math.pi, n, rng)
         if R >= g * math.sqrt(2.0):
             return rng.uniform(-g, g, size=(n, 2))
-        out = np.empty((n, 2))
-        got = 0
-        while got < n:
-            m = max(2 * (n - got), 64)
-            ang = rng.uniform(0.0, 2.0 * math.pi, size=m)
-            r = R * np.sqrt(rng.random(m))
-            cand = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
-            keep = cand[(np.abs(cand[:, 0]) <= g) & (np.abs(cand[:, 1]) <= g)]
-            take = min(n - got, len(keep))
-            out[got : got + take] = keep[:take]
-            got += take
-        return out
+        return _disc_rejection(
+            R, n, rng, lambda c: (np.abs(c[:, 0]) <= g) & (np.abs(c[:, 1]) <= g)
+        )
 
     def radial_mass(self, r):
         r = np.asarray(r, dtype=float)
@@ -453,40 +465,16 @@ class DiscPolygon(PlanarDomain):
     def contains(self, pts, tol: float = EDGE_TOL):
         p = _as_points(pts)
         r = np.hypot(p[:, 0], p[:, 1])
-        ok = r <= self.radius + tol
-        v = self.vertices
-        for i in range(len(v)):
-            a, b = v[i], v[(i + 1) % len(v)]
-            e = b - a
-            ln = math.hypot(*e)
-            signed = (e[0] * (p[:, 1] - a[1]) - e[1] * (p[:, 0] - a[0])) / ln
-            ok &= signed >= -tol
-        return ok
+        return (r <= self.radius + tol) & _inside_edges(p, self.vertices, tol)
 
     def sample(self, n, rng):
         # the polygon contains disc(min edge distance), so acceptance from the
         # enclosing disc is at least (min_dist/R)^2
-        out = np.empty((n, 2))
-        got = 0
-        R = self.radius
-        while got < n:
-            m = max(2 * (n - got), 64)
-            ang = rng.uniform(0.0, 2.0 * math.pi, size=m)
-            r = R * np.sqrt(rng.random(m))
-            cand = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
-            keep = cand[self.contains(cand, tol=0.0)]
-            take = min(n - got, len(keep))
-            out[got : got + take] = keep[:take]
-            got += take
-        return out
+        return _disc_rejection(self.radius, n, rng, lambda c: self.contains(c, tol=0.0))
 
     def radial_mass(self, r):
         r = np.asarray(r, dtype=float)
-        v = self.vertices
-        meas = np.zeros_like(r)
-        for i in range(len(v)):
-            meas = meas + _fan_measure(r, v[i], v[(i + 1) % len(v)])
-        return np.where(r <= self.radius, r * np.maximum(meas, 0.0), 0.0)
+        return np.where(r <= self.radius, _fan_radial_mass(r, self.vertices), 0.0)
 
     def radial_breakpoints(self):
         pts = {0.0, self.max_radius}
@@ -822,53 +810,44 @@ def lead_transform(d: int, is_simplex: bool, u) -> np.ndarray:
     return _beta3_quantile(d, u)
 
 
-def sample_base_params(config: WedgeConfig, rng: np.random.Generator, n: int, lead_u=None):
-    """Draw the base parametrization (tilde, q) for n uniform base points.
+def _ordered_chain(d: int, is_simplex: bool, u, rng: np.random.Generator):
+    """Ordered chain coordinates y_i/eta_i of uniform base points.
 
-    tilde holds the ordered coordinates y_i/eta_i for levels 2..k, one row
-    per sample; q holds local domain points for the wedge variant (None for
-    the simplex).  lead_u optionally supplies the uniforms driving the lead
-    coordinate (the simplex maximum, or the wedge join parameter t), which
-    is how stratified estimation plugs in.
+    The one chain draw behind sample_base and every Monte-Carlo estimator.
+    lead is lead_transform(d, is_simplex, u): the top simplex coordinate
+    (level 2), or the wedge join parameter t (level d-2).  inner holds the
+    other levels in chain order, from one sorted uniform tail s_1 >= s_2 >= ...
+    drawn from rng: lead * s_i for simplex levels 3..d, and t + (1 - t) s_i
+    for wedge levels 2..d-3.
     """
-    d = config.d
-    u = rng.random(n) if lead_u is None else np.asarray(lead_u, dtype=float)
-    lead = lead_transform(d, config.is_simplex, u)
-    if config.is_simplex:
-        if d > 2:
-            tail = np.sort(rng.random((n, d - 2)), axis=1)[:, ::-1]
-            tilde = np.column_stack([lead, lead[:, None] * tail])
-        else:
-            tilde = lead[:, None]
-        return tilde, None
-    if d > 4:
-        tail = np.sort(rng.random((n, d - 4)), axis=1)[:, ::-1]
-        tilde = np.column_stack([lead[:, None] + (1.0 - lead[:, None]) * tail, lead])
+    lead = lead_transform(d, is_simplex, u)
+    tail = rng.random((len(lead), d - 2 if is_simplex else d - 4))
+    # transformed in place: a fresh array per step costs page faults at large n
+    tail.sort(axis=1)
+    inner = tail[:, ::-1]
+    if is_simplex:
+        inner *= lead[:, None]
     else:
-        tilde = lead[:, None]
-    q = config.domain.sample(n, rng)
-    return tilde, q
-
-
-def assemble_base_points(config: WedgeConfig, tilde, q=None) -> np.ndarray:
-    """Map base parameters to points of the base in E^d."""
-    tilde = np.atleast_2d(np.asarray(tilde, dtype=float))
-    n = len(tilde)
-    eta = config.chain.eta_array
-    k = config.chain.k
-    pts = np.zeros((n, config.d))
-    pts[:, 0] = eta[0]
-    pts[:, 1:k] = tilde * eta[1:k]
-    if not config.is_simplex:
-        t = tilde[:, -1] if k > 1 else np.ones(n)
-        pts[:, -2:] = t[:, None] * np.asarray(q, dtype=float)
-    return pts
+        inner *= (1.0 - lead)[:, None]
+        inner += lead[:, None]
+    return lead, inner
 
 
 def sample_base(config: WedgeConfig, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     """n points uniformly distributed on the (d-1)-dimensional base."""
-    tilde, q = sample_base_params(config, rng, n)
-    return assemble_base_points(config, tilde, q)
+    d = config.d
+    eta = config.chain.eta_array
+    lead, inner = _ordered_chain(d, config.is_simplex, rng.random(n), rng)
+    pts = np.zeros((n, d))
+    pts[:, 0] = eta[0]
+    if config.is_simplex:
+        pts[:, 1] = lead * eta[1]
+        pts[:, 2:] = inner * eta[2:]
+    else:
+        pts[:, 1 : d - 3] = inner * eta[1 : d - 3]
+        pts[:, d - 3] = lead * eta[d - 3]
+        pts[:, -2:] = lead[:, None] * config.domain.sample(n, rng)
+    return pts
 
 
 def base_volume(config: WedgeConfig) -> float:

@@ -82,6 +82,92 @@ def test_determinism_bit_identical():
     assert c.value != a.value
 
 
+def _pinned_paths():
+    """Fixed-seed Monte-Carlo paths, each returning a flat list of floats."""
+    lo, mid, _ = fm.height_breakpoints(8)
+    square = geo.truncated_wedge(8, lo + 0.3 * (mid - lo), "disc_cap_square")
+    poly = geo.WedgeConfig(
+        geo.canonical_chain(8, 6),
+        geo.DiscPolygon(0.3, [(0.25, 0.0), (0.1, 0.3), (-0.25, 0.2), (-0.2, -0.25), (0.15, -0.28)]),
+    )
+
+    def surface(cfg, seed, antithetic=False):
+        est = dn.surface_density(cfg, 4000, seed, antithetic)
+        return [est.value, est.stderr]
+
+    def gap(d):
+        g = dn.improvement_gap(d, 4000, 203)
+        return [g.sigma.value, g.sigma.stderr, g.lam.value, g.lam.stderr, g.gap, g.gap_stderr]
+
+    def profile():
+        p = dn.limiting_density_profile(geo.canonical_chain(8, 6), [0.0, 0.05, 0.2], 4000, 204)
+        return [*p.values, *p.stderr(), p.diff_stderr(0, 2)]
+
+    def base_digest(cfg):
+        pts = geo.sample_base(cfg, np.random.default_rng(205), 1000)
+        return [*pts.sum(axis=0), float((pts * pts).sum())]
+
+    return {
+        "simplex": lambda: surface(geo.canonical_simplex(8), 201),
+        "simplex_antithetic": lambda: surface(geo.canonical_simplex(8), 201, True),
+        "wedge": lambda: surface(geo.canonical_wedge(8), 201),
+        "wedge_antithetic": lambda: surface(geo.canonical_wedge(8), 201, True),
+        "sector": lambda: surface(geo.sector_wedge(8), 201),
+        "sector_antithetic": lambda: surface(geo.sector_wedge(8), 201, True),
+        "disc_cap_square": lambda: surface(square, 202),
+        "disc_cap_polygon": lambda: surface(poly, 202),
+        "profile": profile,
+        "gap5": lambda: gap(5),
+        "gap24": lambda: gap(24),
+        "base_simplex": lambda: base_digest(geo.canonical_simplex(8)),
+        "base_wedge": lambda: base_digest(geo.canonical_wedge(8)),
+    }
+
+
+# recorded before the three estimators and sample_base shared one chain
+# draw; 1e-12 relative leaves room for the BLAS summation order only
+_PINNED = {
+    "simplex": [0.25703169678716903, 0.0006423388178017121],
+    "simplex_antithetic": [0.2573204639003369, 0.0004151292502081138],
+    "wedge": [0.2573270159253254, 0.001305858969053208],
+    "wedge_antithetic": [0.2575429507368498, 0.0009058886262925713],
+    "sector": [0.2565041187098399, 0.0013032680245595068],
+    "sector_antithetic": [0.2564758504940484, 0.0009310224874749417],
+    "disc_cap_square": [0.25640527331644813, 0.001284378820767581],
+    "disc_cap_polygon": [0.25604455442218665, 0.0012834540300239654],
+    "profile": [
+        0.2581614339746719, 0.2578988217686147, 0.25402341446836907,
+        0.0013115207422676003, 0.001310440682775984, 0.0012945411751711432,
+        2.2945613055324118e-05,
+    ],
+    "gap5": [
+        0.5256786122423823, 0.0008342777272190479, 0.5183701829483426,
+        0.0008293848897058865, 0.0012459089617158484, 4.308181606138969e-05,
+    ],
+    "gap24": [
+        0.0024611152440199347, 1.9679573078754918e-05, 0.0024607605144476357,
+        1.967715972622334e-05, 1.4204969848356569e-08, 5.885428588515822e-10,
+    ],
+    "base_simplex": [
+        1000.0, 502.4500181450603, 306.1927068070605, 196.29901108234355,
+        128.87240905851482, 81.288860424673, 45.79250363331962, 21.078619971017982,
+        1424.3041351428612,
+    ],
+    "base_wedge": [
+        1000.0, 504.3748083680749, 303.6496921844599, 194.74613112514385,
+        126.65411753911533, 79.81608810857085, 45.784484545544004, 22.652364547567778,
+        1423.6910035285039,
+    ],
+}
+
+
+def test_fixed_seed_values_pinned():
+    paths = _pinned_paths()
+    assert set(paths) == set(_PINNED)
+    for name, run in paths.items():
+        np.testing.assert_allclose(run(), _PINNED[name], rtol=1e-12, atol=0.0, err_msg=name)
+
+
 def test_density_in_unit_interval_and_integrand_bounds():
     for d in (2, 5, 9, 16):
         est = dn.simplex_density(d, 20_000, SEED + d)
