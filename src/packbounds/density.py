@@ -29,7 +29,11 @@ domain sample, the triangle's then the sector's, or fixed radii).
 Quadrature propagates the chain's ordered variables through a (level,
 accumulated squared norm) grid, integrates a wedge's planar radius by a
 series in its radial moments, and reports the disagreement of two
-refinements as its error estimate.
+refinements as its error estimate.  The propagation is one row-blocked
+kernel, _propagate: per level, blocks of 64 chain rows take their suffix
+sums from one cumsum with a carried row, and every row's shift along the
+accumulated axis is one window of a zero-padded buffer, so no Python code
+runs per row.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .formulas import unit_ball_volume
 from .geometry import (
@@ -347,26 +352,69 @@ def _radial_nodes(domain, nr: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _shift_add(dest: np.ndarray, src: np.ndarray, offset: int, weight: float):
-    """dest[j + offset] += weight * src[j]; mass beyond either end piles up there."""
-    if weight <= 0.0:
-        return
-    na = len(dest)
-    if offset >= na:
-        dest[-1] += weight * src.sum()
-        return
-    if offset <= -len(src):
-        dest[0] += weight * src.sum()
-        return
-    if offset >= 0:
-        m = min(len(src), na - offset)
-        dest[offset : offset + m] += weight * src[:m]
-        if m < len(src):
-            dest[-1] += weight * src[m:].sum()
-    else:
-        dest[0] += weight * src[:-offset].sum()
-        m = min(len(src) + offset, na)
-        dest[:m] += weight * src[-offset : -offset + m]
+# chain rows worked at once, in the propagation and in the radial contraction:
+# keeps each temporary near half a megabyte
+_ROW_BLOCK = 64
+
+
+def _propagate(W: np.ndarray, offsets, ds: float) -> np.ndarray:
+    """Carry the chain mass grid W through the levels given by their offsets.
+
+    At a level with offsets (j0, frac), row i of the new grid carries
+    src[i] = (sum_{k >= i} W[k] - W[i] / 2) ds, the mass of the earlier
+    levels whose variable lies above this level's cell midpoint, moved along
+    the accumulated axis: a share 1 - frac[i] by j0[i] >= 0 columns and a
+    share frac[i] by one column more.  Mass pushed past the last column
+    piles up there.  W and one grid of its shape alternate between levels,
+    so W is overwritten; the last level's grid is returned.
+
+    Rows are worked in blocks of _ROW_BLOCK, from the last block upward.  A
+    block's suffix sums are one cumsum over its rows with the running column
+    sums of the rows below prepended, so they come out in the row order of
+    one cumsum over the whole grid.  The split deposit
+    c[m] = (1 - frac) src[m] + frac src[m - 1], m = 0..L, sits behind L zero
+    columns, so each shifted row is one window of that buffer (a strided
+    view, gathered with one index per row), and the last column is the true
+    suffix of c from L - 1 - j0 on, summed from the right over only the
+    columns that some row of the block reaches.  Every other cell gets the
+    same arithmetic, in the same order, as shifting row by row.
+    """
+    ns, L = W.shape
+    rows = min(_ROW_BLOCK, ns)
+    out = np.empty_like(W)
+    suffix = np.empty((rows + 1, L))
+    src = np.empty((rows, L))
+    comb = np.zeros((rows, 2 * L + 1))
+    window = sliding_window_view(comb, L - 1, axis=1)
+    for j0, frac in offsets:
+        j0 = np.minimum(j0, L)
+        keep = (1.0 - frac)[:, None]
+        move = frac[:, None]
+        suffix[0] = 0.0
+        for hi in range(ns, 0, -rows):
+            lo = max(hi - rows, 0)
+            n = hi - lo
+            block = W[lo:hi]
+            suffix[1 : n + 1] = block[::-1]
+            np.cumsum(suffix[: n + 1], axis=0, out=suffix[: n + 1])
+            s = src[:n]
+            np.multiply(block, 0.5, out=s)
+            np.subtract(suffix[n:0:-1], s, out=s)
+            s *= ds
+            c = comb[:n, L:]
+            np.multiply(s, keep[lo:hi], out=c[:, :L])
+            c[:, L] = 0.0
+            s *= move[lo:hi]
+            c[:, 1:] += s
+            shift = j0[lo:hi]
+            r = np.arange(n)
+            out[lo:hi, : L - 1] = window[r, L - shift]
+            first = max(L - 1 - int(shift.max()), 0)
+            tail = np.cumsum(comb[:n, 2 * L : L + first - 1 : -1], axis=1)
+            out[lo:hi, L - 1] = tail[r, np.minimum(shift + 1, L - first)]
+            suffix[0] = suffix[n]
+        W, out = out, W
+    return W
 
 
 def _chain_mass_grid(config: WedgeConfig, ns: int, na: int):
@@ -374,9 +422,11 @@ def _chain_mass_grid(config: WedgeConfig, ns: int, na: int):
 
     Propagates the mass of the ordered chain variables over an
     (own value, accumulated squared norm) grid with midpoint cells and a
-    linearly split deposit along the accumulated axis.  Returns ``(W, s_mid,
-    a_nodes)``: W[i, j] is the mass whose last variable sits in the cell at
-    s_mid[i] and whose accumulated squared norm is a_nodes[j].
+    linearly split deposit along the accumulated axis: the first level is
+    deposited directly and the later ones by _propagate, the row-blocked
+    kernel.  Returns ``(W, s_mid, a_nodes)``: W[i, j] is the mass whose last
+    variable sits in the cell at s_mid[i] and whose accumulated squared norm
+    is a_nodes[j].
     """
     chain = config.chain
     etas = chain.eta_array[1:]
@@ -395,28 +445,15 @@ def _chain_mass_grid(config: WedgeConfig, ns: int, na: int):
 
     W = np.zeros((ns, na + 1))
     j0, frac = offsets_for(etas[0])
-    for i in range(ns):
-        lo = min(j0[i], na)
-        hi = min(j0[i] + 1, na)
-        W[i, lo] += ds * (1.0 - frac[i])
-        W[i, hi] += ds * frac[i]
-
-    for eta in etas[1:]:
-        suffix = np.cumsum(W[::-1], axis=0)[::-1]
-        src = (suffix - 0.5 * W) * ds
-        Wn = np.zeros_like(W)
-        j0, frac = offsets_for(eta)
-        for i in range(ns):
-            _shift_add(Wn[i], src[i], j0[i], 1.0 - frac[i])
-            _shift_add(Wn[i], src[i], j0[i] + 1, frac[i])
-        W = Wn
+    rows = np.arange(ns)
+    W[rows, np.minimum(j0, na)] += ds * (1.0 - frac)
+    W[rows, np.minimum(j0 + 1, na)] += ds * frac
+    W = _propagate(W, map(offsets_for, etas[1:]), ds)
     return W, s_mid, a_nodes
 
 
 # relative truncation error allowed in the radial series
 _SERIES_TOL = 1e-17
-# chain rows contracted at once: keeps each temporary near half a megabyte
-_ROW_BLOCK = 64
 
 
 def _series_terms(q: float, p: float) -> int:
@@ -534,7 +571,8 @@ def quadrature_density(
     Runs the chain-variable grid at the requested resolution and once more
     doubled; the reported value is the fine pass and stderr is the
     refinement disagreement.  Raises if the disagreement exceeds tol.
-    Guarded to d <= 12 (cost grows with the number of chain levels).
+    Guarded to d <= 12 (cost grows with the number of chain levels).  The
+    resolutions ns, na and nr must be integers >= 1.
 
     A wedge's planar radius (nr midpoint nodes) is contracted by a binomial
     series in the radial moments about half the squared domain radius, not
@@ -546,6 +584,9 @@ def quadrature_density(
     d = config.d
     if d > 12:
         raise ValueError("quadrature oracle is limited to d <= 12")
+    for name, value in (("ns", ns), ("na", na), ("nr", nr)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if config.is_simplex and d <= 3:
         value, err = _low_dim_quad(config)
         n_cells = 0

@@ -160,11 +160,13 @@ def _fan_measure(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         span = -span
         sign = -1.0
     e = b - a
-    p = abs(a[0] * b[1] - a[1] * b[0]) / math.hypot(*e)
-    # angle of the foot of the perpendicular, measured from a
-    foot = a + (np.dot(-a, e) / np.dot(e, e)) * e
-    cross_af = a[0] * foot[1] - a[1] * foot[0]
-    delta = math.atan2(cross_af, float(np.dot(a, foot)))
+    p = abs(cross_ab) / math.hypot(*e)
+    # angle of the foot of the perpendicular, measured from a: the foot is
+    # a - (a.e / e.e) e, so a x foot = -(a.e) |cross| / e.e and
+    # a . foot = cross^2 / e.e; taken from that ratio, it stays exact where
+    # the line passes within rounding of the origin and |a|^2 - (a.e)^2 / e.e
+    # would cancel
+    delta = math.atan2(-float(np.dot(a, e)), abs(cross_ab))
     with np.errstate(invalid="ignore", divide="ignore"):
         c = np.where(r > p, np.arccos(np.clip(p / np.maximum(r, 1e-300), -1.0, 1.0)), 0.0)
     lo = np.maximum(0.0, delta - c)

@@ -166,3 +166,66 @@ def direct_chain_grid_pass(config, ns, na, nr):
         num += t2[i] * float(row @ g_row)
         den += t2[i] * float(row.sum()) * float(r_w.sum())
     return float(xi1 * num / den)
+
+
+def _shift_add(dest, src, offset, weight):
+    """dest[j + offset] += weight * src[j]; mass beyond either end piles up there."""
+    if weight <= 0.0:
+        return
+    na = len(dest)
+    if offset >= na:
+        dest[-1] += weight * src.sum()
+        return
+    if offset <= -len(src):
+        dest[0] += weight * src.sum()
+        return
+    if offset >= 0:
+        m = min(len(src), na - offset)
+        dest[offset : offset + m] += weight * src[:m]
+        if m < len(src):
+            dest[-1] += weight * src[m:].sum()
+    else:
+        dest[0] += weight * src[:-offset].sum()
+        m = min(len(src) + offset, na)
+        dest[:m] += weight * src[-offset : -offset + m]
+
+
+def direct_chain_mass_grid(config, ns, na):
+    """The chain-mass propagation row by row.
+
+    Same grid, offsets and split deposit as ``density._chain_mass_grid``,
+    but every row of every level is shifted by its own ``_shift_add`` calls
+    and the suffix sums are one cumsum over the whole grid, so it checks the
+    row-blocked kernel and nothing else.
+    """
+    chain = config.chain
+    etas = chain.eta_array[1:]
+    amax = float(np.sum(etas**2)) + 1e-30
+    ds = 1.0 / ns
+    s_mid = (np.arange(ns) + 0.5) * ds
+    da = amax / na
+    a_nodes = np.arange(na + 1) * da
+
+    def offsets_for(eta):
+        pos = (eta * eta) * s_mid * s_mid / da
+        j0 = np.floor(pos).astype(int)
+        return j0, pos - j0
+
+    W = np.zeros((ns, na + 1))
+    j0, frac = offsets_for(etas[0])
+    for i in range(ns):
+        lo = min(j0[i], na)
+        hi = min(j0[i] + 1, na)
+        W[i, lo] += ds * (1.0 - frac[i])
+        W[i, hi] += ds * frac[i]
+
+    for eta in etas[1:]:
+        suffix = np.cumsum(W[::-1], axis=0)[::-1]
+        src = (suffix - 0.5 * W) * ds
+        Wn = np.zeros_like(W)
+        j0, frac = offsets_for(eta)
+        for i in range(ns):
+            _shift_add(Wn[i], src[i], j0[i], 1.0 - frac[i])
+            _shift_add(Wn[i], src[i], j0[i] + 1, frac[i])
+        W = Wn
+    return W, s_mid, a_nodes

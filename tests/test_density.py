@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     direct_chain_grid_pass,
+    direct_chain_mass_grid,
     planar_corner_density,
     tetrahedron_corner_density,
 )
@@ -351,6 +352,55 @@ def test_radial_series_matches_direct_contraction(cfg_make, d):
     assert abs(series - direct) <= 1e-13 * abs(direct)
 
 
+def inflated_chain_config(d):
+    xi = tuple(fm.chain_floor(i) * 1.05 for i in range(1, d + 1))
+    return geo.WedgeConfig(geo.ChainSpec(d=d, k=d, xi=xi))
+
+
+@pytest.mark.parametrize(
+    "cfg_make,d,ns,na",
+    [(geo.canonical_simplex, d, 128, 128) for d in range(4, 13)]
+    + [(geo.canonical_wedge, d, 128, 128) for d in range(4, 13)]
+    + [
+        (geo.sector_wedge, 8, 128, 128),
+        (inflated_chain_config, 5, 128, 128),
+        # 100 rows: one full block of 64 and a partial one
+        (geo.canonical_wedge, 8, 100, 37),
+        # offsets reach column na, so mass piles up in the last column
+        (geo.canonical_simplex, 6, 50, 2),
+    ],
+)
+def test_chain_mass_grid_matches_direct_propagation(cfg_make, d, ns, na):
+    cfg = cfg_make(d)
+    W, s_mid, a_nodes = dn._chain_mass_grid(cfg, ns, na)
+    ref, ref_s, ref_a = direct_chain_mass_grid(cfg, ns, na)
+    assert np.array_equal(s_mid, ref_s) and np.array_equal(a_nodes, ref_a)
+    assert (W >= 0.0).all()
+    assert np.abs(W - ref).max() <= 1e-13 * ref.sum()
+    if na == 2:
+        assert ref[:, -1].sum() > 0.1 * ref.sum()
+
+
+def test_propagation_conserves_mass():
+    # each level's grid holds the mass of its input src, also where whole
+    # rows are pushed past the last column
+    rng = np.random.default_rng(SEED)
+    ns, L = 100, 38
+    ds = 1.0 / ns
+    s = (np.arange(ns) + 0.5) * ds
+    W = rng.random((ns, L))
+    for pos in (3.0 * s, 0.9 * L * s * s, 2.5 * L * s):
+        j0 = np.floor(pos).astype(int)
+        src = (np.cumsum(W[::-1], axis=0)[::-1] - 0.5 * W) * ds
+        W = dn._propagate(W.copy(), [(j0, pos - j0)], ds)
+        assert abs(W.sum() - src.sum()) <= 1e-15 * src.sum()
+        assert (W >= 0.0).all()
+    whole = j0 >= L - 1
+    assert whole.sum() > ns // 2
+    assert not W[whole, :-1].any()
+    assert np.allclose(W[whole, -1], src[whole].sum(axis=1), rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("p", [2, 3, 6])
 @pytest.mark.parametrize("q", [Fraction(1, 100), Fraction(1, 8), Fraction(1, 2), Fraction(9, 10)])
 def test_radial_series_term_count_bounds_tail(p, q):
@@ -371,12 +421,18 @@ def test_quadrature_guard_and_tolerance():
         dn.quadrature_density(geo.canonical_simplex(13))
     with pytest.raises(RuntimeError):
         dn.quadrature_density(geo.canonical_simplex(6), ns=64, na=64, tol=1e-15)
+    bad = [("ns", 0), ("na", 0), ("nr", 0), ("ns", -4), ("ns", 2.5), ("na", 8.0), ("nr", "16"),
+           ("nr", True)]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            dn.quadrature_density(geo.canonical_wedge(6), **{name: value})
+    q = dn.quadrature_density(geo.canonical_wedge(6), ns=np.int64(32), na=1, nr=1)
+    assert 0.0 < q.value < 1.0
 
 
 def test_quadrature_handles_general_chain():
     # inflated chain, both oracles agree
-    xi = tuple(fm.chain_floor(i) * 1.05 for i in range(1, 6))
-    cfg = geo.WedgeConfig(geo.ChainSpec(d=5, k=5, xi=xi))
+    cfg = inflated_chain_config(5)
     q = dn.quadrature_density(cfg, ns=256, na=256)
     m = dn.surface_density(cfg, 300_000, SEED + 70)
     assert abs(q.value - m.value) <= 3.0 * math.hypot(q.stderr, m.stderr)
