@@ -163,9 +163,9 @@ def _fan_measure(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     p = abs(cross_ab) / math.hypot(*e)
     # angle of the foot of the perpendicular, measured from a: the foot is
     # a - (a.e / e.e) e, so a x foot = -(a.e) |cross| / e.e and
-    # a . foot = cross^2 / e.e; taken from that ratio, it stays exact where
-    # the line passes within rounding of the origin and |a|^2 - (a.e)^2 / e.e
-    # would cancel
+    # a . foot = cross^2 / e.e.  Taken from that ratio, the angle stays
+    # accurate where the line passes within rounding of the origin, where
+    # a . foot computed as |a|^2 - (a.e)^2 / e.e cancels to noise
     delta = math.atan2(-float(np.dot(a, e)), abs(cross_ab))
     with np.errstate(invalid="ignore", divide="ignore"):
         c = np.where(r > p, np.arccos(np.clip(p / np.maximum(r, 1e-300), -1.0, 1.0)), 0.0)

@@ -152,9 +152,8 @@ def radial_integral(dom, n=64):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(domains)
-# an edge line passing within rounding of the origin: the fan measure's
-# foot angle used to cancel to noise there, and the mass came out 10 times
-# too small
+# an edge line that passes within rounding of the origin, where the fan
+# measure's foot angle is open to cancellation
 @example(geo.Triangle((-2.220446049250313e-16, 0.9999999999999999),
                       (-0.820688136785924, -0.2182540773122461),
                       (-1.0475074674389329e-252, -6.103515625e-05)))
