@@ -45,11 +45,9 @@ from .geometry import (
     wedge_domain,
 )
 from .density import (
-    BoundSet,
     DensityEstimate,
     ImprovementGap,
     ProfileEstimate,
-    bound_set,
     closed_form_simplex_density,
     improvement_gap,
     limiting_density_profile,

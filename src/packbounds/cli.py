@@ -20,7 +20,6 @@ import io
 import json
 import math
 import sys
-import time
 from importlib import resources
 
 from . import __version__
@@ -57,33 +56,47 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _csv(cols, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _md(cols, rows) -> list[str]:
+    """Lines of a markdown table; rows hold formatted cells."""
+    lines = ["| " + " | ".join(cols) + " |", "|" + "|".join(["---"] * len(cols)) + "|"]
+    return lines + ["| " + " | ".join(row) + " |" for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
 
+def _bound_row(d, n, seed):
+    """The bounds-table row of dimension d, from the paired gap keyed by (seed, d)."""
+    gap = improvement_gap(d, n, spawn_key(seed, d))
+    volume_lower, surface_lower = voronoi_bounds(d, gap.sigma_hat)
+    ref = reference_bounds(d)
+    return {
+        "d": d,
+        "sigma": {"value": gap.sigma.value, "stderr": gap.sigma.stderr},
+        "sigma_hat": {"value": gap.sigma_hat.value, "stderr": gap.sigma_hat.stderr},
+        "lambda": {"value": gap.lam.value, "stderr": gap.lam.stderr},
+        "volume_lower": volume_lower,
+        "surface_lower": surface_lower,
+        "daniels": ref.daniels,
+        "kl": ref.kl,
+        "ball_lower": ref.ball_lower,
+        "_gap": gap.gap,
+        "_gap_stderr": gap.gap_stderr,
+        "_improved": bool(d >= 8 and gap.gap > 3.0 * gap.gap_stderr),
+    }
+
+
 def _bounds_rows(d_min, d_max, n, seed):
-    rows = []
-    for d in range(d_min, d_max + 1):
-        gap = improvement_gap(d, n, spawn_key(seed, d))
-        volume_lower, surface_lower = voronoi_bounds(d, gap.sigma_hat)
-        ref = reference_bounds(d)
-        rows.append(
-            {
-                "d": d,
-                "sigma": {"value": gap.sigma.value, "stderr": gap.sigma.stderr},
-                "sigma_hat": {"value": gap.sigma_hat.value, "stderr": gap.sigma_hat.stderr},
-                "lambda": {"value": gap.lam.value, "stderr": gap.lam.stderr},
-                "volume_lower": volume_lower,
-                "surface_lower": surface_lower,
-                "daniels": ref.daniels,
-                "kl": ref.kl,
-                "ball_lower": ref.ball_lower,
-                "_gap": gap.gap,
-                "_gap_stderr": gap.gap_stderr,
-                "_improved": bool(d >= 8 and gap.gap > 3.0 * gap.gap_stderr),
-            }
-        )
-    return rows
+    return [_bound_row(d, n, seed) for d in range(d_min, d_max + 1)]
 
 
 def _bounds_json(rows, meta) -> str:
@@ -113,34 +126,6 @@ def _bounds_flat(row):
     ]
 
 
-def _bounds_csv(rows, meta) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_BOUNDS_COLS)
-    for r in rows:
-        writer.writerow(_bounds_flat(r))
-    return buf.getvalue()
-
-
-def _bounds_md(rows, meta) -> str:
-    lines = [
-        f"Ball packing density bounds (n={meta['n']}, seed={meta['seed']}, "
-        f"version {meta['version']})",
-        "",
-        "| " + " | ".join(_BOUNDS_COLS) + " |",
-        "|" + "|".join(["---"] * len(_BOUNDS_COLS)) + "|",
-    ]
-    for r in rows:
-        lines.append("| " + " | ".join(_bounds_flat(r)) + " |")
-    lines.append("")
-    lines.append(
-        "daniels_asymptotic and kl_asymptotic are asymptotic reference curves, "
-        "not certified bounds at finite d; 'improved' flags sigma_hat below "
-        "sigma by more than three standard errors of the paired gap."
-    )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_bounds(args) -> int:
     if not (4 <= args.dmin <= args.dmax <= 64):
         print("bounds requires 4 <= dmin <= dmax <= 64", file=sys.stderr)
@@ -148,20 +133,25 @@ def cmd_bounds(args) -> int:
     if args.samples < 10**4:
         print("bounds requires at least 1e4 samples", file=sys.stderr)
         return 2
-    t0 = time.time()
     rows = _bounds_rows(args.dmin, args.dmax, args.samples, args.seed)
-    meta = {
-        "seed": args.seed,
-        "n": args.samples,
-        "version": __version__,
-    }
+    meta = {"seed": args.seed, "n": args.samples, "version": __version__}
+    flat = [_bounds_flat(r) for r in rows]
     if args.format == "json":
         text = _bounds_json(rows, meta)
     elif args.format == "csv":
-        text = _bounds_csv(rows, meta)
+        text = _csv(_BOUNDS_COLS, flat)
     else:
-        meta_md = dict(meta, wall_time=f"{time.time() - t0:.1f}s")
-        text = _bounds_md(rows, meta_md)
+        lines = [
+            f"Ball packing density bounds (n={meta['n']}, seed={meta['seed']}, "
+            f"version {meta['version']})",
+            "",
+            *_md(_BOUNDS_COLS, flat),
+            "",
+            "daniels_asymptotic and kl_asymptotic are asymptotic reference curves, "
+            "not certified bounds at finite d; 'improved' flags sigma_hat below "
+            "sigma by more than three standard errors of the paired gap.",
+        ]
+        text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0
 
@@ -266,49 +256,32 @@ def cmd_records(args) -> int:
             continue
         # the wedge bound is proven for d >= 8 only; below that sigma holds
         if d >= 8:
-            gap = improvement_gap(d, args.samples, spawn_key(args.seed, d))
-            bounds[d] = ("sigma_hat", gap.sigma_hat)
+            bounds[d] = ("sigma_hat", _bound_row(d, args.samples, args.seed)["sigma_hat"])
         else:
-            bounds[d] = ("sigma", simplex_density(d, args.samples, spawn_key(args.seed, d)))
+            est = simplex_density(d, args.samples, spawn_key(args.seed, d))
+            bounds[d] = ("sigma", {"value": est.value, "stderr": est.stderr})
     out_rows = []
     any_inconsistent = False
     for r in records:
-        bound = bounds.get(r["d"])
-        row = {
-            "d": r["d"],
-            "density": r["density"],
-            "name": r["name"],
-            "source": r["source"],
-            "bound": "",
-            "bound_kind": "",
-            "status": "",
-        }
-        if bound is not None:
-            kind, est = bound
-            row["bound"] = _fmt(est.value)
-            row["bound_kind"] = kind
+        bound, kind, status = "", "", ""
+        if r["d"] in bounds:
+            kind, est = bounds[r["d"]]
+            bound = _fmt(est["value"])
             if r["source"].strip() == CONTEXT_SOURCE:
-                row["status"] = "context"
-            elif r["density"] <= est.value + 3.0 * est.stderr:
-                row["status"] = "consistent"
+                status = "context"
+            elif r["density"] <= est["value"] + 3.0 * est["stderr"]:
+                status = "consistent"
             else:
-                row["status"] = "inconsistent"
+                status = "inconsistent"
                 any_inconsistent = True
-        out_rows.append(row)
+        out_rows.append(
+            [str(r["d"]), _fmt(r["density"]), r["name"], r["source"], bound, kind, status]
+        )
     cols = ["d", "density", "name", "source", "bound", "bound_kind", "status"]
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
-        for row in out_rows:
-            writer.writerow([row[c] if c != "density" else _fmt(row[c]) for c in cols])
-        text = buf.getvalue()
+        text = _csv(cols, out_rows)
     else:
-        lines = ["| " + " | ".join(cols) + " |", "|" + "|".join(["---"] * len(cols)) + "|"]
-        for row in out_rows:
-            cells = [str(row[c]) if c != "density" else _fmt(row[c]) for c in cols]
-            lines.append("| " + " | ".join(cells) + " |")
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(_md(cols, out_rows)) + "\n"
     _emit(text, args.out)
     return 1 if any_inconsistent else 0
 

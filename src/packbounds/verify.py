@@ -63,12 +63,14 @@ class CheckResult:
         }
 
 
-def _status_of(failures, inconclusive):
+def _result(name, failures, inconclusive, summary, witness) -> CheckResult:
+    """A check's record: its first failure, else its first inconclusive note,
+    else its summary."""
     if failures:
-        return FAIL
+        return CheckResult(name, FAIL, failures[0], witness)
     if inconclusive:
-        return INCONCLUSIVE
-    return PASS
+        return CheckResult(name, INCONCLUSIVE, inconclusive[0], witness)
+    return CheckResult(name, PASS, summary, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +92,10 @@ def check_floor_recursion(i_max: int = 100) -> CheckResult:
         failures.append(f"recursion deviates by {max(devs):.3e} at i={worst}")
     if fixed_dev > 1e-12:
         failures.append(f"sqrt(2) fixed point deviates by {fixed_dev:.3e}")
-    return CheckResult(
-        name="floor-recursion",
-        status=_status_of(failures, []),
-        summary=failures[0] if failures else
+    return _result(
+        "floor-recursion", failures, [],
         f"max deviation {max(devs):.2e} over i < {i_max}; sqrt(2) fixed to {fixed_dev:.1e}",
-        witness={"i_max": i_max, "max_deviation": max(devs), "argmax_i": worst},
+        {"i_max": i_max, "max_deviation": max(devs), "argmax_i": worst},
     )
 
 
@@ -130,12 +130,10 @@ def check_tilt_extremum(d: int = 8, grid: int = 10**5) -> CheckResult:
     if np.any(interior >= 0.0):
         k = int(np.argmax(interior)) + 1
         failures.append(f"quartic nonnegative at interior x={xs[k]:.9f}")
-    return CheckResult(
-        name="tilt-extremum",
-        status=_status_of(failures, []),
-        summary=failures[0] if failures else
+    return _result(
+        "tilt-extremum", failures, [],
         f"d={d}: tilt max at left end, cos={cos_closed:.7f} (dev {cos_dev:.1e})",
-        witness={
+        {
             "d": d,
             "grid": grid,
             "x_argmax": float(xs[k_max]),
@@ -180,14 +178,12 @@ def check_pair_separation(d: int = 8, grid: int = 200) -> CheckResult:
             failures.append(f"corner value {corner:.9f} > 4 for d={d}")
         if d == 8 and fm.pair_gap_max(7) <= 4.0:
             failures.append("threshold not bracketed: corner value at d=7 is <= 4")
-    return CheckResult(
-        name="pair-separation",
-        status=_status_of(failures, []),
-        summary=failures[0] if failures else
+    return _result(
+        "pair-separation", failures, [],
         f"d={d}: corner value {corner:.7f}"
         + (" (expected-outside-domain, > 4)" if expected_outside else " <= 4")
         + f", grid max {gmax:.7f} at the corner",
-        witness={
+        {
             "d": d,
             "grid": grid,
             "corner_value": corner,
@@ -211,12 +207,10 @@ def check_reach_bound(d_max: int = 1000) -> CheckResult:
     if np.any(np.diff(vals) >= 0.0):
         k = int(np.argmax(np.diff(vals)))
         failures.append(f"reach bound not decreasing at d={ds[k]}")
-    return CheckResult(
-        name="reach-bound",
-        status=_status_of(failures, []),
-        summary=failures[0] if failures else
+    return _result(
+        "reach-bound", failures, [],
         f"bound <= 2 and decreasing for 3 <= d <= {d_max} (max {vals.max():.7f} at d=3)",
-        witness={"d_max": d_max, "max_value": float(vals.max()), "at_d": 3},
+        {"d_max": d_max, "max_value": float(vals.max()), "at_d": 3},
     )
 
 
@@ -234,12 +228,10 @@ def check_radius_ratio(d: int = 8, grid: int = 1000) -> CheckResult:
     left_dev = abs(ratio[0] - left_expected)
     if left_dev > 1e-9:
         failures.append(f"left endpoint ratio off by {left_dev:.3e}")
-    return CheckResult(
-        name="radius-ratio",
-        status=_status_of(failures, []),
-        summary=failures[0] if failures else
+    return _result(
+        "radius-ratio", failures, [],
         f"d={d}: ratio strictly decreasing on grid of {grid}, left value {ratio[0]:.9f}",
-        witness={
+        {
             "d": d,
             "grid": grid,
             "left_ratio": float(ratio[0]),
@@ -262,7 +254,6 @@ def check_profile_monotone(
     radii = np.linspace(0.0, rmax, n_points)
     prof = limiting_density_profile(chain, radii, n, seed)
     failures = []
-    inconclusive = []
     for i in range(n_points - 1):
         diff = prof.values[i] - prof.values[i + 1]
         band = 3.0 * prof.diff_stderr(i, i + 1)
@@ -283,12 +274,10 @@ def check_profile_monotone(
     est3 = limiting_density_profile(chain, [r_probe], n, spawn_key(seed, 1))
     if float(est3.values[0]) != float(est1.values[0]):
         failures.append("identical seeds gave different estimates")
-    return CheckResult(
-        name="profile-monotone",
-        status=_status_of(failures, inconclusive),
-        summary=failures[0] if failures else
+    return _result(
+        "profile-monotone", failures, [],
         f"d={d}: profile nonincreasing over {n_points} radii in [0, {rmax:.4f}]",
-        witness={
+        {
             "d": d,
             "n": n,
             "seed": seed,
@@ -301,60 +290,44 @@ def check_profile_monotone(
 
 def check_truncation_gain(d: int = 8, n: int = 2 * 10**5, seed: int = 20260802) -> CheckResult:
     """Cutting the base at the trace disc never lowers the surface density."""
-    lo, _, _ = fm.height_breakpoints(d)
-    h = lo
-    g0, _ = fm.truncation_scalars(d, h)
-    chain = geo.canonical_chain(d, d - 2)
-    pairs = []
-    # square of half-width 2 g0: sticks out of the disc, truncates to the disc
-    big_square = geo.DiscSquare(2.0 * g0 * math.sqrt(2.0) * 1.01, 2.0 * g0)
-    pairs.append(("square-2g0", big_square, geo.Disc(g0)))
-    # domain already inside the disc: truncation is the identity
-    small_square = geo.DiscSquare(g0, 0.5 * g0)
-    pairs.append(("square-inside", small_square, geo.DiscSquare(g0, 0.5 * g0)))
+    g0, _ = fm.truncation_scalars(d, fm.height_breakpoints(d)[0])
+    # (label, dimension, full domain, truncated domain, substream)
+    pairs = [
+        # square of half-width 2 g0: sticks out of the disc, truncates to the disc
+        ("square-2g0", d, geo.DiscSquare(2.0 * g0 * math.sqrt(2.0) * 1.01, 2.0 * g0),
+         geo.Disc(g0), 0),
+        # domain already inside the disc: truncation is the identity
+        ("square-inside", d, geo.DiscSquare(g0, 0.5 * g0), geo.DiscSquare(g0, 0.5 * g0), 1),
+    ]
+    # a wider quadrilateral at d+2, same construction idea
+    d2 = d + 2
+    lo2, _, _ = fm.height_breakpoints(d2)
+    quad = _random_admissible_quadrilateral(d2, lo2, substream(seed, 99))
+    if quad is not None:
+        g0_2, _ = fm.truncation_scalars(d2, lo2)
+        trunc_dom = geo.truncation_domain(d2, lo2, "disc_cap_polygon", vertices=quad)
+        pairs.append(("quadrilateral", d2, geo.DiscPolygon(4.0 * g0_2, quad), trunc_dom, 3))
     failures = []
-    inconclusive = []
     rows = []
-    for idx, (label, full_dom, trunc_dom) in enumerate(pairs):
+    for label, dim, full_dom, trunc_dom, key in pairs:
+        chain = geo.canonical_chain(dim, dim - 2)
         # one substream per pair: an identity pair is then exactly equal
-        full = surface_density(geo.WedgeConfig(chain, full_dom), n, spawn_key(seed, idx))
-        trunc = surface_density(geo.WedgeConfig(chain, trunc_dom), n, spawn_key(seed, idx))
+        full = surface_density(geo.WedgeConfig(chain, full_dom), n, spawn_key(seed, key))
+        trunc = surface_density(geo.WedgeConfig(chain, trunc_dom), n, spawn_key(seed, key))
         band = 3.0 * math.hypot(full.stderr, trunc.stderr)
         rows.append(
             {"pair": label, "full": full.value, "truncated": trunc.value,
-             "band": band, "d": d}
+             "band": band, "d": dim}
         )
         if trunc.value < full.value - band:
             failures.append(
                 f"{label}: truncated density {trunc.value:.6f} below full {full.value:.6f}"
                 f" beyond 3se={band:.2e}"
             )
-    # a wider quadrilateral at d+2, same construction idea
-    d2 = d + 2
-    lo2, _, _ = fm.height_breakpoints(d2)
-    g0_2, _ = fm.truncation_scalars(d2, lo2)
-    quad = _random_admissible_quadrilateral(d2, lo2, substream(seed, 99))
-    if quad is not None:
-        chain2 = geo.canonical_chain(d2, d2 - 2)
-        full_dom = geo.DiscPolygon(4.0 * g0_2, quad)
-        trunc_dom = geo.truncation_domain(d2, lo2, "disc_cap_polygon", vertices=quad)
-        full = surface_density(geo.WedgeConfig(chain2, full_dom), n, spawn_key(seed, 3))
-        trunc = surface_density(geo.WedgeConfig(chain2, trunc_dom), n, spawn_key(seed, 3))
-        band = 3.0 * math.hypot(full.stderr, trunc.stderr)
-        rows.append(
-            {"pair": "quadrilateral", "full": full.value, "truncated": trunc.value,
-             "band": band, "d": d2}
-        )
-        if trunc.value < full.value - band:
-            failures.append(
-                f"quadrilateral: truncated {trunc.value:.6f} below full {full.value:.6f}"
-            )
-    return CheckResult(
-        name="truncation-gain",
-        status=_status_of(failures, inconclusive),
-        summary=failures[0] if failures else
+    return _result(
+        "truncation-gain", failures, [],
         f"truncation never lowered density across {len(rows)} domain pairs",
-        witness={"d": d, "n": n, "seed": seed, "pairs": rows},
+        {"d": d, "n": n, "seed": seed, "pairs": rows},
     )
 
 
@@ -463,13 +436,11 @@ def check_truncated_max(
     area_dev = abs(disc_dom.area - square_dom.area)
     if area_dev > 1e-12:
         failures.append(f"crossover areas differ by {area_dev:.3e}")
-    return CheckResult(
-        name="truncated-max",
-        status=_status_of(failures, []),
-        summary=failures[0] if failures else
+    return _result(
+        "truncated-max", failures, [],
         f"d={d}: {2 * trials - skipped} truncated wedges all below the bound "
         f"({skipped} skipped as inadmissible); worst excess {worst['excess']:.3e}",
-        witness={
+        {
             "d": d,
             "n": n,
             "seed": seed,
@@ -515,13 +486,11 @@ def check_square_cap(
             f"{ref.value:.6f} (dev {anchor_dev:.3e} > 3se={band0:.3e})"
         )
     g0_lo, g_lo = fm.truncation_scalars(d, lo)
-    return CheckResult(
-        name="square-cap-monotone",
-        status=_status_of(failures, []),
-        summary=failures[0] if failures else
+    return _result(
+        "square-cap-monotone", failures, [],
         f"d={d}: capped-square density nonincreasing over {h_grid} heights; "
         f"anchor matches the bound within {band0:.1e}",
-        witness={
+        {
             "d": d,
             "n": n,
             "seed": seed,
@@ -544,50 +513,39 @@ def check_chain_inflation(
     inflations; a uniform inflation beyond five percent must separate by
     more than three combined standard errors.
     """
-    base = surface_density(geo.canonical_simplex(d), n, spawn_key(seed, 0))
+    # (case, failure subject, inconclusive subject, dimension, multipliers)
+    cases = [
+        # elementwise 10 percent: strict decrease expected
+        ("uniform-1.1", "uniform", "uniform-1.1", d, [1.1] * d),
+        # single-coordinate inflation at d=8
+        ("last-coordinate-1.2", "single-coordinate", "last-coordinate", 8, [1.0] * 7 + [1.2]),
+    ]
     failures = []
     inconclusive = []
     rows = []
-
-    def inflated(mults):
+    canonical = []
+    for k, (case, what, note, dim, mults) in enumerate(cases):
+        base = surface_density(geo.canonical_simplex(dim), n, spawn_key(seed, 2 * k))
         xi = tuple(fm.chain_floor(i + 1) * m for i, m in enumerate(mults))
-        return geo.WedgeConfig(geo.ChainSpec(d=d, k=d, xi=xi))
-
-    # elementwise 10 percent: strict decrease expected
-    est = surface_density(inflated([1.1] * d), n, spawn_key(seed, 1))
-    sep = base.value - est.value
-    band = 3.0 * math.hypot(base.stderr, est.stderr)
-    rows.append({"case": "uniform-1.1", "density": est.value, "separation": sep, "band": band})
-    if sep < 0.0 and abs(sep) > band:
-        failures.append(f"uniform inflation raised the density by {-sep:.3e}")
-    elif sep <= band:
-        inconclusive.append("uniform-1.1 separation within the error band; raise n")
+        cfg = geo.WedgeConfig(geo.ChainSpec(d=dim, k=dim, xi=xi))
+        est = surface_density(cfg, n, spawn_key(seed, 2 * k + 1))
+        canonical.append(base.value)
+        sep = base.value - est.value
+        band = 3.0 * math.hypot(base.stderr, est.stderr)
+        rows.append({"case": case, "density": est.value, "separation": sep, "band": band})
+        if sep < 0.0 and abs(sep) > band:
+            failures.append(f"{what} inflation raised the density by {-sep:.3e}")
+        elif sep <= band:
+            inconclusive.append(f"{note} separation within the error band; raise n")
     # identical chain, identical seed: exactly equal
     same = surface_density(geo.canonical_simplex(d), n, spawn_key(seed, 0))
-    if same.value != base.value:
+    if same.value != canonical[0]:
         failures.append("identical configuration and seed gave different values")
-    # single-coordinate inflation at d=8
-    base8 = surface_density(geo.canonical_simplex(8), n, spawn_key(seed, 2))
-    mults8 = [1.0] * 7 + [1.2]
-    xi8 = tuple(fm.chain_floor(i + 1) * m for i, m in enumerate(mults8))
-    est8 = surface_density(geo.WedgeConfig(geo.ChainSpec(d=8, k=8, xi=xi8)), n, spawn_key(seed, 3))
-    sep8 = base8.value - est8.value
-    band8 = 3.0 * math.hypot(base8.stderr, est8.stderr)
-    rows.append({"case": "last-coordinate-1.2", "density": est8.value,
-                 "separation": sep8, "band": band8})
-    if sep8 < 0.0 and abs(sep8) > band8:
-        failures.append(f"single-coordinate inflation raised the density by {-sep8:.3e}")
-    elif sep8 <= band8:
-        inconclusive.append("last-coordinate separation within the error band; raise n")
-    return CheckResult(
-        name="chain-inflation",
-        status=_status_of(failures, inconclusive),
-        summary=failures[0] if failures else (
-            inconclusive[0] if inconclusive else
-            f"inflated chains strictly below canonical (separations "
-            f"{rows[0]['separation']:.2e}, {rows[1]['separation']:.2e})"
-        ),
-        witness={"d": d, "n": n, "seed": seed, "canonical": base.value, "cases": rows},
+    return _result(
+        "chain-inflation", failures, inconclusive,
+        f"inflated chains strictly below canonical (separations "
+        f"{rows[0]['separation']:.2e}, {rows[1]['separation']:.2e})",
+        {"d": d, "n": n, "seed": seed, "canonical": canonical[0], "cases": rows},
     )
 
 

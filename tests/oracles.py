@@ -138,6 +138,33 @@ def planar_corner_density() -> float:
     return (math.pi / 2.0) / math.sqrt(3.0)
 
 
+def low_dim_quad(config):
+    """Adaptive quadrature of the d = 2, 3 simplex integral, as (value, error).
+
+    scipy's QUADPACK integrates the chain integral at d = 2 and the inner
+    integral of d = 3 taken in closed form; it shares nothing with the
+    library's exact anchor, which is one arctangent of the same integral.
+    """
+    from scipy.integrate import quad as _quad
+
+    chain = config.chain
+    xi1 = chain.xi[0]
+    eta = chain.eta
+    d = config.d
+    if d == 2:
+        val, err = _quad(lambda s: xi1 * (xi1 * xi1 + eta[1] ** 2 * s * s) ** -1.0, 0.0, 1.0,
+                         epsabs=1e-13, epsrel=1e-13)
+        return val, max(err, 1e-14)
+    a3 = eta[2] ** 2
+
+    def outer(y2):
+        c = xi1 * xi1 + eta[1] ** 2 * y2 * y2
+        return xi1 * y2 / (c * math.sqrt(c + a3 * y2 * y2))
+
+    val, err = _quad(outer, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
+    return 2.0 * val, max(2.0 * err, 1e-13)
+
+
 def direct_chain_grid_pass(config, ns, na, nr):
     """The wedge's grid pass with the radial axis contracted term by term.
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from packbounds.cli import bundled_records_path, main
+from packbounds.density import simplex_density
+from packbounds.streams import spawn_key
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +204,25 @@ def test_records_bound_kind_follows_proven_range(capsys, tmp_path):
     rows = list(csv.DictReader(io.StringIO(out)))
     kinds = {int(row["d"]): row["bound_kind"] for row in rows}
     assert kinds == {6: "sigma", 8: "sigma_hat"}
+
+
+def test_records_bound_is_the_bounds_row(capsys, tmp_path):
+    # records takes sigma_hat from the bounds table's own row for d >= 8, and
+    # below that the simplex density, both keyed by spawn_key(seed, d)
+    f = tmp_path / "dims.csv"
+    f.write_text("d,density,name,source\n"
+                 + "".join(f"{d},0.01,dim {d},made up\n" for d in (3, 5, 8, 9, 10)))
+    seed, n = 41, 20000
+    _, out, _ = run_cli(capsys, "records", str(f), "--format", "csv",
+                        "--seed", str(seed), "--samples", str(n))
+    printed = {int(row["d"]): row["bound"] for row in csv.DictReader(io.StringIO(out))}
+    _, out, _ = run_cli(capsys, "bounds", "--dmin", "8", "--dmax", "10", "--format", "json",
+                        "--seed", str(seed), "--samples", str(n))
+    table = {row["d"]: row["sigma_hat"]["value"] for row in json.loads(out)["rows"]}
+    assert {d: float(printed[d]) for d in (8, 9, 10)} == table
+    for d in (3, 5):
+        est = simplex_density(d, n, spawn_key(seed, d))
+        assert printed[d] == format(est.value, ".9g")
 
 
 def test_bundled_records_file_exists():

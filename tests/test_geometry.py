@@ -262,6 +262,30 @@ def test_cone_contains_against_oracle(d):
         assert np.array_equal(mine[decided], oracle[decided])
 
 
+@st.composite
+def cone_configs(draw):
+    # a simplex or a wedge over a random domain, on a chain whose norms sit
+    # up to 30 percent above their floors; each norm is kept at least 0.1
+    # percent above the one before, so every level has a visible height
+    domain = draw(st.none() | domains)
+    d = draw(st.integers(4, 8))
+    k = d if domain is None else d - 2
+    xi = [fm.chain_floor(i + 1) * draw(st.floats(1.0, 1.3)) for i in range(k)]
+    for i in range(1, k):
+        xi[i] = max(xi[i], 1.001 * xi[i - 1])
+    return geo.WedgeConfig(geo.ChainSpec(d=d, k=k, xi=tuple(xi)), domain)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cone_configs(), st.integers(0, 2**32 - 1))
+def test_cone_contains_many_matches_oracle(cfg, seed):
+    dirs = mixed_directions(cfg, 400, np.random.default_rng(seed))
+    mine = geo.cone_contains_many(cfg, dirs)
+    oracle, decided = membership_oracle(cfg, dirs)
+    assert decided.any()
+    assert np.array_equal(mine[decided], oracle[decided])
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
