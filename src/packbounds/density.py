@@ -22,9 +22,14 @@ coordinate of a simplex) with one Philox substream per stratum keyed by
 any parallel scheduling.  Each sample is one draw of the ordered chain,
 from the shared kernel geometry._ordered_chain (the lead coordinate plus one
 sorted uniform tail), and one estimator, _cone_estimate, serves sigma,
-sigma_hat and lambda: the surface density, the paired gap and the limiting
-profile differ only in the squared planar radii that t^2 multiplies (one
-domain sample, the triangle's then the sector's, or fixed radii).
+sigma_hat and lambda.  No planar point is drawn: given the chain draw, the
+mean over a wedge's planar domain is a one-dimensional integral against the
+domain's radial law, which a binomial series in the domain's radial moments
+evaluates exactly (conditional Monte Carlo, or Rao-Blackwellisation:
+same mean, smaller variance).  The surface density, the paired gap and the
+limiting profile differ only in the columns' series coefficients: the
+domain's, the triangle's and the sector's, or a point mass at each fixed
+radius.
 
 Quadrature propagates the chain's ordered variables through a (level,
 accumulated squared norm) grid, integrates a wedge's planar radius by a
@@ -130,33 +135,60 @@ class ProfileEstimate:
 # stratified Monte-Carlo core
 
 
-def _sampled_r2(*domains):
-    """Planar source: one fresh sample of each domain, as squared radii."""
-
-    def planar(rng, m):
-        for domain in domains:
-            q = domain.sample(m, rng)
-            yield q[:, 0] ** 2 + q[:, 1] ** 2
-
-    return planar
+def _strata(n: int) -> int:
+    return _STRATA if n >= 16 * _STRATA else 1
 
 
-def _cone_estimate(chain: ChainSpec, is_simplex: bool, planar, dim, n, seed, antithetic=False):
-    """Stratified mean of xi_1 |y|^-d over base points y from shared chain draws.
+def _planar_series(domain, chain: ChainSpec):
+    """Column (rho, coef) of a domain: its planar factor as a radial-moment series.
+
+    Given the chain part s and t^2, the mean of (s + t^2 r^2)^-p, p = d/2, over
+    a uniform point of the domain is, with rho = r_max^2 / 2, c = s + t^2 rho
+    and y = t^2 rho / c,
+
+        c^-p sum_m coef[m] y^m,   coef[m] = C(-p, m) nu_m / area,
+
+    nu_m from PlanarDomain.radial_moments.  y <= q = rho / (xi_1^2 + rho) < 1
+    because s >= xi_1^2 and t <= 1, and the term count is the least whose tail
+    bound is below 1e-17 of the value (_series_terms).  The quadrature uses the
+    same series with its own midpoint moments; the coefficients here come from
+    the domain's exact moments and share nothing with it.
+    """
+    p = 0.5 * chain.d
+    xi1 = chain.xi[0]
+    rho = 0.5 * domain.max_radius**2
+    n_terms = _series_terms(rho / (xi1 * xi1 + rho), p)
+    binom = np.empty(n_terms)
+    b = 1.0
+    for m in range(n_terms):
+        binom[m] = b
+        b *= (-p - m) / (m + 1)
+    return rho, binom * domain.radial_moments(rho, n_terms) / domain.area
+
+
+def _cone_samples(chain: ChainSpec, is_simplex: bool, planar, n, seed, antithetic=False):
+    """Per-sample integrand rows xi_1 E[|y|^-d | chain draw], one block at a time.
 
     Every sample is one chain draw (geometry._ordered_chain).  For the
-    simplex, dim is 1 and planar is None.  For a wedge, planar(rng, m)
-    yields dim squared planar radii r^2, one array of m (or one scalar) at a
-    time, and column j of the integrand uses |y|^2 = chain part + t^2 r_j^2
-    with the same chain draw for every column.  Each column is its own
-    contiguous expression; a broadcast (m, dim) one was slower.  Returns
-    (mean vector, covariance matrix of the mean).
+    simplex, planar is None and each row has one column.  For a wedge,
+    planar holds one (rho, coef) pair per column, and column j of a row is
+    the planar factor integrated out exactly given the draw's chain part s
+    and join parameter t: with c = s + t^2 rho_j and y = t^2 rho_j / c,
+
+        xi_1 c^(-d/2) sum_m coef_j[m] y^m,
+
+    by Horner in y.  A domain's pair comes from _planar_series; a fixed
+    planar radius r is the point mass rho = r^2, coef = [1.0], which is
+    xi_1 (s + t^2 r^2)^(-d/2) exactly.  Each column is its own contiguous
+    expression; a broadcast (m, dim) one was slower.  Yields
+    (stratum, rows) with rows of shape (m, dim), stratum by stratum.
     """
     if n < 2:
         raise ValueError("sample count must be >= 2, the least that gives an error estimate")
     d = chain.d
     xi1 = chain.xi[0]
     coeff = chain.eta_array[1:] ** 2
+    dim = 1 if is_simplex else len(planar)
 
     def integrand(rng, u):
         lead, inner = _ordered_chain(d, is_simplex, u, rng)
@@ -170,20 +202,29 @@ def _cone_estimate(chain: ChainSpec, is_simplex: bool, planar, dim, n, seed, ant
         s = s + (inner * inner) @ coeff[:-1]
         s = s + coeff[-1] * lead * lead
         t2 = lead * lead
-        return np.column_stack([xi1 * (s + t2 * r2) ** (-0.5 * d) for r2 in planar(rng, len(u))])
+        cols = []
+        for rho, coef in planar:
+            lead_r = t2 * rho
+            c = s + lead_r
+            g = np.full_like(c, coef[-1])
+            if len(coef) > 1:
+                y = np.divide(lead_r, c, out=lead_r)
+                for b in coef[-2::-1]:
+                    g *= y
+                    g += b
+            g *= np.power(c, -0.5 * d, out=c)
+            g *= xi1
+            cols.append(g)
+        return np.column_stack(cols)
 
-    strata = _STRATA if n >= 16 * _STRATA else 1
+    strata = _strata(n)
     counts = [n // strata + (1 if k < n % strata else 0) for k in range(strata)]
     # chunk size shrinks with the integrand dimension to cap memory; it is a
     # pure function of dim, so results stay deterministic in (seed, n)
     chunk = max(2048, _CHUNK // max(1, dim // 8))
-    means = np.zeros((strata, dim))
-    covs = np.zeros((strata, dim, dim))
     for k in range(strata):
         nk = counts[k]
         rng = substream(seed, k)
-        s1 = np.zeros(dim)
-        s2 = np.zeros((dim, dim))
         done = 0
         while done < nk:
             m = min(chunk, nk - done)
@@ -195,13 +236,29 @@ def _cone_estimate(chain: ChainSpec, is_simplex: bool, planar, dim, n, seed, ant
                 )
             else:
                 g = integrand(rng, (k + u) / strata)
-            s1 += g.sum(axis=0)
-            s2 += g.T @ g
+            yield k, g
             done += m
-        mean_k = s1 / nk
-        means[k] = mean_k
-        covs[k] = (s2 - nk * np.outer(mean_k, mean_k)) / (nk - 1) / nk
-    # n >= 2 leaves no stratum empty (16 strata only from n = 256 on)
+
+
+def _cone_estimate(chain: ChainSpec, is_simplex: bool, planar, n, seed, antithetic=False):
+    """Stratified mean of the _cone_samples rows and the covariance of that mean.
+
+    Returns (mean vector, covariance matrix of the mean); strata carry equal
+    weight, and n >= 2 leaves none empty (16 strata only from n = 256 on).
+    """
+    dim = 1 if is_simplex else len(planar)
+    strata = _strata(n)
+    sums = np.zeros((strata, dim))
+    squares = np.zeros((strata, dim, dim))
+    counts = np.zeros(strata)
+    for k, g in _cone_samples(chain, is_simplex, planar, n, seed, antithetic):
+        sums[k] += g.sum(axis=0)
+        squares[k] += g.T @ g
+        counts[k] += len(g)
+    means = sums / counts[:, None]
+    covs = squares - counts[:, None, None] * np.einsum("ki,kj->kij", means, means)
+    covs /= (counts - 1)[:, None, None]
+    covs /= counts[:, None, None]
     weight = np.full(strata, 1.0 / strata)
     value = weight @ means
     cov = np.einsum("k,kij->ij", weight**2, covs)
@@ -218,8 +275,8 @@ def surface_density(
     sample is paired with its lead-reflected partner (twice the integrand
     evaluations for the same n).
     """
-    planar = None if config.is_simplex else _sampled_r2(config.domain)
-    value, cov = _cone_estimate(config.chain, config.is_simplex, planar, 1, n, seed, antithetic)
+    planar = None if config.is_simplex else [_planar_series(config.domain, config.chain)]
+    value, cov = _cone_estimate(config.chain, config.is_simplex, planar, n, seed, antithetic)
     return DensityEstimate(
         value=float(value[0]),
         stderr=float(math.sqrt(max(cov[0, 0], 0.0))),
@@ -317,8 +374,8 @@ def limiting_density_profile(
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or len(r) == 0 or np.any(r < 0):
         raise ValueError("radii must be a nonempty 1D array of nonnegative reals")
-    r2 = r * r
-    values, cov = _cone_estimate(chain, False, lambda rng, m: r2, len(r), n, seed)
+    planar = [(float(x * x), [1.0]) for x in r]
+    values, cov = _cone_estimate(chain, False, planar, n, seed)
     return ProfileEstimate(radii=r, values=values, cov=cov, n=n, seed=seed)
 
 
@@ -601,8 +658,8 @@ class ImprovementGap:
     The wedge density is the area-weighted mean of its triangle part and its
     sector part, and the cone over the lifted triangle is exactly the
     canonical simplex cone.  Estimating both parts from shared chain draws
-    (same join parameter and ordered tail, independent planar points) makes
-    the differences
+    (same join parameter and ordered tail, each domain's planar radius
+    integrated out by its own radial-moment series) makes the differences
 
         gap        = sigma - sigma_hat = w_sector * (sigma - lam)
         lambda_gap = sigma - lam
@@ -635,7 +692,8 @@ def improvement_gap(d: int, n: int, seed: int, antithetic: bool = True) -> Impro
     sec = sector_domain(d)
     w_tri = tri.area / (tri.area + sec.area)
     w_sec = 1.0 - w_tri
-    values, cov = _cone_estimate(chain, False, _sampled_r2(tri, sec), 2, n, seed, antithetic)
+    planar = [_planar_series(tri, chain), _planar_series(sec, chain)]
+    values, cov = _cone_estimate(chain, False, planar, n, seed, antithetic)
     t_val, s_val = float(values[0]), float(values[1])
     se_t = math.sqrt(max(cov[0, 0], 0.0))
     se_s = math.sqrt(max(cov[1, 1], 0.0))

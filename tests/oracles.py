@@ -256,3 +256,112 @@ def direct_chain_mass_grid(config, ns, na):
             _shift_add(Wn[i], src[i], j0[i] + 1, frac[i])
         W = Wn
     return W, s_mid, a_nodes
+
+
+def sampled_planar_estimate(chain, domains, n, seed, antithetic=False):
+    """The wedge estimator with one drawn planar point per sample and column.
+
+    The library integrates the planar radius out given each chain draw;
+    this reference draws a uniform point of every domain instead, from the
+    same per-stratum streams after the chain draw, so it shares the chain
+    draw and nothing of the planar series.  Column j uses
+    xi_1 (s + t^2 |q_j|^2)^(-d/2) with q_j a fresh sample of domains[j].
+    Returns (mean vector, covariance matrix of the mean) over 16
+    equal-probability strata of the join parameter, as the library does.
+    """
+    from packbounds.geometry import _ordered_chain
+    from packbounds.streams import substream
+
+    d = chain.d
+    xi1 = chain.xi[0]
+    coeff = chain.eta_array[1:] ** 2
+    dim = len(domains)
+
+    def integrand(rng, u):
+        lead, inner = _ordered_chain(d, False, u, rng)
+        s = np.full(len(u), xi1 * xi1)
+        s = s + (inner * inner) @ coeff[:-1]
+        s = s + coeff[-1] * lead * lead
+        t2 = lead * lead
+        cols = []
+        for domain in domains:
+            q = domain.sample(len(u), rng)
+            cols.append(xi1 * (s + t2 * (q[:, 0] ** 2 + q[:, 1] ** 2)) ** (-0.5 * d))
+        return np.column_stack(cols)
+
+    strata = 16 if n >= 256 else 1
+    counts = [n // strata + (1 if k < n % strata else 0) for k in range(strata)]
+    chunk = max(2048, (1 << 17) // max(1, dim // 8))
+    means = np.zeros((strata, dim))
+    covs = np.zeros((strata, dim, dim))
+    for k in range(strata):
+        nk = counts[k]
+        rng = substream(seed, k)
+        s1 = np.zeros(dim)
+        s2 = np.zeros((dim, dim))
+        done = 0
+        while done < nk:
+            m = min(chunk, nk - done)
+            u = rng.random(m)
+            if antithetic:
+                g = 0.5 * (integrand(rng, (k + u) / strata)
+                           + integrand(rng, (k + 1.0 - u) / strata))
+            else:
+                g = integrand(rng, (k + u) / strata)
+            s1 += g.sum(axis=0)
+            s2 += g.T @ g
+            done += m
+        means[k] = s1 / nk
+        covs[k] = (s2 - nk * np.outer(means[k], means[k])) / (nk - 1) / nk
+    return means.mean(axis=0), covs.sum(axis=0) / strata**2
+
+
+def sector_moments(sector, n_terms):
+    """Radial moments of a sector about rho = R^2 / 2, in closed form.
+
+    Under the sector's radial law r dr, z = (r^2 - rho)/rho = 2 r^2 / R^2 - 1
+    is uniform on [-1, 1], so nu_m = area (1 - (-1)^(m+1)) / (2 (m+1)).
+    """
+    return np.array([sector.area * (1 - (-1) ** (m + 1)) / (2 * (m + 1)) for m in range(n_terms)])
+
+
+def vertex_triangle_moments(triangle, rho, n_terms):
+    """Radial moments of a triangle with a vertex at the origin, in closed form.
+
+    With p the distance from the origin to the opposite edge and u = tan(phi)
+    the angle from the foot of that perpendicular, the edge is r = p sec(phi)
+    and the inner integral of ((r^2 - rho)/rho)^m r dr is
+    rho (w^(m+1) - (-1)^(m+1)) / (2 (m+1)), w = kappa sec^2(phi) - 1,
+    kappa = p^2 / rho.  Expanding w^(m+1) binomially, its constant term
+    cancels the (-1)^(m+1) and the rest needs J_k = int sec^(2k) dphi
+    = int (1 + u^2)^(k-1) du, k >= 1, from the sec recursion
+
+        J_k = [u (1 + u^2)^(k-1)] / (2k - 1) + (2k - 2)/(2k - 1) J_(k-1).
+
+    Everything after p and the edge's two u values is exact rational
+    arithmetic, so no cancellation in the alternating sums can show.
+    """
+    from fractions import Fraction
+
+    verts = [v for v in triangle.vertices if np.hypot(*v) > 0.0]
+    if len(verts) != 2:
+        raise ValueError("triangle needs exactly one vertex at the origin")
+    a, b = verts
+    e = b - a
+    foot = a - (np.dot(a, e) / np.dot(e, e)) * e
+    p = math.hypot(*foot)
+    unit = e / math.hypot(*e)
+    lo, hi = sorted(float(np.dot(v - foot, unit)) / p for v in (a, b))
+    kappa = Fraction(p) ** 2 / Fraction(rho)
+    u_lo, u_hi = Fraction(lo), Fraction(hi)
+
+    J = [None, u_hi - u_lo]  # J_1 = int du
+    for k in range(2, n_terms + 1):
+        edge = u_hi * (1 + u_hi**2) ** (k - 1) - u_lo * (1 + u_lo**2) ** (k - 1)
+        J.append(edge / (2 * k - 1) + Fraction(2 * k - 2, 2 * k - 1) * J[k - 1])
+    nu = []
+    for m in range(n_terms):
+        total = sum(math.comb(m + 1, k) * kappa**k * (-1) ** (m + 1 - k) * J[k]
+                    for k in range(1, m + 2))
+        nu.append(float(Fraction(rho) * total / (2 * (m + 1))))
+    return np.array(nu)

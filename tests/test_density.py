@@ -12,6 +12,7 @@ from oracles import (
     direct_chain_mass_grid,
     low_dim_quad,
     planar_corner_density,
+    sampled_planar_estimate,
     tetrahedron_corner_density,
 )
 from packbounds import density as dn
@@ -126,29 +127,34 @@ def _pinned_paths():
     }
 
 
-# recorded before the three estimators and sample_base shared one chain
-# draw; 1e-12 relative leaves room for the BLAS summation order only
+# the simplex, profile and base pins were recorded before the three
+# estimators and sample_base shared one chain draw; the wedge, sector,
+# disc-cap and gap pins were re-recorded when the planar radius came to be
+# integrated out by its radial-moment series in place of a drawn planar
+# point, which changes their draws (the sampled-planar estimator is kept as
+# tests/oracles.sampled_planar_estimate); 1e-12 relative leaves room for the
+# BLAS summation order only
 _PINNED = {
     "simplex": [0.25703169678716903, 0.0006423388178017121],
     "simplex_antithetic": [0.2573204639003369, 0.0004151292502081138],
-    "wedge": [0.2573270159253254, 0.001305858969053208],
-    "wedge_antithetic": [0.2575429507368498, 0.0009058886262925713],
-    "sector": [0.2565041187098399, 0.0013032680245595068],
-    "sector_antithetic": [0.2564758504940484, 0.0009310224874749417],
-    "disc_cap_square": [0.25640527331644813, 0.001284378820767581],
-    "disc_cap_polygon": [0.25604455442218665, 0.0012834540300239654],
+    "wedge": [0.25734266481479784, 0.001305299757075602],
+    "wedge_antithetic": [0.2572973616407117, 0.0009068315536853812],
+    "sector": [0.25651033054002415, 0.0013018859931152743],
+    "sector_antithetic": [0.25646214698959674, 0.0009045019153947519],
+    "disc_cap_square": [0.2564229461080814, 0.0012841178548523475],
+    "disc_cap_polygon": [0.2560631774112446, 0.0012827008316901472],
     "profile": [
         0.2581614339746719, 0.2578988217686147, 0.25402341446836907,
         0.0013115207422676003, 0.001310440682775984, 0.0012945411751711432,
         2.2945613055324118e-05,
     ],
     "gap5": [
-        0.5256786122423823, 0.0008342777272190479, 0.5183701829483426,
-        0.0008293848897058865, 0.0012459089617158484, 4.308181606138969e-05,
+        0.5258738756109947, 0.0008156976111715759, 0.5184399982763509,
+        0.0008065103479763693, 0.0012672947932988142, 1.9089193501145465e-06,
     ],
     "gap24": [
-        0.0024611152440199347, 1.9679573078754918e-05, 0.0024607605144476357,
-        1.967715972622334e-05, 1.4204969848356569e-08, 5.885428588515822e-10,
+        0.002458902509650186, 2.0345034393352094e-05, 0.0024585491043643596,
+        2.034255060882195e-05, 1.4151939453141135e-08, 1.4876869342294177e-10,
     ],
     "base_simplex": [
         1000.0, 502.4500181450603, 306.1927068070605, 196.29901108234355,
@@ -209,6 +215,72 @@ def test_antithetic_reduces_variance():
     anti = dn.wedge_density(8, 200_000, SEED, antithetic=True)
     assert anti.stderr < plain.stderr
     assert abs(anti.value - plain.value) <= 4.0 * combined(anti, plain)
+
+
+def _reference_configs():
+    lo, mid, _ = fm.height_breakpoints(8)
+    h = lo + 0.3 * (mid - lo)
+    poly = geo.DiscPolygon(
+        0.3, [(0.25, 0.0), (0.1, 0.3), (-0.25, 0.2), (-0.2, -0.25), (0.15, -0.28)]
+    )
+    return {
+        "wedge": geo.canonical_wedge(8),
+        "sector": geo.sector_wedge(8),
+        "disc_cap_square": geo.truncated_wedge(8, h, "disc_cap_square"),
+        "disc": geo.truncated_wedge(8, h, "disc"),
+        "disc_cap_polygon": geo.WedgeConfig(geo.canonical_chain(8, 6), poly),
+    }
+
+
+@pytest.mark.parametrize("name", list(_reference_configs()))
+def test_conditional_estimator_matches_sampled_planar(name):
+    # one seed for both: at this n each stratum is one chunk, so both draw
+    # the same chain samples and differ by the planar part alone, which
+    # makes the combined-se band conservative but keeps the five cases from
+    # sharing one chain-noise deviation
+    cfg = _reference_configs()[name]
+    n = 200_000
+    est = dn.surface_density(cfg, n, SEED + 90)
+    value, cov = sampled_planar_estimate(cfg.chain, [cfg.domain], n, SEED + 90)
+    se = math.hypot(est.stderr, math.sqrt(cov[0, 0]))
+    assert abs(est.value - value[0]) <= 4.0 * se
+
+
+@pytest.mark.parametrize("d", [8, 24])
+def test_conditional_gap_matches_sampled_planar(d):
+    n = 200_000
+    g = dn.improvement_gap(d, n, SEED + 92)
+    tri, sec = geo.triangle_domain(d), geo.sector_domain(d)
+    w_sec = sec.area / (tri.area + sec.area)
+    value, cov = sampled_planar_estimate(geo.canonical_chain(d, d - 2), [tri, sec], n,
+                                         SEED + 93, antithetic=True)
+    ref = w_sec * (value[0] - value[1])
+    ref_se = w_sec * math.sqrt(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1])
+    # conditioning removes the planar variance, so the error bar only shrinks
+    assert g.gap_stderr < ref_se
+    assert abs(g.gap - ref) <= 4.0 * math.hypot(g.gap_stderr, ref_se)
+
+
+def test_gap_stderr_matches_two_pass_variance_d64():
+    # at d = 64 the gap's variance is a small difference of two nearly equal
+    # column variances, so the one-pass sums must still resolve it: compare
+    # with a centred two-pass variance of the per-sample difference column
+    d, n, seed = 64, 200_000, SEED + 94
+    g = dn.improvement_gap(d, n, seed)
+    chain = geo.canonical_chain(d, d - 2)
+    tri, sec = geo.triangle_domain(d), geo.sector_domain(d)
+    planar = [dn._planar_series(tri, chain), dn._planar_series(sec, chain)]
+    diffs = {}
+    for k, rows in dn._cone_samples(chain, False, planar, n, seed, antithetic=True):
+        diffs.setdefault(k, []).append(rows[:, 0] - rows[:, 1])
+    var = 0.0
+    for parts in diffs.values():
+        x = np.concatenate(parts)
+        dev = x - x.mean()
+        var += float(dev @ dev) / (len(x) - 1) / len(x)
+    w_sec = sec.area / (tri.area + sec.area)
+    two_pass = w_sec * math.sqrt(var) / len(diffs)
+    assert abs(g.gap_stderr - two_pass) <= 1e-4 * two_pass
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import membership_oracle, mixed_directions, rejection_area, grid_centroid
+from oracles import (
+    grid_centroid,
+    membership_oracle,
+    mixed_directions,
+    rejection_area,
+    sector_moments,
+    vertex_triangle_moments,
+)
 from packbounds import formulas as fm
 from packbounds import geometry as geo
 
@@ -160,6 +167,36 @@ def radial_integral(dom, n=64):
 def test_radial_mass_integrates_to_area(dom):
     # the identity the quadrature's radial nodes rely on
     assert radial_integral(dom) == pytest.approx(dom.area, rel=1e-9)
+    # and the zeroth radial moment behind the Monte-Carlo planar series
+    nu = dom.radial_moments(0.5 * dom.max_radius**2, 1)
+    assert nu[0] == pytest.approx(dom.area, rel=1e-12)
+
+
+# |z| <= 1 about rho = r_max^2 / 2, so the area bounds every |nu_m|, and the
+# tolerance is relative to it (odd sector moments vanish)
+MOMENT_TERMS = 16
+
+
+@pytest.mark.parametrize("d", [4, 8, 24, 42])
+def test_sector_moments_closed_form(d):
+    sec = geo.sector_domain(d)
+    nu = sec.radial_moments(0.5 * sec.max_radius**2, MOMENT_TERMS)
+    assert np.abs(nu - sector_moments(sec, MOMENT_TERMS)).max() <= 1e-13 * sec.area
+
+
+@pytest.mark.parametrize(
+    "tri",
+    [geo.triangle_domain(d) for d in (4, 8, 24, 42)]
+    + [
+        geo.Triangle((0.0, 0.0), (0.3, 0.1), (0.05, 0.25)),
+        # the origin's foot on the far edge lies outside that edge
+        geo.Triangle((0.3, 0.0), (0.0, 0.0), (0.5, 0.2)),
+    ],
+)
+def test_vertex_triangle_moments_closed_form(tri):
+    rho = 0.5 * tri.max_radius**2
+    nu = tri.radial_moments(rho, MOMENT_TERMS)
+    assert np.abs(nu - vertex_triangle_moments(tri, rho, MOMENT_TERMS)).max() <= 1e-13 * tri.area
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
