@@ -17,19 +17,21 @@ bounded by 1, so values always land in (0, 1).
 
 Monte-Carlo draws are stratified into 16 equal-probability strata of the
 lead coordinate (the join parameter t of a wedge, the leading ordered
-coordinate of a simplex) with one Philox substream per stratum keyed by
-(seed, stratum), so results are reproducible bit-for-bit and independent of
-any parallel scheduling.  Each sample is one draw of the ordered chain,
-from the shared kernel geometry._ordered_chain (the lead coordinate plus one
-sorted uniform tail), and one estimator, _cone_estimate, serves sigma,
-sigma_hat and lambda.  No planar point is drawn: given the chain draw, the
-mean over a wedge's planar domain is a one-dimensional integral against the
-domain's radial law, which a binomial series in the domain's radial moments
-evaluates exactly (conditional Monte Carlo, or Rao-Blackwellisation:
-same mean, smaller variance).  The surface density, the paired gap and the
-limiting profile differ only in the columns' series coefficients: the
-domain's, the triangle's and the sector's, or a point mass at each fixed
-radius.
+coordinate of a simplex) with one PCG64 substream per stratum keyed by
+(seed, stratum) (streams.substream), so results are reproducible bit-for-bit
+and independent of any parallel scheduling.  Each sample is one draw of the
+ordered chain, from the shared kernel geometry._ordered_chain (the lead
+coordinate plus one sorted uniform tail), and one estimator, _cone_estimate,
+serves sigma, sigma_hat and lambda.  The chain coordinates are never formed:
+_chain_norm2 contracts the sorted tail and its square with the reversed
+level coefficients, two matrix-vector products per block.  No planar point
+is drawn: given the chain draw, the mean over a wedge's planar domain is a
+one-dimensional integral against the domain's radial law, which a binomial
+series in the domain's radial moments evaluates exactly (conditional Monte
+Carlo, or Rao-Blackwellisation: same mean, smaller variance).  The surface
+density, the paired gap and the limiting profile differ only in the
+columns' series coefficients: the domain's, the triangle's and the
+sector's, or a point mass at each fixed radius.
 
 Quadrature propagates the chain's ordered variables through a (level,
 accumulated squared norm) grid, integrates a wedge's planar radius by a
@@ -166,6 +168,46 @@ def _planar_series(domain, chain: ChainSpec):
     return rho, binom * domain.radial_moments(rho, n_terms) / domain.area
 
 
+def _chain_norm2(xi1, coeff, is_simplex, lead, tail):
+    """Squared norm s = xi_1^2 + sum_i eta_i^2 (y_i/eta_i)^2 of chain draws.
+
+    lead and tail are one _ordered_chain draw and coeff = eta_2^2..eta_k^2.
+    The tail's columns run from the last level back, so they contract with
+    the tail levels' coefficients reversed, c_rev: with a = tail . c_rev and
+    b = tail^2 . c_rev, simplex levels lead * s_i give
+
+        s = xi_1^2 + lead^2 (c_0 + b),
+
+    and wedge levels t + (1 - t) s_i, with the join t at the last level,
+
+        s = xi_1^2 + t^2 sum(c_rev) + 2 t (1 - t) a + (1 - t)^2 b + c_last t^2.
+
+    Every term is nonnegative, so nothing cancels.  tail is squared in
+    place; no temporary of its size is made.
+    """
+    if is_simplex:
+        tail *= tail
+        s = tail @ coeff[:0:-1].copy()
+        s += coeff[0]
+        s *= lead * lead
+        s += xi1 * xi1
+        return s
+    c_rev = coeff[-2::-1].copy()
+    a = tail @ c_rev
+    tail *= tail
+    b = tail @ c_rev
+    t2 = lead * lead
+    one_t = 1.0 - lead
+    a *= 2.0 * lead * one_t
+    b *= one_t * one_t
+    s = np.full(len(lead), xi1 * xi1)
+    s += c_rev.sum() * t2
+    s += a
+    s += b
+    s += coeff[-1] * t2
+    return s
+
+
 def _cone_samples(chain: ChainSpec, is_simplex: bool, planar, n, seed, antithetic=False):
     """Per-sample integrand rows xi_1 E[|y|^-d | chain draw], one block at a time.
 
@@ -191,16 +233,10 @@ def _cone_samples(chain: ChainSpec, is_simplex: bool, planar, n, seed, antitheti
     dim = 1 if is_simplex else len(planar)
 
     def integrand(rng, u):
-        lead, inner = _ordered_chain(d, is_simplex, u, rng)
-        # levels are summed in chain order, as lead is the first simplex
-        # level and the last wedge level
-        s = np.full(len(u), xi1 * xi1)
+        lead, tail = _ordered_chain(d, is_simplex, u, rng)
+        s = _chain_norm2(xi1, coeff, is_simplex, lead, tail)
         if is_simplex:
-            s = s + coeff[0] * lead * lead
-            s = s + (inner * inner) @ coeff[1:]
             return (xi1 * s ** (-0.5 * d))[:, None]
-        s = s + (inner * inner) @ coeff[:-1]
-        s = s + coeff[-1] * lead * lead
         t2 = lead * lead
         cols = []
         for rho, coef in planar:
@@ -209,9 +245,9 @@ def _cone_samples(chain: ChainSpec, is_simplex: bool, planar, n, seed, antitheti
             g = np.full_like(c, coef[-1])
             if len(coef) > 1:
                 y = np.divide(lead_r, c, out=lead_r)
-                for b in coef[-2::-1]:
+                for cm in coef[-2::-1]:
                     g *= y
-                    g += b
+                    g += cm
             g *= np.power(c, -0.5 * d, out=c)
             g *= xi1
             cols.append(g)
@@ -270,7 +306,7 @@ def surface_density(
 ) -> DensityEstimate:
     """Monte-Carlo surface density of the unit sphere in the cone.
 
-    Deterministic in (seed, n): draws come from per-stratum Philox
+    Deterministic in (seed, n): draws come from per-stratum PCG64
     substreams keyed by (seed, stratum).  With antithetic=True each drawn
     sample is paired with its lead-reflected partner (twice the integrand
     evaluations for the same n).

@@ -1,6 +1,10 @@
 """Closed-form scalars for the packing-bound geometry.
 
 Everything here is deterministic double-precision arithmetic, no sampling.
+The tilt and pair-separation formulas also take numpy arrays and evaluate
+them elementwise, so a grid check costs one call.  Their range checks count
+offending entries with np.count_nonzero, which serves floats and arrays
+alike at a fraction of np.any's cost per scalar call.
 
 CORE QUANTITIES
 ===============
@@ -46,6 +50,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "EDGE_TOL",
@@ -178,39 +184,45 @@ def tilt_interval(d: int) -> tuple[float, float]:
 
 
 class TiltAngleScalars(NamedTuple):
-    cos_lower: float
-    cos_upper: float
-    quartic: float
+    """Cosines and quartic at x: floats, or arrays of x's shape."""
+
+    cos_lower: float | np.ndarray
+    cos_upper: float | np.ndarray
+    quartic: float | np.ndarray
 
 
-def tilt_quartic(d: int, x: float) -> float:
-    """x^4 - ((4d-10)/(d-1)) x^2 + (4d-16)/(d-1), unguarded.
+def tilt_quartic(d: int, x):
+    """x^4 - ((4d-10)/(d-1)) x^2 + (4d-16)/(d-1), unguarded; x may be an array.
 
     Roots at sqrt(2(d-4)/(d-1)) and sqrt(2); negative strictly between them,
     which brackets the whole admissible ring-parameter interval.
     """
     _check_dimension(d, 4)
-    return x ** 4 - (4.0 * d - 10.0) / (d - 1.0) * x * x + (4.0 * d - 16.0) / (d - 1.0)
+    # products, not a power: float ** 4 and numpy's power may round apart,
+    # and the terms nearly cancel
+    x2 = x * x
+    return x2 * x2 - (4.0 * d - 10.0) / (d - 1.0) * x2 + (4.0 * d - 16.0) / (d - 1.0)
 
 
-def tilt_angle_scalars(d: int, x: float) -> TiltAngleScalars:
+def tilt_angle_scalars(d: int, x) -> TiltAngleScalars:
     """Angle cosines and monotonicity quartic of the tilt problem at x.
 
     The apex angle at the enlarged-ball center splits into a lower arc
     (center to ring) and an upper arc (ring to far vertex); the neighbor
     tilt is pi minus their sum.  quartic < 0 on the open admissible
     interval, which makes lower+upper strictly increasing there, so the
-    tilt is maximal at the interval's left end.
+    tilt is maximal at the interval's left end.  x may be an array; every
+    entry must lie in the interval.
     """
     lo, hi = tilt_interval(d)
-    if x < lo - EDGE_TOL or x > hi + EDGE_TOL:
+    if np.count_nonzero((x < lo - EDGE_TOL) | (x > hi + EDGE_TOL)):
         raise ValueError(f"ring parameter {x} outside [{lo}, {hi}] for d={d}")
     l2 = 2.0 * d / (d + 1)
     rad_low = l2 * (4.0 - x * x) - 4.0
-    if rad_low <= 0.0 or l2 - x * x <= 0.0 or 4.0 - x * x <= 0.0:
+    if np.count_nonzero((rad_low <= 0.0) | (l2 - x * x <= 0.0) | (4.0 - x * x <= 0.0)):
         raise ValueError(f"degenerate radicand at x={x}, d={d}")
-    cos_lower = math.sqrt(rad_low / ((4.0 - x * x) * (l2 - x * x)))
-    cos_upper = (l2 - 2.0) / math.sqrt(l2 * (l2 - x * x))
+    cos_lower = np.sqrt(rad_low / ((4.0 - x * x) * (l2 - x * x)))
+    cos_upper = (l2 - 2.0) / np.sqrt(l2 * (l2 - x * x))
     return TiltAngleScalars(cos_lower, cos_upper, tilt_quartic(d, x))
 
 
@@ -227,18 +239,19 @@ def max_tilt_cosine(d: int) -> float:
 _COS_2PI5 = math.cos(2.0 * math.pi / 5.0)
 
 
-def pair_gap_bound(d: int, tilt_i: float, tilt_j: float) -> float:
+def pair_gap_bound(d: int, tilt_i, tilt_j):
     """Squared-distance bound for two rescaled neighbor centers.
 
-    Both tilt angles must lie in [0, acos(max_tilt_cosine(d))].  The center
-    offset norm is already replaced by its floor sqrt(2(d-2)/(d-1)), so the
-    returned value dominates the true squared distance for every admissible
-    configuration; it is nondecreasing in either tilt.
+    Both tilt angles must lie in [0, acos(max_tilt_cosine(d))]; they may be
+    arrays, which broadcast against each other.  The center offset norm is
+    already replaced by its floor sqrt(2(d-2)/(d-1)), so the returned value
+    dominates the true squared distance for every admissible configuration;
+    it is nondecreasing in either tilt.
     """
     _check_dimension(d, 4)
     tilt_max = math.acos(max_tilt_cosine(d))
     for name, a in (("tilt_i", tilt_i), ("tilt_j", tilt_j)):
-        if a < -EDGE_TOL or a > tilt_max + EDGE_TOL:
+        if np.count_nonzero((a < -EDGE_TOL) | (a > tilt_max + EDGE_TOL)):
             raise ValueError(f"{name}={a} outside [0, {tilt_max}] for d={d}")
     c5 = _COS_2PI5
     ld2 = 2.0 * d / (d + 1)  # squared enlarged radius
@@ -246,9 +259,9 @@ def pair_gap_bound(d: int, tilt_i: float, tilt_j: float) -> float:
     return (
         (2.0 - c5) * 2.0 * ld2
         - 2.0 * (1.0 - c5) * off2
-        + 2.0 * ld2 * math.sin(tilt_i) * math.sin(tilt_j)
-        - 2.0 * ld2 * c5 * math.cos(tilt_i) * math.cos(tilt_j)
-        + 2.0 * (1.0 - c5) * math.sqrt(ld2) * (math.cos(tilt_i) + math.cos(tilt_j))
+        + 2.0 * ld2 * np.sin(tilt_i) * np.sin(tilt_j)
+        - 2.0 * ld2 * c5 * np.cos(tilt_i) * np.cos(tilt_j)
+        + 2.0 * (1.0 - c5) * math.sqrt(ld2) * (np.cos(tilt_i) + np.cos(tilt_j))
         * math.sqrt(ld2 - off2)
     )
 

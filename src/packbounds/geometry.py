@@ -849,40 +849,39 @@ def lead_transform(d: int, is_simplex: bool, u) -> np.ndarray:
 
 
 def _ordered_chain(d: int, is_simplex: bool, u, rng: np.random.Generator):
-    """Ordered chain coordinates y_i/eta_i of uniform base points.
+    """Lead coordinate and sorted uniform tail of one chain draw per uniform.
 
     The one chain draw behind sample_base and every Monte-Carlo estimator.
     lead is lead_transform(d, is_simplex, u): the top simplex coordinate
-    (level 2), or the wedge join parameter t (level d-2).  inner holds the
-    other levels in chain order, from one sorted uniform tail s_1 >= s_2 >= ...
-    drawn from rng: lead * s_i for simplex levels 3..d, and t + (1 - t) s_i
-    for wedge levels 2..d-3.
+    (level 2), or the wedge join parameter t (level d-2).  tail is one
+    ascending-sorted block of uniforms from rng, contiguous and left as
+    drawn, so its column i is the draw's s_(k-i) with s_1 >= s_2 >= ... and
+    k = tail.shape[1].  The other levels' coordinates y_i/eta_i, in chain
+    order, are lead * s_i for simplex levels 3..d and t + (1 - t) s_i for
+    wedge levels 2..d-3: tail[:, ::-1] carries them, and the estimators
+    contract the tail against reversed level coefficients instead.
     """
     lead = lead_transform(d, is_simplex, u)
     tail = rng.random((len(lead), d - 2 if is_simplex else d - 4))
-    # transformed in place: a fresh array per step costs page faults at large n
     tail.sort(axis=1)
-    inner = tail[:, ::-1]
-    if is_simplex:
-        inner *= lead[:, None]
-    else:
-        inner *= (1.0 - lead)[:, None]
-        inner += lead[:, None]
-    return lead, inner
+    return lead, tail
 
 
 def sample_base(config: WedgeConfig, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     """n points uniformly distributed on the (d-1)-dimensional base."""
     d = config.d
     eta = config.chain.eta_array
-    lead, inner = _ordered_chain(d, config.is_simplex, rng.random(n), rng)
+    lead, tail = _ordered_chain(d, config.is_simplex, rng.random(n), rng)
     pts = np.zeros((n, d))
     pts[:, 0] = eta[0]
+    # tail column j is the level of pts column d - 1 - j (simplex) or
+    # d - 4 - j (wedge), so the tail fills those columns in reverse
     if config.is_simplex:
         pts[:, 1] = lead * eta[1]
-        pts[:, 2:] = inner * eta[2:]
+        pts[:, :1:-1] = tail * lead[:, None] * eta[:1:-1]
     else:
-        pts[:, 1 : d - 3] = inner * eta[1 : d - 3]
+        inner = tail * (1.0 - lead)[:, None] + lead[:, None]
+        pts[:, d - 4 : 0 : -1] = inner * eta[d - 4 : 0 : -1]
         pts[:, d - 3] = lead * eta[d - 3]
         pts[:, -2:] = lead[:, None] * config.domain.sample(n, rng)
     return pts

@@ -1,8 +1,11 @@
-"""Counter-based random streams for reproducible estimation.
+"""Keyed random streams for reproducible estimation.
 
-Streams are Philox generators keyed by (seed, index...), so any worker can
-open the stream for its stratum independently and the draws never depend on
-scheduling.  Mixing uses splitmix64 so that nearby seeds give unrelated keys.
+The stream for (seed, index...) is numpy's default generator, PCG64, seeded
+through a SeedSequence with one 64-bit key mixed from the words, so any
+worker can open the stream for its stratum independently and the draws never
+depend on scheduling.  Mixing uses splitmix64 so that nearby seeds give
+unrelated keys, and the SeedSequence hash spreads each key over PCG64's
+whole state.  PCG64 draws a double in well under half of Philox's time.
 """
 
 from __future__ import annotations
@@ -33,4 +36,4 @@ def spawn_key(seed: int, *indices: int) -> int:
 
 def substream(seed: int, *indices: int) -> np.random.Generator:
     """Open the deterministic stream for (seed, indices...)."""
-    return np.random.Generator(np.random.Philox(key=mix(seed, *indices)))
+    return np.random.default_rng(mix(seed, *indices))

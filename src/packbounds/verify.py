@@ -110,10 +110,10 @@ def check_tilt_extremum(d: int = 8, grid: int = 10**5) -> CheckResult:
         raise ValueError("grid must be >= 1e3")
     lo, hi = fm.tilt_interval(d)
     xs = np.linspace(lo, hi, grid)
-    scal = [fm.tilt_angle_scalars(d, float(x)) for x in xs]
-    angle_sum = np.array([math.acos(s.cos_lower) + math.acos(s.cos_upper) for s in scal])
+    scal = fm.tilt_angle_scalars(d, xs)
+    angle_sum = np.arccos(scal.cos_lower) + np.arccos(scal.cos_upper)
     tilt = math.pi - angle_sum
-    quartic = np.array([s.quartic for s in scal])
+    quartic = scal.quartic
     k_max = int(np.argmax(tilt))
     failures = []
     if k_max != 0:
@@ -155,10 +155,7 @@ def check_pair_separation(d: int = 8, grid: int = 200) -> CheckResult:
     """
     tilt_max = math.acos(fm.max_tilt_cosine(d))
     angles = np.linspace(0.0, tilt_max, grid)
-    values = np.empty((grid, grid))
-    for i, ai in enumerate(angles):
-        for j, aj in enumerate(angles):
-            values[i, j] = fm.pair_gap_bound(d, float(ai), float(aj))
+    values = fm.pair_gap_bound(d, angles[:, None], angles[None, :])
     corner = fm.pair_gap_max(d)
     failures = []
     notes = []

@@ -278,7 +278,8 @@ def sampled_planar_estimate(chain, domains, n, seed, antithetic=False):
     dim = len(domains)
 
     def integrand(rng, u):
-        lead, inner = _ordered_chain(d, False, u, rng)
+        lead, tail = _ordered_chain(d, False, u, rng)
+        inner = tail[:, ::-1] * (1.0 - lead)[:, None] + lead[:, None]
         s = np.full(len(u), xi1 * xi1)
         s = s + (inner * inner) @ coeff[:-1]
         s = s + coeff[-1] * lead * lead

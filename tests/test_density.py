@@ -85,6 +85,41 @@ def test_determinism_bit_identical():
     assert c.value != a.value
 
 
+def test_substream_deterministic_and_distinct():
+    from packbounds.streams import substream
+
+    keys = [(SEED,), (SEED, 0), (SEED, 1), (SEED + 1, 0), (SEED, 0, 0), (SEED, 0, 1)]
+    draws = [substream(*key).random(64) for key in keys]
+    for key, x in zip(keys, draws):
+        assert np.array_equal(substream(*key).random(64), x)
+    for i in range(len(keys)):
+        for j in range(i):
+            assert not np.any(draws[i] == draws[j]), (keys[i], keys[j])
+
+
+@pytest.mark.parametrize("simplex", [True, False], ids=["simplex", "wedge"])
+@pytest.mark.parametrize("d", [5, 8, 24, 42, 64])
+def test_contracted_chain_norm_matches_coordinates(d, simplex):
+    # the estimators never form the chain coordinates; build them here from
+    # the same draw and sum xi_1^2 + sum_i eta_i^2 coord_i^2 directly
+    from packbounds.streams import substream
+
+    chain = (geo.canonical_simplex(d) if simplex else geo.canonical_wedge(d)).chain
+    xi1 = 1.25  # away from the canonical 1, so the xi_1 term is tested too
+    rng = substream(SEED, d)
+    lead, tail = geo._ordered_chain(d, simplex, rng.random(4096), rng)
+    levels = tail[:, ::-1]
+    if simplex:
+        coord = np.column_stack([lead, lead[:, None] * levels])
+    else:
+        coord = np.column_stack([lead[:, None] + (1.0 - lead)[:, None] * levels, lead])
+    eta2 = chain.eta_array[1:] ** 2
+    assert coord.shape[1] == len(eta2)
+    expected = xi1 * xi1 + (coord * coord) @ eta2
+    s = dn._chain_norm2(xi1, eta2, simplex, lead, tail)
+    np.testing.assert_allclose(s, expected, rtol=1e-14, atol=0.0)
+
+
 def _pinned_paths():
     """Fixed-seed Monte-Carlo paths, each returning a flat list of floats."""
     lo, mid, _ = fm.height_breakpoints(8)
@@ -127,34 +162,35 @@ def _pinned_paths():
     }
 
 
-# the simplex, profile and base pins were recorded before the three
-# estimators and sample_base shared one chain draw; the wedge, sector,
-# disc-cap and gap pins were re-recorded when the planar radius came to be
-# integrated out by its radial-moment series in place of a drawn planar
-# point, which changes their draws (the sampled-planar estimator is kept as
-# tests/oracles.sampled_planar_estimate); 1e-12 relative leaves room for the
-# BLAS summation order only
+# the base pins were recorded before the three estimators and sample_base
+# shared one chain draw (sample_base takes its generator from the caller);
+# the estimator pins were re-recorded when the substreams became PCG64 and
+# the chain's squared norm came to be contracted from the sorted tail, which
+# changes every estimator draw (CHANGES.md lists the old and new values);
+# 1e-12 relative leaves room for the BLAS summation order only
 _PINNED = {
-    "simplex": [0.25703169678716903, 0.0006423388178017121],
-    "simplex_antithetic": [0.2573204639003369, 0.0004151292502081138],
-    "wedge": [0.25734266481479784, 0.001305299757075602],
-    "wedge_antithetic": [0.2572973616407117, 0.0009068315536853812],
-    "sector": [0.25651033054002415, 0.0013018859931152743],
-    "sector_antithetic": [0.25646214698959674, 0.0009045019153947519],
-    "disc_cap_square": [0.2564229461080814, 0.0012841178548523475],
-    "disc_cap_polygon": [0.2560631774112446, 0.0012827008316901472],
+    "simplex": [0.25789356431007504, 0.0006789570083143024],
+    "simplex_antithetic": [0.2566386328774174, 0.0004202939627087833],
+    "wedge": [0.257788223347303, 0.001283169812420867],
+    "wedge_antithetic": [0.25670286730522385, 0.0009126676844288384],
+    "sector": [0.25694943013420823, 0.0012798987396860973],
+    "sector_antithetic": [0.2558699467651313, 0.0009103649163219851],
+    "disc_cap_square": [0.2561583559944678, 0.0012496181196482389],
+    "disc_cap_polygon": [0.25579700675539074, 0.0012482139801867113],
     "profile": [
-        0.2581614339746719, 0.2578988217686147, 0.25402341446836907,
-        0.0013115207422676003, 0.001310440682775984, 0.0012945411751711432,
-        2.2945613055324118e-05,
+        0.2568917916678881, 0.2566318329789084, 0.25279525842035766,
+        0.0012622566765042452, 0.0012612201892420066, 0.0012459424321379685,
+        2.1517904547037215e-05,
     ],
     "gap5": [
-        0.5258738756109947, 0.0008156976111715759, 0.5184399982763509,
-        0.0008065103479763693, 0.0012672947932988142, 1.9089193501145465e-06,
+        0.5257255680604728, 0.0008315697666936298,
+        0.5182951718071024, 0.0008222639976953678,
+        0.0012667013538358912, 1.9338994914815994e-06,
     ],
     "gap24": [
-        0.002458902509650186, 2.0345034393352094e-05, 0.0024585491043643596,
-        2.034255060882195e-05, 1.4151939453141135e-08, 1.4876869342294177e-10,
+        0.002462402045196079, 1.943208931070129e-05,
+        0.0024620511997729333, 1.9429816792281756e-05,
+        1.4049431021265549e-08, 1.3705939927834331e-10,
     ],
     "base_simplex": [
         1000.0, 502.4500181450603, 306.1927068070605, 196.29901108234355,

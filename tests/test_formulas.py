@@ -194,6 +194,19 @@ def test_tilt_scalars_reject_outside_interval():
         fm.tilt_angle_scalars(8, hi + 1e-6)
 
 
+@pytest.mark.parametrize("d", [4, 8, 42])
+def test_tilt_scalars_on_an_array_match_scalar_calls(d):
+    lo, hi = fm.tilt_interval(d)
+    xs = np.linspace(lo, hi, 257)
+    grid = fm.tilt_angle_scalars(d, xs)
+    for name, column in zip(fm.TiltAngleScalars._fields, grid):
+        scalar = [getattr(fm.tilt_angle_scalars(d, float(x)), name) for x in xs]
+        np.testing.assert_allclose(column, scalar, rtol=1e-15, atol=0.0, err_msg=name)
+    xs[100] = hi + 1e-6  # one entry out of range rejects the array
+    with pytest.raises(ValueError):
+        fm.tilt_angle_scalars(d, xs)
+
+
 def test_max_tilt_cosine_values():
     assert fm.max_tilt_cosine(8) == pytest.approx(5.0 / (2.0 * math.sqrt(7.0)), abs=1e-12)
     assert fm.max_tilt_cosine(8) == pytest.approx(0.9449112, abs=1e-7)
@@ -269,6 +282,19 @@ def test_pair_gap_rejects_bad_tilt():
         fm.pair_gap_bound(8, -0.1, 0.0)
     with pytest.raises(ValueError):
         fm.pair_gap_bound(8, 0.0, tilt_max + 0.01)
+
+
+@pytest.mark.parametrize("d", [4, 8, 42])
+def test_pair_gap_on_a_grid_matches_scalar_calls(d):
+    angles = np.linspace(0.0, math.acos(fm.max_tilt_cosine(d)), 61)
+    grid = fm.pair_gap_bound(d, angles[:, None], angles[None, :])
+    scalar = [[fm.pair_gap_bound(d, float(a), float(b)) for b in angles] for a in angles]
+    np.testing.assert_allclose(grid, scalar, rtol=1e-15, atol=0.0)
+    # one entry out of range, in either argument, rejects the grid
+    with pytest.raises(ValueError):
+        fm.pair_gap_bound(d, angles[:, None], angles[None, :] + 0.01)
+    with pytest.raises(ValueError):
+        fm.pair_gap_bound(d, angles[:, None] - 0.01, angles[None, :])
 
 
 def test_cos_two_pi_fifth_algebraic_identity():
