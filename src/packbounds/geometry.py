@@ -746,13 +746,25 @@ _NEWTON_MAX_ITER = 32
 # above it, cancellation in 1 - U costs under 1e-13 of the tail.
 _SERIES_NT = 0.25
 _SERIES_TERMS = 10
+# The Newton starts come from cubic Hermite tables on _TABLE_NODES evenly
+# spaced log-targets from log 2^-57, the least target of a stratified or
+# antithetic draw (a 53-bit uniform in the first of 16 strata), to log 1/2.
+# Their error is at most 1.1e-10 in log coordinates for d <= 64, largest
+# just below u = 1/2, so one Newton step converges almost everywhere and two
+# everywhere.  A d's two tables take 1-2 ms to build and 256 kB; only the
+# last _TABLE_CACHE d's are kept (a sweep over d needs one, verify's wedges
+# two), so a sweep does not grow the process.
+_TABLE_NODES = 4096
+_TABLE_LOG_MIN = -57.0 * math.log(2.0)
+_TABLE_CACHE = 2
 
 
 def _newton_rising(x, target, g_and_slope):
-    """Solve g(x) = target for concave increasing g, from starts below the root.
+    """Solve g(x) = target for concave increasing g.
 
-    Each Newton step from below a root of a concave increasing function
-    lands below it again, so the iterates rise monotonically and need no
+    Every tangent of a concave g lies above it, so a Newton step from above
+    the root lands at or below it, and a step from below lands below it
+    again: after the first step the iterates rise monotonically and need no
     bracketing.  All entries step together until the largest step is below
     _NEWTON_TOL.
     """
@@ -763,6 +775,108 @@ def _newton_rising(x, target, g_and_slope):
         if np.max(np.abs(step)) <= _NEWTON_TOL:
             break
     return x
+
+
+def _hermite_table(z, f, slope):
+    """Per-interval cubic coefficients of the Hermite interpolant of f on the uniform grid z."""
+    h = z[1] - z[0]
+    df = np.diff(f)
+    m0 = h * slope[:-1]
+    m1 = h * slope[1:]
+    return z[0], 1.0 / h, f[:-1], m0, 3.0 * df - 2.0 * m0 - m1, m0 + m1 - 2.0 * df
+
+
+def _hermite_start(table, z, fallback):
+    """The table's interpolant at z; fallback(z) below the table's range."""
+    lo, inv_h, a0, a1, a2, a3 = table
+    pos = (z - lo) * inv_h
+    i = pos.astype(np.intp)
+    np.clip(i, 0, len(a0) - 1, out=i)
+    s = pos - i
+    out = a3[i]
+    for a in (a2, a1, a0):
+        out *= s
+        out += a[i]
+    below = pos < 0.0
+    if below.any():
+        out[below] = fallback(z[below])
+    return out
+
+
+class _Beta3:
+    """The log-CDF equations of Beta(3, d-3) and the tables of their roots.
+
+    See _beta3_quantile.  x_table holds x = log t against w = log u and
+    y_table y = log(1-t) against v = log(1-u), both over [_TABLE_LOG_MIN,
+    log 1/2].  Their nodes are Newton roots from the asymptotic starts, and
+    their slopes are dx/dw = u / (t f(t)) and dy/dv = (1-u) / ((1-t) f(t)),
+    f the density, which are the reciprocal slopes of the equations at the
+    roots.  The y nodes are solved in y itself, never through t, which
+    rounds to 1 near the top of the range.
+    """
+
+    def __init__(self, d: int):
+        self.n = n = d - 1
+        self.c3 = n * (n - 1) * (n - 2) / 6.0
+        self.log_c3 = math.log(self.c3)
+        self.log_c2 = math.log(n * (n - 1) / 2.0)
+        self.q1 = float(n - 2)
+        self.q2 = (n - 1) * (n - 2) / 2.0
+        coef = [1.0]  # S(r) = sum_j C(n, 3+j)/C(n, 3) r^j, reversed for Horner
+        for j in range(1, min(_SERIES_TERMS, n - 3) + 1):
+            coef.append(coef[-1] * (n - 2 - j) / (3 + j))
+        coef.reverse()
+        self.coef = coef
+        t_series = _SERIES_NT / n
+        self.u_series = self.c3 * t_series**3 * (1.0 - t_series) ** (n - 3) * self.series(t_series)
+
+        w = np.linspace(_TABLE_LOG_MIN, math.log(0.5), _TABLE_NODES)
+        x = np.empty_like(w)
+        dx = np.empty_like(w)
+        in_series = w < math.log(self.u_series)
+        for sel, g in ((in_series, self.lower_series), (~in_series, self.lower)):
+            x[sel] = _newton_rising(self.x_start(w[sel]), w[sel], g)
+            dx[sel] = 1.0 / g(x[sel])[1]
+        self.x_table = _hermite_table(w, x, dx)
+        y = _newton_rising(self.y_start(w), w, self.upper)
+        self.y_table = _hermite_table(w, y, 1.0 / self.upper(y)[1])
+
+    def series(self, t):
+        r = t / (1.0 - t)
+        s = self.coef[0]
+        for c in self.coef[1:]:
+            s = s * r + c
+        return s
+
+    def lower_series(self, x):
+        t = np.exp(x)
+        s = self.series(t)
+        return self.log_c3 + 3.0 * x + (self.n - 3) * np.log1p(-t) + np.log(s), 3.0 / s
+
+    def lower(self, x):
+        t = np.exp(x)
+        log_1mt = np.log1p(-t)
+        tail = -np.expm1(self.q1 * log_1mt + np.log1p(t * (self.q1 + self.q2 * t)))
+        return np.log(tail), 3.0 * self.c3 * np.exp(3.0 * x + (self.n - 3) * log_1mt) / tail
+
+    def upper(self, y):
+        t = -np.expm1(y)
+        q = 1.0 + t * (self.q1 + self.q2 * t)
+        return self.q1 * y + np.log(q), 3.0 * self.c3 * t * t / q
+
+    def x_start(self, log_u):
+        """From L <= C(n,3) t^3, below the root."""
+        return (log_u - self.log_c3) / 3.0
+
+    def y_start(self, log_v):
+        """From U <= C(n,2) (1-t)^(n-2), below the root."""
+        return (log_v - self.log_c2) / self.q1
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _beta3(d: int) -> _Beta3:
+    """The d's equations and start tables, built on first use."""
+    return _Beta3(d)
 
 
 def _beta3_quantile(d: int, u: np.ndarray) -> np.ndarray:
@@ -777,56 +891,25 @@ def _beta3_quantile(d: int, u: np.ndarray) -> np.ndarray:
     their CDFs: log L is concave and increasing in x = log t, and log U is
     concave and increasing in y = log(1-t).  For
     u <= 1/2 Newton solves log L = log u in x; for u > 1/2 it solves
-    log U = log(1-u) in y, where 1-u is exact.  The starts come from
-    L <= C(n,3) t^3 and U <= C(n,2) (1-t)^(n-2) and so lie below the roots.
-    Where n t < _SERIES_NT, 1 - U cancels and L is summed instead as
-    C(n,3) t^3 (1-t)^(n-3) S(t/(1-t)), S the binomial series.
+    log U = log(1-u) in y, where 1-u is exact.  Where n t < _SERIES_NT,
+    1 - U cancels and L is summed instead as C(n,3) t^3 (1-t)^(n-3)
+    S(t/(1-t)), S the binomial series.  Newton starts from the d's cubic
+    Hermite tables of exact roots (_Beta3), so almost every call stops
+    after one step and none needs more than two; below the tables' range
+    it starts from L <= C(n,3) t^3, below the root.
     """
-    n = d - 1
-    c3 = n * (n - 1) * (n - 2) / 6.0
-    log_c3 = math.log(c3)
-    q1 = float(n - 2)
-    q2 = (n - 1) * (n - 2) / 2.0
-    coef = [1.0]  # S(r) = sum_j C(n, 3+j)/C(n, 3) r^j, reversed for Horner
-    for j in range(1, min(_SERIES_TERMS, n - 3) + 1):
-        coef.append(coef[-1] * (n - 2 - j) / (3 + j))
-    coef.reverse()
-
-    def series(t):
-        r = t / (1.0 - t)
-        s = coef[0]
-        for c in coef[1:]:
-            s = s * r + c
-        return s
-
-    def lower_series(x):
-        t = np.exp(x)
-        s = series(t)
-        return log_c3 + 3.0 * x + (n - 3) * np.log1p(-t) + np.log(s), 3.0 / s
-
-    def lower(x):
-        t = np.exp(x)
-        log_1mt = np.log1p(-t)
-        tail = -np.expm1(q1 * log_1mt + np.log1p(t * (q1 + q2 * t)))
-        return np.log(tail), 3.0 * c3 * np.exp(3.0 * x + (n - 3) * log_1mt) / tail
-
-    def upper(y):
-        t = -np.expm1(y)
-        q = 1.0 + t * (q1 + q2 * t)
-        return q1 * y + np.log(q), 3.0 * c3 * t * t / q
-
-    t_series = _SERIES_NT / n
-    u_series = c3 * t_series**3 * (1.0 - t_series) ** (n - 3) * series(t_series)
+    eq = _beta3(d)
     out = np.where(u == 1.0, 1.0, np.where(u == 0.0, 0.0, np.nan))
-    for sel, g in (((u > 0.0) & (u < u_series), lower_series), ((u >= u_series) & (u <= 0.5), lower)):
+    for sel, g in (((u > 0.0) & (u < eq.u_series), eq.lower_series), ((u >= eq.u_series) & (u <= 0.5), eq.lower)):
         if sel.any():
             log_u = np.log(u[sel])
-            out[sel] = np.exp(_newton_rising((log_u - log_c3) / 3.0, log_u, g))
+            x0 = _hermite_start(eq.x_table, log_u, eq.x_start)
+            out[sel] = np.exp(_newton_rising(x0, log_u, g))
     sel = (u > 0.5) & (u < 1.0)
     if sel.any():
         log_v = np.log1p(-u[sel])
-        y0 = (log_v - math.log(n * (n - 1) / 2.0)) / q1
-        out[sel] = -np.expm1(_newton_rising(y0, log_v, upper))
+        y0 = _hermite_start(eq.y_table, log_v, eq.y_start)
+        out[sel] = -np.expm1(_newton_rising(y0, log_v, eq.upper))
     return out
 
 
@@ -837,8 +920,9 @@ def lead_transform(d: int, is_simplex: bool, u) -> np.ndarray:
     Wedge variant: the join parameter t with density t^2 (1-t)^(d-4), a
     Beta(3, d-3) law (plain t^2 when the prefix is a single vertex).  Its
     CDF is a closed-form polynomial, a binomial tail, which
-    ``_beta3_quantile`` inverts exactly by Newton iteration; the tests hold
-    it within 1e-12 of scipy.special.betaincinv for d = 5..64.
+    ``_beta3_quantile`` inverts exactly by Newton iteration from tabulated
+    roots, almost always in one step; the tests hold it within 1e-12 of
+    scipy.special.betaincinv for d = 5..64.
     """
     u = np.asarray(u, dtype=float)
     if is_simplex:

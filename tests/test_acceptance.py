@@ -114,10 +114,7 @@ def test_06_pair_separation_threshold():
         tilt_max = math.acos(fm.max_tilt_cosine(d))
         angles = np.linspace(0.0, tilt_max, 200)
         corner = fm.pair_gap_max(d)
-        worst = max(
-            fm.pair_gap_bound(d, float(a), float(b))
-            for a in angles for b in angles
-        )
+        worst = float(fm.pair_gap_bound(d, angles[:, None], angles[None, :]).max())
         assert worst <= corner + 1e-9, f"d={d}"
     report(6, "pair bound threshold bracketed (3.920684 at d=8, 4.016512 at "
               "d=7); 200x200 grids stay below the corner value")

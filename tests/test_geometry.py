@@ -423,6 +423,40 @@ def test_lead_transform_deep_lower_tail():
         assert np.allclose(geo.lead_transform(d, False, u), expected, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("d", [5, 8, 16, 24, 42, 64])
+def test_lead_transform_newton_starts_at_the_root(d, monkeypatch):
+    # the tabulated starts are within rounding of the root, so each Newton
+    # solve stops after one step, at most two: on every stratum of a
+    # stratified draw, at the ends of the tables, at the series switch point
+    # and at the branch point 1/2
+    from scipy.special import betaincinv
+
+    eq = geo._beta3(d)  # the tables' own Newton solves are not counted
+    newton = geo._newton_rising
+    steps = []
+
+    def counting(x, target, g_and_slope):
+        steps.append(0)
+
+        def g(x):
+            steps[-1] += 1
+            return g_and_slope(x)
+
+        return newton(x, target, g)
+
+    monkeypatch.setattr(geo, "_newton_rising", counting)
+    rng = np.random.default_rng(2000 + d)
+    ends = np.array([
+        2.0**-57, np.nextafter(2.0**-57, 1.0), eq.u_series, np.nextafter(eq.u_series, 0.0),
+        0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0 - 2.0**-53,
+    ])
+    for u in [(k + rng.random(1 << 14)) / 16 for k in range(16)] + [ends]:
+        steps.clear()
+        t = geo.lead_transform(d, False, u)
+        assert 1 <= max(steps) <= 2, steps
+        assert np.max(np.abs(t - betaincinv(3.0, float(d - 3), u))) <= 1e-12
+
+
 def test_lead_transform_power_branches_unchanged():
     u = np.concatenate([np.random.default_rng(3).random(10_000), LEAD_EDGES, [0.0, 1.0]])
     assert np.array_equal(geo.lead_transform(4, False, u), u ** (1.0 / 3.0))
