@@ -302,7 +302,7 @@ def cmd_plot_data(args) -> int:
     if kind == "sigma_vs_d":
         rows = []
         for d in range(args.dmin, args.dmax + 1):
-            est = simplex_density(d, args.samples, spawn_key(args.seed, d), antithetic=True)
+            est = simplex_density(d, args.samples, spawn_key(args.seed, d))
             ref = reference_bounds(d)
             rows.append([str(d), _fmt(est.value), _fmt(est.stderr),
                          _fmt(ref.daniels), _fmt(ref.kl), _fmt(ref.ball_lower)])

@@ -56,9 +56,12 @@ from .geometry import (
     ChainSpec,
     WedgeConfig,
     _ordered_chain,
+    canonical_chain,
     canonical_simplex,
     canonical_wedge,
+    sector_domain,
     sector_wedge,
+    triangle_domain,
 )
 from .streams import substream
 
@@ -208,7 +211,7 @@ def _chain_norm2(xi1, coeff, is_simplex, lead, tail):
     return s
 
 
-def _cone_samples(chain: ChainSpec, is_simplex: bool, planar, n, seed, antithetic=False):
+def _cone_samples(chain: ChainSpec, is_simplex: bool, planar, n, seed):
     """Per-sample integrand rows xi_1 E[|y|^-d | chain draw], one block at a time.
 
     Every sample is one chain draw (geometry._ordered_chain).  For the
@@ -265,18 +268,11 @@ def _cone_samples(chain: ChainSpec, is_simplex: bool, planar, n, seed, antitheti
         while done < nk:
             m = min(chunk, nk - done)
             u = rng.random(m)
-            if antithetic:
-                g = 0.5 * (
-                    integrand(rng, (k + u) / strata)
-                    + integrand(rng, (k + 1.0 - u) / strata)
-                )
-            else:
-                g = integrand(rng, (k + u) / strata)
-            yield k, g
+            yield k, integrand(rng, (k + u) / strata)
             done += m
 
 
-def _cone_estimate(chain: ChainSpec, is_simplex: bool, planar, n, seed, antithetic=False):
+def _cone_estimate(chain: ChainSpec, is_simplex: bool, planar, n, seed):
     """Stratified mean of the _cone_samples rows and the covariance of that mean.
 
     Returns (mean vector, covariance matrix of the mean); strata carry equal
@@ -287,7 +283,7 @@ def _cone_estimate(chain: ChainSpec, is_simplex: bool, planar, n, seed, antithet
     sums = np.zeros((strata, dim))
     squares = np.zeros((strata, dim, dim))
     counts = np.zeros(strata)
-    for k, g in _cone_samples(chain, is_simplex, planar, n, seed, antithetic):
+    for k, g in _cone_samples(chain, is_simplex, planar, n, seed):
         sums[k] += g.sum(axis=0)
         squares[k] += g.T @ g
         counts[k] += len(g)
@@ -301,18 +297,14 @@ def _cone_estimate(chain: ChainSpec, is_simplex: bool, planar, n, seed, antithet
     return value, cov
 
 
-def surface_density(
-    config: WedgeConfig, n: int, seed: int, antithetic: bool = False
-) -> DensityEstimate:
+def surface_density(config: WedgeConfig, n: int, seed: int) -> DensityEstimate:
     """Monte-Carlo surface density of the unit sphere in the cone.
 
     Deterministic in (seed, n): draws come from per-stratum PCG64
-    substreams keyed by (seed, stratum).  With antithetic=True each drawn
-    sample is paired with its lead-reflected partner (twice the integrand
-    evaluations for the same n).
+    substreams keyed by (seed, stratum).
     """
     planar = None if config.is_simplex else [_planar_series(config.domain, config.chain)]
-    value, cov = _cone_estimate(config.chain, config.is_simplex, planar, n, seed, antithetic)
+    value, cov = _cone_estimate(config.chain, config.is_simplex, planar, n, seed)
     return DensityEstimate(
         value=float(value[0]),
         stderr=float(math.sqrt(max(cov[0, 0], 0.0))),
@@ -322,25 +314,25 @@ def surface_density(
     )
 
 
-def simplex_density(d: int, n: int, seed: int, antithetic: bool = False) -> DensityEstimate:
+def simplex_density(d: int, n: int, seed: int) -> DensityEstimate:
     """Density of the unit ball in the canonical orthoscheme cone (sigma)."""
     if d < 2:
         raise ValueError(f"simplex density needs d >= 2, got {d}")
-    return surface_density(canonical_simplex(d), n, seed, antithetic)
+    return surface_density(canonical_simplex(d), n, seed)
 
 
-def wedge_density(d: int, n: int, seed: int, antithetic: bool = False) -> DensityEstimate:
+def wedge_density(d: int, n: int, seed: int) -> DensityEstimate:
     """Density of the unit ball in the canonical wedge (sigma_hat)."""
     if d < 4:
         raise ValueError(f"wedge density needs d >= 4, got {d}")
-    return surface_density(canonical_wedge(d), n, seed, antithetic)
+    return surface_density(canonical_wedge(d), n, seed)
 
 
-def sector_density(d: int, n: int, seed: int, antithetic: bool = False) -> DensityEstimate:
+def sector_density(d: int, n: int, seed: int) -> DensityEstimate:
     """Density of the unit ball in the sector-only sub-wedge (lambda)."""
     if d < 4:
         raise ValueError(f"sector density needs d >= 4, got {d}")
-    return surface_density(sector_wedge(d), n, seed, antithetic)
+    return surface_density(sector_wedge(d), n, seed)
 
 
 def _exact_simplex_density(chain: ChainSpec) -> float:
@@ -717,19 +709,17 @@ class ImprovementGap:
     lambda_gap_stderr: float
 
 
-def improvement_gap(d: int, n: int, seed: int, antithetic: bool = True) -> ImprovementGap:
+def improvement_gap(d: int, n: int, seed: int) -> ImprovementGap:
     """Measure sigma, lambda, sigma_hat and the gaps between them at once."""
     if d < 4:
         raise ValueError(f"gap measurement needs d >= 4, got {d}")
-    from .geometry import sector_domain, triangle_domain, canonical_chain
-
     chain = canonical_chain(d, d - 2)
     tri = triangle_domain(d)
     sec = sector_domain(d)
     w_tri = tri.area / (tri.area + sec.area)
     w_sec = 1.0 - w_tri
     planar = [_planar_series(tri, chain), _planar_series(sec, chain)]
-    values, cov = _cone_estimate(chain, False, planar, n, seed, antithetic)
+    values, cov = _cone_estimate(chain, False, planar, n, seed)
     t_val, s_val = float(values[0]), float(values[1])
     se_t = math.sqrt(max(cov[0, 0], 0.0))
     se_s = math.sqrt(max(cov[1, 1], 0.0))

@@ -747,8 +747,8 @@ _NEWTON_MAX_ITER = 32
 _SERIES_NT = 0.25
 _SERIES_TERMS = 10
 # The Newton starts come from cubic Hermite tables on _TABLE_NODES evenly
-# spaced log-targets from log 2^-57, the least target of a stratified or
-# antithetic draw (a 53-bit uniform in the first of 16 strata), to log 1/2.
+# spaced log-targets from log 2^-57, the least target of a stratified draw
+# (a 53-bit uniform in the first of 16 strata), to log 1/2.
 # Their error is at most 1.1e-10 in log coordinates for d <= 64, largest
 # just below u = 1/2, so one Newton step converges almost everywhere and two
 # everywhere.  A d's two tables take 1-2 ms to build and 256 kB; only the
@@ -977,14 +977,5 @@ def base_volume(config: WedgeConfig) -> float:
     Simplex variant: prod(eta_2..eta_d)/(d-1)!.  Wedge variant:
     (2/(d-1)!) prod(eta_2..eta_{d-2}) * area(domain).
     """
-    d = config.d
-    eta = config.chain.eta
-    if config.is_simplex:
-        prod = 1.0
-        for e in eta[1:]:
-            prod *= e
-        return prod / math.factorial(d - 1)
-    prod = 1.0
-    for e in eta[1:]:
-        prod *= e
-    return 2.0 * prod * config.domain.area / math.factorial(d - 1)
+    factor = 1.0 if config.is_simplex else 2.0 * config.domain.area
+    return factor * math.prod(config.chain.eta[1:]) / math.factorial(config.d - 1)

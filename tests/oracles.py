@@ -258,7 +258,7 @@ def direct_chain_mass_grid(config, ns, na):
     return W, s_mid, a_nodes
 
 
-def sampled_planar_estimate(chain, domains, n, seed, antithetic=False):
+def sampled_planar_estimate(chain, domains, n, seed):
     """The wedge estimator with one drawn planar point per sample and column.
 
     The library integrates the planar radius out given each chain draw;
@@ -304,11 +304,7 @@ def sampled_planar_estimate(chain, domains, n, seed, antithetic=False):
         while done < nk:
             m = min(chunk, nk - done)
             u = rng.random(m)
-            if antithetic:
-                g = 0.5 * (integrand(rng, (k + u) / strata)
-                           + integrand(rng, (k + 1.0 - u) / strata))
-            else:
-                g = integrand(rng, (k + u) / strata)
+            g = integrand(rng, (k + u) / strata)
             s1 += g.sum(axis=0)
             s2 += g.T @ g
             done += m

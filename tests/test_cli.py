@@ -223,6 +223,13 @@ def test_records_bound_is_the_bounds_row(capsys, tmp_path):
     for d in (3, 5):
         est = simplex_density(d, n, spawn_key(seed, d))
         assert printed[d] == format(est.value, ".9g")
+    # plot-data's sigma column is the same estimate, so one (seed, n) prints
+    # one sigma_d whichever command prints it
+    _, out, _ = run_cli(capsys, "plot-data", "sigma_vs_d", "--dmin", "3", "--dmax", "5",
+                        "--seed", str(seed), "--samples", str(n))
+    sigma = {int(line.split("\t")[0]): line.split("\t")[1]
+             for line in out.strip().split("\n")[1:]}
+    assert {d: sigma[d] for d in (3, 5)} == {d: printed[d] for d in (3, 5)}
 
 
 def test_bundled_records_file_exists():

@@ -129,8 +129,8 @@ def _pinned_paths():
         geo.DiscPolygon(0.3, [(0.25, 0.0), (0.1, 0.3), (-0.25, 0.2), (-0.2, -0.25), (0.15, -0.28)]),
     )
 
-    def surface(cfg, seed, antithetic=False):
-        est = dn.surface_density(cfg, 4000, seed, antithetic)
+    def surface(cfg, seed):
+        est = dn.surface_density(cfg, 4000, seed)
         return [est.value, est.stderr]
 
     def gap(d):
@@ -147,11 +147,8 @@ def _pinned_paths():
 
     return {
         "simplex": lambda: surface(geo.canonical_simplex(8), 201),
-        "simplex_antithetic": lambda: surface(geo.canonical_simplex(8), 201, True),
         "wedge": lambda: surface(geo.canonical_wedge(8), 201),
-        "wedge_antithetic": lambda: surface(geo.canonical_wedge(8), 201, True),
         "sector": lambda: surface(geo.sector_wedge(8), 201),
-        "sector_antithetic": lambda: surface(geo.sector_wedge(8), 201, True),
         "disc_cap_square": lambda: surface(square, 202),
         "disc_cap_polygon": lambda: surface(poly, 202),
         "profile": profile,
@@ -170,15 +167,14 @@ def _pinned_paths():
 # the gap pins were re-recorded again when the join parameter's Newton
 # iteration came to start from tabulated roots: t moved by rounding only,
 # but the paired gap and its stderr come through the cancellation
-# c00 + c11 - 2 c01 and moved by up to 1e-11 relative;
+# c00 + c11 - 2 c01 and moved by up to 1e-11 relative; and they were
+# re-recorded once more when the gap estimate stopped pairing each draw with
+# its lead-reflected partner, so that every sample is one chain draw;
 # 1e-12 relative leaves room for the BLAS summation order only
 _PINNED = {
     "simplex": [0.25789356431007504, 0.0006789570083143024],
-    "simplex_antithetic": [0.2566386328774174, 0.0004202939627087833],
     "wedge": [0.257788223347303, 0.001283169812420867],
-    "wedge_antithetic": [0.25670286730522385, 0.0009126676844288384],
     "sector": [0.25694943013420823, 0.0012798987396860973],
-    "sector_antithetic": [0.2558699467651313, 0.0009103649163219851],
     "disc_cap_square": [0.2561583559944678, 0.0012496181196482389],
     "disc_cap_polygon": [0.25579700675539074, 0.0012482139801867113],
     "profile": [
@@ -187,14 +183,14 @@ _PINNED = {
         2.1517904547037215e-05,
     ],
     "gap5": [
-        0.5257255680604728, 0.0008315697666936362,
-        0.5182951718071024, 0.0008222639976953694,
-        0.0012667013538358912, 1.933899491500693e-06,
+        0.5253893923441044, 0.0011911305073267196,
+        0.5179551894279674, 0.0011785843205323328,
+        0.0012673502970033503, 2.808751049617933e-06,
     ],
     "gap24": [
-        0.002462402045196079, 1.943208931070129e-05,
-        0.0024620511997729337, 1.9429816792281756e-05,
-        1.4049431021248181e-08, 1.3705939927834331e-10,
+        0.002483964338678147, 2.86748714916198e-05,
+        0.0024836123843961226, 2.867150927475259e-05,
+        1.4093834725298618e-08, 2.0107693038454556e-10,
     ],
     "base_simplex": [
         1000.0, 502.4500181450603, 306.1927068070605, 196.29901108234355,
@@ -250,13 +246,6 @@ def test_surface_density_rejects_bad_n():
         dn.sector_density(3, 100, SEED)
 
 
-def test_antithetic_reduces_variance():
-    plain = dn.wedge_density(8, 200_000, SEED, antithetic=False)
-    anti = dn.wedge_density(8, 200_000, SEED, antithetic=True)
-    assert anti.stderr < plain.stderr
-    assert abs(anti.value - plain.value) <= 4.0 * combined(anti, plain)
-
-
 def _reference_configs():
     lo, mid, _ = fm.height_breakpoints(8)
     h = lo + 0.3 * (mid - lo)
@@ -292,8 +281,7 @@ def test_conditional_gap_matches_sampled_planar(d):
     g = dn.improvement_gap(d, n, SEED + 92)
     tri, sec = geo.triangle_domain(d), geo.sector_domain(d)
     w_sec = sec.area / (tri.area + sec.area)
-    value, cov = sampled_planar_estimate(geo.canonical_chain(d, d - 2), [tri, sec], n,
-                                         SEED + 93, antithetic=True)
+    value, cov = sampled_planar_estimate(geo.canonical_chain(d, d - 2), [tri, sec], n, SEED + 93)
     ref = w_sec * (value[0] - value[1])
     ref_se = w_sec * math.sqrt(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1])
     # conditioning removes the planar variance, so the error bar only shrinks
@@ -311,7 +299,7 @@ def test_gap_stderr_matches_two_pass_variance_d64():
     tri, sec = geo.triangle_domain(d), geo.sector_domain(d)
     planar = [dn._planar_series(tri, chain), dn._planar_series(sec, chain)]
     diffs = {}
-    for k, rows in dn._cone_samples(chain, False, planar, n, seed, antithetic=True):
+    for k, rows in dn._cone_samples(chain, False, planar, n, seed):
         diffs.setdefault(k, []).append(rows[:, 0] - rows[:, 1])
     var = 0.0
     for parts in diffs.values():
