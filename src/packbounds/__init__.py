@@ -53,6 +53,7 @@ from .density import (
     limiting_density_profile,
     limiting_surface_density,
     quadrature_density,
+    quadrature_gap,
     sector_density,
     simplex_density,
     surface_density,

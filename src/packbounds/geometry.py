@@ -247,13 +247,13 @@ def _disc_rejection(R: float, n: int, rng, accept) -> np.ndarray:
 _MOMENT_NODES = 64
 
 
-@functools.lru_cache(maxsize=1)
-def _cosine_gauss_legendre():
-    """Nodes u = (1 - cos theta)/2 in [0, 1] and weights of the radial rule.
+@functools.lru_cache(maxsize=8)
+def _cosine_gauss_legendre(n: int):
+    """Nodes u = (1 - cos theta)/2 in [0, 1] and weights of the n-node radial rule.
 
     Built on first use, as numpy.polynomial is not loaded at import.
     """
-    x, w = np.polynomial.legendre.leggauss(_MOMENT_NODES)
+    x, w = np.polynomial.legendre.leggauss(n)
     theta = 0.5 * math.pi * (x + 1.0)
     return 0.5 * (1.0 - np.cos(theta)), 0.25 * math.pi * w * np.sin(theta)
 
@@ -283,19 +283,28 @@ class PlanarDomain:
     def radial_breakpoints(self) -> list[float]:
         return [0.0, self.max_radius]
 
-    def radial_moments(self, rho: float, n_terms: int) -> np.ndarray:
-        """nu_m = integral of radial_mass(r) ((r^2 - rho)/rho)^m dr for m < n_terms.
+    def radial_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes r and weights w with sum w f(r) ~ integral of radial_mass(r) f(r) dr.
 
         Gauss-Legendre in theta with r = a + (b - a)(1 - cos theta)/2 on each
-        piece [a, b] between radial_breakpoints: the substitution smooths the
-        square-root kinks that the radial mass has at the piece ends, so
-        _MOMENT_NODES nodes per piece give nu_0 = area to about 1e-15.
+        piece [a, b] between radial_breakpoints, n nodes per piece: the
+        substitution smooths the square-root kinks that the radial mass has
+        at the piece ends, so 64 nodes per piece give sum w = area to about
+        1e-15.
         """
-        u, gl_w = _cosine_gauss_legendre()
+        u, gl_w = _cosine_gauss_legendre(n)
         brk = self.radial_breakpoints()
         pieces = list(zip(brk[:-1], brk[1:]))
         r = np.concatenate([a + (b - a) * u for a, b in pieces])
         w = np.concatenate([(b - a) * gl_w for a, b in pieces]) * self.radial_mass(r)
+        return r, w
+
+    def radial_moments(self, rho: float, n_terms: int) -> np.ndarray:
+        """nu_m = integral of radial_mass(r) ((r^2 - rho)/rho)^m dr for m < n_terms.
+
+        Summed by radial_rule with _MOMENT_NODES nodes per piece.
+        """
+        r, w = self.radial_rule(_MOMENT_NODES)
         z = (r * r - rho) / rho
         nu = np.empty(n_terms)
         for m in range(n_terms):

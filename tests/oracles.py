@@ -165,20 +165,38 @@ def low_dim_quad(config):
     return 2.0 * val, max(2.0 * err, 1e-13)
 
 
+def _radial_midpoints(domain, nr):
+    """Midpoint nodes and weights of the domain's radial mass, about nr in all."""
+    brk = [b for b in domain.radial_breakpoints() if b <= domain.max_radius + 1e-15]
+    if brk[0] > 0.0:
+        brk = [0.0] + brk
+    nodes, weights = [], []
+    total = brk[-1] - brk[0]
+    for a, b in zip(brk[:-1], brk[1:]):
+        if b - a < 1e-15:
+            continue
+        edges = np.linspace(a, b, max(4, int(round(nr * (b - a) / total))) + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        nodes.append(mid)
+        weights.append(domain.radial_mass(mid) * np.diff(edges))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def direct_chain_grid_pass(config, ns, na, nr):
-    """The wedge's grid pass with the radial axis contracted term by term.
+    """A second-order grid evaluation of a wedge's surface density, row by row.
 
-    Shares the chain-mass propagation and the radial nodes with the library
-    and raises the full (na + 1) x nr matrix xi_1^2 + a_j + t_i^2 r_k^2 to
-    the power -d/2 for every chain row, so it checks the radial-moment
-    series of ``density._chain_grid_pass`` and nothing else.
+    The ordered chain's mass is propagated over an (own value, accumulated
+    squared norm) grid of midpoint cells (direct_chain_mass_grid), the
+    planar radius is integrated by nr midpoint nodes of the radial mass,
+    and the full (na + 1) x nr matrix xi_1^2 + a_j + t_i^2 r_k^2 is raised
+    to the power -d/2 for every chain row.  It shares no code with the
+    library's Laplace-Chebyshev quadrature; its error falls like the square
+    of the cell width, so two resolutions bound it.
     """
-    from packbounds.density import _chain_mass_grid, _radial_nodes
-
     d = config.d
     xi1 = config.chain.xi[0]
-    W, s_mid, a_nodes = _chain_mass_grid(config, ns, na)
-    r_nodes, r_w = _radial_nodes(config.domain, nr)
+    W, s_mid, a_nodes = direct_chain_mass_grid(config, ns, na)
+    r_nodes, r_w = _radial_midpoints(config.domain, nr)
     r_sq = r_nodes * r_nodes
     base = xi1 * xi1 + a_nodes
     t2 = s_mid * s_mid
@@ -218,12 +236,14 @@ def _shift_add(dest, src, offset, weight):
 
 
 def direct_chain_mass_grid(config, ns, na):
-    """The chain-mass propagation row by row.
+    """The ordered chain's mass on an (own value, squared norm) grid, row by row.
 
-    Same grid, offsets and split deposit as ``density._chain_mass_grid``,
-    but every row of every level is shifted by its own ``_shift_add`` calls
-    and the suffix sums are one cumsum over the whole grid, so it checks the
-    row-blocked kernel and nothing else.
+    ns midpoint cells of each level's own value and na + 1 nodes of the
+    accumulated squared norm: the first level is deposited directly, and at
+    each later level every row takes the mass of the earlier levels above
+    its cell midpoint, shifted along the accumulated axis by its own
+    ``_shift_add`` calls with a linearly split deposit; mass pushed past
+    the last column piles up there.  Returns ``(W, s_mid, a_nodes)``.
     """
     chain = config.chain
     etas = chain.eta_array[1:]

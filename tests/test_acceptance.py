@@ -61,13 +61,13 @@ def test_02_spatial_anchor():
 def test_03_cross_oracle_agreement():
     worst = 0.0
     for d in range(2, 13):
-        q = dn.quadrature_density(geo.canonical_simplex(d), ns=256, na=256, nr=128)
+        q = dn.quadrature_density(geo.canonical_simplex(d))
         m = dn.simplex_density(d, 2 * 10**5, spawn_key(SEED, 3, d))
         sep = abs(q.value - m.value) / math.hypot(q.stderr, m.stderr)
         worst = max(worst, sep)
         assert sep <= 3.0, f"simplex d={d}: {q.value} vs {m.value}"
     for d in range(4, 13):
-        q = dn.quadrature_density(geo.canonical_wedge(d), ns=256, na=256, nr=128)
+        q = dn.quadrature_density(geo.canonical_wedge(d))
         m = dn.wedge_density(d, 2 * 10**5, spawn_key(SEED, 3, 100 + d))
         sep = abs(q.value - m.value) / math.hypot(q.stderr, m.stderr)
         worst = max(worst, sep)
@@ -252,6 +252,21 @@ def test_14_bounds_table_scale(tmp_path):
             assert math.isfinite(r[key]["value"]) and math.isfinite(r[key]["stderr"])
             assert r[key]["stderr"] > 0.0
         assert r["sigma_hat"]["value"] < r["sigma"]["value"]
+    # the whole table against the quadrature oracle, one pooled statistic per
+    # column: the rows are independent, so sum_d z_d^2 is chi-square with 35
+    # degrees of freedom, and the level is its 0.999 quantile
+    chi2_35_999 = 66.6
+    oracle = {"sigma": geo.canonical_simplex, "sigma_hat": geo.canonical_wedge,
+              "lambda": geo.sector_wedge}
+    pooled = {}
+    for key, make in oracle.items():
+        z2 = 0.0
+        for r in rows:
+            q = dn.quadrature_density(make(r["d"]))
+            mc = r[key]
+            z2 += (mc["value"] - q.value) ** 2 / (mc["stderr"] ** 2 + q.stderr**2)
+        pooled[key] = z2
+        assert z2 <= chi2_35_999, f"{key}: sum z^2 = {z2:.1f} over 35 rows"
     # the improvement flag is set on every row of the csv rendering
     out_csv = tmp_path / "bounds.csv"
     code = cli_main([
@@ -262,4 +277,6 @@ def test_14_bounds_table_scale(tmp_path):
     flags = [line.rsplit(",", 1)[1] for line in out_csv.read_text().strip().split("\n")[1:]]
     assert all(f == "yes" for f in flags)
     report(14, f"bounds table for d=8..42 at n=1e6 in {elapsed:.0f}s, all rows "
-               f"finite and improved")
+               f"finite and improved; sum z^2 against the quadrature "
+               f"{pooled['sigma']:.1f} / {pooled['sigma_hat']:.1f} / {pooled['lambda']:.1f} "
+               f"(sigma / sigma_hat / lambda) <= {chi2_35_999}")

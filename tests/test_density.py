@@ -9,7 +9,6 @@ import pytest
 
 from oracles import (
     direct_chain_grid_pass,
-    direct_chain_mass_grid,
     low_dim_quad,
     planar_corner_density,
     sampled_planar_estimate,
@@ -18,6 +17,7 @@ from oracles import (
 from packbounds import density as dn
 from packbounds import formulas as fm
 from packbounds import geometry as geo
+from packbounds.streams import spawn_key
 
 SEED = 97531
 
@@ -439,20 +439,13 @@ def test_quadrature_anchors():
      (geo.canonical_simplex, 24), (geo.canonical_wedge, 24)],
 )
 def test_quadrature_cross_oracle(cfg_make, d):
+    # the quadrature's own error is near 1e-15, so the band is the MC's 3 se;
+    # each case draws from its own keyed stream, so the simplex and wedge
+    # cases of one d are independent
     q = dn.quadrature_density(cfg_make(d))
-    m = dn.surface_density(cfg_make(d), 400_000, SEED + d)
+    m = dn.surface_density(cfg_make(d), 400_000,
+                           spawn_key(SEED, d, cfg_make is geo.canonical_wedge))
     assert abs(q.value - m.value) <= 3.0 * math.hypot(q.stderr, m.stderr)
-
-
-@pytest.mark.parametrize(
-    "cfg_make,d",
-    [(geo.canonical_wedge, d) for d in range(4, 13)] + [(geo.sector_wedge, 8)],
-)
-def test_radial_series_matches_direct_contraction(cfg_make, d):
-    cfg = cfg_make(d)
-    series = dn._chain_grid_pass(cfg, 128, 128, 64)
-    direct = direct_chain_grid_pass(cfg, 128, 128, 64)
-    assert abs(series - direct) <= 1e-13 * abs(direct)
 
 
 def inflated_chain_config(d):
@@ -460,48 +453,47 @@ def inflated_chain_config(d):
     return geo.WedgeConfig(geo.ChainSpec(d=d, k=d, xi=xi))
 
 
-@pytest.mark.parametrize(
-    "cfg_make,d,ns,na",
-    [(geo.canonical_simplex, d, 128, 128) for d in range(4, 13)]
-    + [(geo.canonical_wedge, d, 128, 128) for d in range(4, 13)]
-    + [
-        (geo.sector_wedge, 8, 128, 128),
-        (inflated_chain_config, 5, 128, 128),
-        # 100 rows: one full block of 64 and a partial one
-        (geo.canonical_wedge, 8, 100, 37),
-        # offsets reach column na, so mass piles up in the last column
-        (geo.canonical_simplex, 6, 50, 2),
-    ],
-)
-def test_chain_mass_grid_matches_direct_propagation(cfg_make, d, ns, na):
-    cfg = cfg_make(d)
-    W, s_mid, a_nodes = dn._chain_mass_grid(cfg, ns, na)
-    ref, ref_s, ref_a = direct_chain_mass_grid(cfg, ns, na)
-    assert np.array_equal(s_mid, ref_s) and np.array_equal(a_nodes, ref_a)
-    assert (W >= 0.0).all()
-    assert np.abs(W - ref).max() <= 1e-13 * ref.sum()
-    if na == 2:
-        assert ref[:, -1].sum() > 0.1 * ref.sum()
+@pytest.mark.parametrize("d", range(8, 17))
+def test_quadrature_within_grid_refinement(d):
+    # the row-by-row grid converges at second order, so its doubled pass
+    # lies within its own refinement error of the true value
+    cfg = geo.canonical_wedge(d)
+    coarse = direct_chain_grid_pass(cfg, 128, 128, 64)
+    fine = direct_chain_grid_pass(cfg, 256, 256, 128)
+    assert abs(dn.quadrature_density(cfg).value - fine) <= abs(fine - coarse)
 
 
-def test_propagation_conserves_mass():
-    # each level's grid holds the mass of its input src, also where whole
-    # rows are pushed past the last column
-    rng = np.random.default_rng(SEED)
-    ns, L = 100, 38
-    ds = 1.0 / ns
-    s = (np.arange(ns) + 0.5) * ds
-    W = rng.random((ns, L))
-    for pos in (3.0 * s, 0.9 * L * s * s, 2.5 * L * s):
-        j0 = np.floor(pos).astype(int)
-        src = (np.cumsum(W[::-1], axis=0)[::-1] - 0.5 * W) * ds
-        W = dn._propagate(W.copy(), [(j0, pos - j0)], ds)
-        assert abs(W.sum() - src.sum()) <= 1e-15 * src.sum()
-        assert (W >= 0.0).all()
-    whole = j0 >= L - 1
-    assert whole.sum() > ns // 2
-    assert not W[whole, :-1].any()
-    assert np.allclose(W[whole, -1], src[whole].sum(axis=1), rtol=1e-15, atol=0.0)
+@pytest.mark.parametrize("cfg_make", [geo.canonical_simplex, geo.canonical_wedge,
+                                      geo.sector_wedge])
+def test_quadrature_refinement_error_below_1e10(cfg_make):
+    for d in range(4, 43):
+        q = dn.quadrature_density(cfg_make(d))
+        assert q.stderr <= 1e-10 * q.value, (d, q.value, q.stderr)
+
+
+def test_triangle_wedge_equals_simplex():
+    # the cone over the lifted triangle is the simplex cone, reached through
+    # a different chain: levels 2..d-2 and the triangle's planar factor
+    for d in range(4, 43):
+        tri = geo.WedgeConfig(geo.canonical_chain(d, d - 2), geo.triangle_domain(d))
+        wedge = dn.quadrature_density(tri).value
+        simplex = dn.quadrature_density(geo.canonical_simplex(d)).value
+        assert abs(wedge - simplex) <= 1e-13 * simplex, (d, wedge, simplex)
+
+
+def test_quadrature_gap_positive_and_resolved():
+    for d in range(8, 43):
+        gap, err = dn.quadrature_gap(d)
+        assert gap > 0.0 and err < 0.01 * gap, (d, gap, err)
+    with pytest.raises(ValueError, match="d >= 4"):
+        dn.quadrature_gap(3)
+
+
+@pytest.mark.parametrize("d", [8, 24, 42])
+def test_quadrature_gap_matches_monte_carlo(d):
+    gap, err = dn.quadrature_gap(d)
+    mc = dn.improvement_gap(d, 10**6, SEED)
+    assert abs(gap - mc.gap) <= 3.0 * math.hypot(err, mc.gap_stderr)
 
 
 @pytest.mark.parametrize("p", [2, 3, 6])
@@ -547,7 +539,7 @@ def test_exact_anchor_against_adaptive_quadrature(xi):
 def test_quadrature_handles_general_chain():
     # inflated chain, both oracles agree
     cfg = inflated_chain_config(5)
-    q = dn.quadrature_density(cfg, ns=256, na=256)
+    q = dn.quadrature_density(cfg)
     m = dn.surface_density(cfg, 300_000, SEED + 70)
     assert abs(q.value - m.value) <= 3.0 * math.hypot(q.stderr, m.stderr)
 
