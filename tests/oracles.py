@@ -213,6 +213,22 @@ def direct_chain_grid_pass(config, ns, na, nr):
     return float(xi1 * num / den)
 
 
+def direct_chain_moment(config, ns, na):
+    """xi_1 E[(xi_1^2 + a)^(-d/2)] over the row-by-row chain-mass grid.
+
+    a is the chain's accumulated squared norm, so this is the density with
+    the planar point at the origin: a simplex's own density, and for a
+    wedge the chain alone, whose join rows carry the weight t^2.  Second
+    order in the cell width, like direct_chain_grid_pass.
+    """
+    xi1 = config.chain.xi[0]
+    W, s_mid, a_nodes = direct_chain_mass_grid(config, ns, na)
+    rows = np.ones(ns) if config.is_simplex else s_mid * s_mid
+    mass_a = rows @ W
+    g = (xi1 * xi1 + a_nodes) ** (-0.5 * config.d)
+    return float(xi1 * (mass_a @ g) / mass_a.sum())
+
+
 def _shift_add(dest, src, offset, weight):
     """dest[j + offset] += weight * src[j]; mass beyond either end piles up there."""
     if weight <= 0.0:

@@ -9,6 +9,8 @@ import pytest
 
 from oracles import (
     direct_chain_grid_pass,
+    direct_chain_mass_grid,
+    direct_chain_moment,
     low_dim_quad,
     planar_corner_density,
     sampled_planar_estimate,
@@ -448,9 +450,78 @@ def test_quadrature_cross_oracle(cfg_make, d):
     assert abs(q.value - m.value) <= 3.0 * math.hypot(q.stderr, m.stderr)
 
 
+@pytest.mark.parametrize(
+    "cfg_make,d",
+    [(geo.canonical_wedge, d) for d in range(4, 13)] + [(geo.sector_wedge, 8)],
+)
+def test_radial_series_matches_direct_contraction(cfg_make, d):
+    # the Monte-Carlo estimator's radial-moment series and the quadrature's
+    # radial rule, contracted term by term, give the same planar mean of
+    # (s + t^2 r^2)^(-d/2) at every (chain norm, join) node of a 128 x 128 grid
+    cfg = cfg_make(d)
+    rho, coef = dn._planar_series(cfg.domain, cfg.chain)
+    _, t, a = direct_chain_mass_grid(cfg, 128, 128)
+    s = cfg.chain.xi[0] ** 2 + a[:, None]
+    c = s + (t * t * rho)[None, :]
+    series = c ** (-0.5 * d) * np.polynomial.polynomial.polyval((t * t * rho) / c, coef)
+    r, w = cfg.domain.radial_rule(64)
+    u = s[:, :, None] + np.multiply.outer(t * t, r * r)[None, :, :]
+    direct = (u ** (-0.5 * d)) @ w / cfg.domain.area
+    assert np.abs(series - direct).max() <= 1e-13 * np.abs(direct).max()
+    assert np.all(np.abs(series - direct) <= 1e-13 * direct)
+
+
 def inflated_chain_config(d):
     xi = tuple(fm.chain_floor(i) * 1.05 for i in range(1, d + 1))
     return geo.WedgeConfig(geo.ChainSpec(d=d, k=d, xi=xi))
+
+
+@pytest.mark.parametrize(
+    "cfg_make,d,ns,na",
+    [(geo.canonical_simplex, d, 128, 128) for d in range(4, 13)]
+    + [(geo.canonical_wedge, d, 128, 128) for d in range(4, 13)]
+    + [
+        (geo.sector_wedge, 8, 128, 128),
+        (inflated_chain_config, 5, 128, 128),
+        # 100 rows and 38 columns: a grid far from square
+        (geo.canonical_wedge, 8, 100, 37),
+        # offsets reach column na, so mass piles up in the last column
+        (geo.canonical_simplex, 6, 50, 2),
+    ],
+)
+def test_chain_mass_grid_matches_direct_propagation(cfg_make, d, ns, na):
+    # the library's chain recursion with no planar factor (the Chebyshev
+    # averaging operators alone) against the row-by-row propagated chain
+    # mass, held within the grid's own refinement error: the grid is second
+    # order, so its doubled pass lies closer to the true value than that
+    cfg = cfg_make(d)
+    W, _, _ = direct_chain_mass_grid(cfg, ns, na)
+    assert (W >= 0.0).all()
+    if na == 2:
+        assert W[:, -1].sum() > 0.1 * W.sum()
+    coarse = direct_chain_moment(cfg, ns, na)
+    fine = direct_chain_moment(cfg, 2 * ns, 2 * na)
+    value, err, _ = dn._refined(cfg.chain, None, *dn._RESOLUTION)
+    assert err <= 1e-13 * value
+    assert abs(value - fine) <= abs(fine - coarse)
+
+
+def test_propagation_conserves_mass():
+    # every level's averaging operator keeps a constant's mass, and maps
+    # x^k to a/(a + k) x^k for k below the node count, at the default node
+    # count and its doubling, for every a that d <= 64 uses; the bounds sit
+    # above the Gauss-Legendre sum of a w^(a-1), which errs by up to 54 eps
+    # (n = 96, a = 61), and every row inherits that error
+    for n in (48, 96):
+        x = np.append(0.5 * (1.0 + np.cos(dn._chebyshev_angles(n))), 1.0)
+        for a in range(1, 64):
+            op = dn._averaging_operator(n, a)
+            assert op.shape == (n + 1, n)
+            assert np.abs(op.sum(axis=1) - 1.0).max() <= 64 * np.finfo(float).eps, (n, a)
+            k = np.arange(n)
+            got = op @ x[:n, None] ** k
+            want = x[:, None] ** k * (a / (a + k))
+            assert np.abs(got - want).max() <= 2e-14, (n, a)
 
 
 @pytest.mark.parametrize("d", range(8, 17))
