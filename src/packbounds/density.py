@@ -15,23 +15,25 @@ volume density of the ball in the cone coincides with this surface density,
 which is why a single estimator serves both readings; the integrand is
 bounded by 1, so values always land in (0, 1).
 
-Monte-Carlo draws are stratified into 16 equal-probability strata of the
-lead coordinate (the join parameter t of a wedge, the leading ordered
-coordinate of a simplex) with one PCG64 substream per stratum keyed by
-(seed, stratum) (streams.substream), so results are reproducible bit-for-bit
-and independent of any parallel scheduling.  Each sample is one draw of the
-ordered chain, from the shared kernel geometry._ordered_chain (the lead
-coordinate plus one sorted uniform tail), and one estimator, _cone_estimate,
-serves sigma, sigma_hat and lambda.  The chain coordinates are never formed:
-_chain_norm2 contracts the sorted tail and its square with the reversed
-level coefficients, two matrix-vector products per block.  No planar point
-is drawn: given the chain draw, the mean over a wedge's planar domain is a
-one-dimensional integral against the domain's radial law, which a binomial
-series in the domain's radial moments evaluates exactly (conditional Monte
-Carlo, or Rao-Blackwellisation: same mean, smaller variance).  The surface
-density, the paired gap and the limiting profile differ only in the
-columns' series coefficients: the domain's, the triangle's and the
-sector's, or a point mass at each fixed radius.
+Each Monte-Carlo sample is one draw of the ordered chain from the shared
+kernel geometry._ordered_chain: d - 1 uniforms sorted, whose columns are
+the chain levels' coordinates.  The n samples come in 16 blocks, each from
+its own PCG64 substream keyed by (seed, block) (streams.substream), so
+results are reproducible bit-for-bit and independent of any parallel
+scheduling.  One estimator, _cone_estimate, serves sigma, sigma_hat and
+lambda.  The chain coordinates are never formed: _chain_norm2 contracts the
+squared draw with the levels' coefficients, one matrix-vector product per
+chunk.  The samples are post-stratified into 16 equal-probability strata of
+the lead coordinate (the join parameter t of a wedge, the leading ordered
+coordinate of a simplex), whose edges are the quantiles of its Beta law, so
+no inverse CDF is drawn through.  No planar point is drawn: given the chain
+draw, the mean over a wedge's planar domain is a one-dimensional integral
+against the domain's radial law, which a binomial series in the domain's
+radial moments evaluates exactly (conditional Monte Carlo, or
+Rao-Blackwellisation: same mean, smaller variance).  The surface density,
+the paired gap and the limiting profile differ only in the columns' series
+coefficients: the domain's, the triangle's and the sector's, or a point
+mass at each fixed radius.
 
 Quadrature writes xi_1 s^(-d/2) as a Laplace transform in lambda (the
 Gamma identity), sums it by the trapezoid rule in log lambda, and takes the
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,11 +142,33 @@ class ProfileEstimate:
 
 
 # ---------------------------------------------------------------------------
-# stratified Monte-Carlo core
+# post-stratified Monte-Carlo core
 
 
-def _strata(n: int) -> int:
-    return _STRATA if n >= 16 * _STRATA else 1
+@functools.lru_cache(maxsize=None)
+def _stratum_edges(d: int, r: int) -> np.ndarray:
+    """The _STRATA - 1 interior k/_STRATA quantiles of Beta(r, d - r).
+
+    That is the law of the r-th smallest of d - 1 uniforms, the lead of a
+    chain draw.  Its CDF is the binomial tail P[Bin(d - 1, t) >= r], a
+    finite sum of positive terms, which bisection inverts for all targets at
+    once; 64 halvings of [0, 1] narrow each bracket below 1e-19, under the
+    rounding of every edge.
+    """
+    n = d - 1
+    j = np.arange(r, n + 1)
+    comb = np.array([float(math.comb(n, i)) for i in j])
+    target = np.arange(1, _STRATA) / _STRATA
+    lo, hi = np.zeros_like(target), np.ones_like(target)
+    for _ in range(64):
+        t = 0.5 * (lo + hi)
+        cdf = (comb * t[:, None] ** j * (1.0 - t[:, None]) ** (n - j)).sum(axis=1)
+        below = cdf < target
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+    edges = 0.5 * (lo + hi)
+    edges.flags.writeable = False
+    return edges
 
 
 # relative truncation error allowed in the radial series
@@ -196,137 +221,127 @@ def _planar_series(domain, chain: ChainSpec):
     return rho, binom * domain.radial_moments(rho, n_terms) / domain.area
 
 
-def _chain_norm2(xi1, coeff, is_simplex, lead, tail):
-    """Squared norm s = xi_1^2 + sum_i eta_i^2 (y_i/eta_i)^2 of chain draws.
+def _chain_weights(chain: ChainSpec) -> np.ndarray:
+    """Coefficients of the squared chain draw's columns in its squared norm.
 
-    lead and tail are one _ordered_chain draw and coeff = eta_2^2..eta_k^2.
-    The tail's columns run from the last level back, so they contract with
-    the tail levels' coefficients reversed, c_rev: with a = tail . c_rev and
-    b = tail^2 . c_rev, simplex levels lead * s_i give
-
-        s = xi_1^2 + lead^2 (c_0 + b),
-
-    and wedge levels t + (1 - t) s_i, with the join t at the last level,
-
-        s = xi_1^2 + t^2 sum(c_rev) + 2 t (1 - t) a + (1 - t)^2 b + c_last t^2.
-
-    Every term is nonnegative, so nothing cancels.  tail is squared in
-    place; no temporary of its size is made.
+    Column j of a geometry._ordered_chain draw is level d - j, so a level's
+    coefficient eta^2 sits at that column: the levels' coefficients
+    reversed, after two zeros for a wedge's planar columns.
     """
-    if is_simplex:
-        tail *= tail
-        s = tail @ coeff[:0:-1].copy()
-        s += coeff[0]
-        s *= lead * lead
-        s += xi1 * xi1
-        return s
-    c_rev = coeff[-2::-1].copy()
-    a = tail @ c_rev
-    tail *= tail
-    b = tail @ c_rev
-    t2 = lead * lead
-    one_t = 1.0 - lead
-    a *= 2.0 * lead * one_t
-    b *= one_t * one_t
-    s = np.full(len(lead), xi1 * xi1)
-    s += c_rev.sum() * t2
-    s += a
-    s += b
-    s += coeff[-1] * t2
+    coeff = chain.eta_array[1:] ** 2
+    return np.concatenate([np.zeros(chain.d - chain.k), coeff[::-1]])
+
+
+def _chain_norm2(xi1, weights, v):
+    """Squared norm s = xi_1^2 + sum_i eta_i^2 (y_i/eta_i)^2 of chain draws v.
+
+    One matrix-vector product of the squared draw with _chain_weights;
+    every term is nonnegative, so nothing cancels.  v is squared in place.
+    """
+    v *= v
+    s = v @ weights
+    s += xi1 * xi1
     return s
 
 
 def _cone_samples(chain: ChainSpec, is_simplex: bool, planar, n, seed):
-    """Per-sample integrand rows xi_1 E[|y|^-d | chain draw], one block at a time.
+    """Per-sample integrand xi_1 E[|y|^-d | chain draw] and the draws' strata.
 
     Every sample is one chain draw (geometry._ordered_chain).  For the
-    simplex, planar is None and each row has one column.  For a wedge,
-    planar holds one (rho, coef) pair per column, and column j of a row is
-    the planar factor integrated out exactly given the draw's chain part s
-    and join parameter t: with c = s + t^2 rho_j and y = t^2 rho_j / c,
+    simplex, planar is None and there is one column.  For a wedge, planar
+    holds one (rho, coef) pair per column, and column j of a sample is the
+    planar factor integrated out exactly given the draw's chain part s and
+    join parameter t: with c = s + t^2 rho_j and y = t^2 rho_j / c,
 
         xi_1 c^(-d/2) sum_m coef_j[m] y^m,
 
     by Horner in y.  A domain's pair comes from _planar_series; a fixed
     planar radius r is the point mass rho = r^2, coef = [1.0], which is
-    xi_1 (s + t^2 r^2)^(-d/2) exactly.  Each column is its own contiguous
-    expression; a broadcast (m, dim) one was slower.  Yields
-    (stratum, rows) with rows of shape (m, dim), stratum by stratum.
+    xi_1 (s + t^2 r^2)^(-d/2) exactly.  The n samples come in _STRATA
+    blocks, block k from substream (seed, k), each drawn a chunk at a time;
+    the chunk size is a pure function of d and the column count, so results
+    stay deterministic in (seed, n).  Yields (labels, g) per chunk: the
+    stratum of each sample's lead (the r-th smallest uniform, r = d - 1 for
+    a simplex and 3 for a wedge) among the _STRATA equal-probability strata
+    of its law, and g of shape (dim, m), one contiguous row per column.
     """
     if n < 2:
         raise ValueError("sample count must be >= 2, the least that gives an error estimate")
     d = chain.d
     xi1 = chain.xi[0]
-    coeff = chain.eta_array[1:] ** 2
+    weights = _chain_weights(chain)
+    r = d - 1 if is_simplex else 3
+    edges = _stratum_edges(d, r)
     dim = 1 if is_simplex else len(planar)
+    # the chunk shrinks with the draw's width and the column count to cap memory
+    chunk = max(2048, _CHUNK // max(1, (d - 1) // 8, dim // 8))
 
-    def integrand(rng, u):
-        lead, tail = _ordered_chain(d, is_simplex, u, rng)
-        s = _chain_norm2(xi1, coeff, is_simplex, lead, tail)
+    def integrand(rng, m):
+        v = _ordered_chain(d, m, rng)
+        labels = np.searchsorted(edges, v[:, r - 1])
+        s = _chain_norm2(xi1, weights, v)
+        g = np.empty((dim, m))
         if is_simplex:
-            return (xi1 * s ** (-0.5 * d))[:, None]
-        t2 = lead * lead
-        cols = []
-        for rho, coef in planar:
-            lead_r = t2 * rho
-            c = s + lead_r
-            g = np.full_like(c, coef[-1])
-            if len(coef) > 1:
-                y = np.divide(lead_r, c, out=lead_r)
-                for cm in coef[-2::-1]:
-                    g *= y
-                    g += cm
-            g *= np.power(c, -0.5 * d, out=c)
-            g *= xi1
-            cols.append(g)
-        return np.column_stack(cols)
+            np.power(s, -0.5 * d, out=g[0])
+        else:
+            t2 = v[:, 2]
+            for row, (rho, coef) in zip(g, planar):
+                lead_r = t2 * rho
+                c = s + lead_r
+                row[:] = coef[-1]
+                if len(coef) > 1:
+                    y = np.divide(lead_r, c, out=lead_r)
+                    for cm in coef[-2::-1]:
+                        row *= y
+                        row += cm
+                row *= np.power(c, -0.5 * d, out=c)
+        g *= xi1
+        return labels, g
 
-    strata = _strata(n)
-    counts = [n // strata + (1 if k < n % strata else 0) for k in range(strata)]
-    # chunk size shrinks with the integrand dimension to cap memory; it is a
-    # pure function of dim, so results stay deterministic in (seed, n)
-    chunk = max(2048, _CHUNK // max(1, dim // 8))
-    for k in range(strata):
-        nk = counts[k]
+    for k in range(_STRATA):
+        nk = n // _STRATA + (1 if k < n % _STRATA else 0)
         rng = substream(seed, k)
-        done = 0
-        while done < nk:
-            m = min(chunk, nk - done)
-            u = rng.random(m)
-            yield k, integrand(rng, (k + u) / strata)
-            done += m
+        for lo in range(0, nk, chunk):
+            yield integrand(rng, min(chunk, nk - lo))
 
 
 def _cone_estimate(chain: ChainSpec, is_simplex: bool, planar, n, seed):
-    """Stratified mean of the _cone_samples rows and the covariance of that mean.
+    """Post-stratified mean of the _cone_samples columns and its covariance.
 
-    Returns (mean vector, covariance matrix of the mean); strata carry equal
-    weight, and n >= 2 leaves none empty (16 strata only from n = 256 on).
+    Each sample falls in one of _STRATA equal-probability strata of its
+    lead (post-stratification; Holt and Smith, JRSS A 142, 1979).  The value
+    is the mean of the strata's means, and its covariance the pooled
+    within-stratum covariance over n,
+
+        (G - sum_k n_k mu_k mu_k^T) / ((n - _STRATA) n),   G = sum_i g_i g_i^T.
+
+    With fewer than 16 samples per stratum on average (n < 256), or an
+    empty stratum, it is the plain mean with the (n - 1) covariance instead.
     """
     dim = 1 if is_simplex else len(planar)
-    strata = _strata(n)
-    sums = np.zeros((strata, dim))
-    squares = np.zeros((strata, dim, dim))
-    counts = np.zeros(strata)
-    for k, g in _cone_samples(chain, is_simplex, planar, n, seed):
-        sums[k] += g.sum(axis=0)
-        squares[k] += g.T @ g
-        counts[k] += len(g)
-    means = sums / counts[:, None]
-    covs = squares - counts[:, None, None] * np.einsum("ki,kj->kij", means, means)
-    covs /= (counts - 1)[:, None, None]
-    covs /= counts[:, None, None]
-    weight = np.full(strata, 1.0 / strata)
-    value = weight @ means
-    cov = np.einsum("k,kij->ij", weight**2, covs)
+    sums = np.zeros((_STRATA, dim))
+    counts = np.zeros(_STRATA)
+    gram = np.zeros((dim, dim))
+    for labels, g in _cone_samples(chain, is_simplex, planar, n, seed):
+        counts += np.bincount(labels, minlength=_STRATA)
+        for j in range(dim):
+            sums[:, j] += np.bincount(labels, weights=g[j], minlength=_STRATA)
+        gram += g @ g.T
+    if n >= 16 * _STRATA and counts.all():
+        means = sums / counts[:, None]
+        value = means.mean(axis=0)
+        cov = (gram - (means.T * counts) @ means) / ((n - _STRATA) * n)
+    else:
+        value = sums.sum(axis=0) / n
+        cov = (gram - n * np.outer(value, value)) / ((n - 1) * n)
     return value, cov
 
 
 def surface_density(config: WedgeConfig, n: int, seed: int) -> DensityEstimate:
     """Monte-Carlo surface density of the unit sphere in the cone.
 
-    Deterministic in (seed, n): draws come from per-stratum PCG64
-    substreams keyed by (seed, stratum).
+    Deterministic in (seed, n): draws come from per-block PCG64
+    substreams keyed by (seed, block).
     """
     planar = None if config.is_simplex else [_planar_series(config.domain, config.chain)]
     value, cov = _cone_estimate(config.chain, config.is_simplex, planar, n, seed)
@@ -450,10 +465,14 @@ def limiting_surface_density(chain: ChainSpec, x, n: int, seed: int) -> DensityE
 # ---------------------------------------------------------------------------
 # quadrature oracle
 
-# averaging operators kept, one per (node count, exponent): the default
-# resolution and its doubling for every a = 1..63, so all d <= 64 stay warm,
-# in under 6 MB; each holds (n + 1) n doubles
-_OPERATOR_CACHE = 128
+# bytes of averaging operators kept, 128 MB, the least recently used evicted
+# first.  An operator holds (n + 1) n doubles: the default resolution and its
+# doubling for every a = 1..63, which keep all d <= 64 warm, take under 6 MB,
+# and the largest call of a d = 8..42 sweep at ns = 256 holds 108 MB.  A call
+# whose operators exceed the budget rebuilds them on every call, as LRU
+# evicts each just before its next use
+_OPERATOR_BYTES = 1 << 27
+_operators: OrderedDict = OrderedDict()
 # doubles in one row block of a blocked temporary, about 2 MB
 _BLOCK = 1 << 18
 # default resolution (ns, na, nr) of quadrature_density and quadrature_gap
@@ -485,8 +504,19 @@ def _gauss_legendre(m: int):
     return x, 2.0 / ((1.0 - x * x) * slope * slope)
 
 
-@functools.lru_cache(maxsize=_OPERATOR_CACHE)
 def _averaging_operator(n: int, a: int) -> np.ndarray:
+    """_build_operator(n, a), kept in a cache of at most _OPERATOR_BYTES bytes."""
+    if (n, a) in _operators:
+        _operators.move_to_end((n, a))
+        return _operators[n, a]
+    op = _operators[n, a] = _build_operator(n, a)
+    kept = sum(x.nbytes for x in _operators.values())
+    while kept > _OPERATOR_BYTES and len(_operators) > 1:
+        kept -= _operators.popitem(last=False)[1].nbytes
+    return op
+
+
+def _build_operator(n: int, a: int) -> np.ndarray:
     """(A_a f)(x) = int_0^1 a w^(a-1) f(x w) dw as an (n + 1) x n matrix.
 
     Columns take f at the n Chebyshev-Gauss nodes x_j of [0, 1]; rows give

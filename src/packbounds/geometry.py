@@ -23,10 +23,10 @@ y in the base hyperplane {x_1 = xi_1} belongs to the simplex base iff
 and to the wedge base iff the inequalities hold through level d-2 with
 a = y_{d-2}/eta_{d-2}, and (y_{d-1}/a, y_d/a) lies in the domain.
 
-Uniform sampling uses the ordered-uniform representation of the simplex and
-the join decomposition y = (1-t) p + t q for the wedge, whose join parameter
-t = y_{d-2}/eta_{d-2} carries density proportional to t^2 (1-t)^(d-4),
-a Beta(3, d-3) law.
+Uniform sampling sorts d - 1 uniforms: their order statistics are the
+simplex levels, and for the wedge the join parameter t = y_{d-2}/eta_{d-2},
+whose density is proportional to t^2 (1-t)^(d-4), a Beta(3, d-3) law, is
+the third smallest of them.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ __all__ = [
     "truncated_wedge",
     "cone_contains",
     "cone_contains_many",
-    "lead_transform",
     "sample_base",
     "base_volume",
 ]
@@ -745,238 +744,35 @@ def cone_contains(config: WedgeConfig, u, tol: float = EDGE_TOL) -> bool:
 # sampling and volume
 
 
-# Newton stops once every step in log coordinates is below this; the
-# iteration is quadratic with a constant below 2, so the step it skips is
-# below rounding.
-_NEWTON_TOL = 1e-10
-_NEWTON_MAX_ITER = 32
-# Below n t = _SERIES_NT the lower tail is summed as a series of at most
-# _SERIES_TERMS terms, whose first dropped term is below 1e-17 of the sum;
-# above it, cancellation in 1 - U costs under 1e-13 of the tail.
-_SERIES_NT = 0.25
-_SERIES_TERMS = 10
-# The Newton starts come from cubic Hermite tables on _TABLE_NODES evenly
-# spaced log-targets from log 2^-57, the least target of a stratified draw
-# (a 53-bit uniform in the first of 16 strata), to log 1/2.
-# Their error is at most 1.1e-10 in log coordinates for d <= 64, largest
-# just below u = 1/2, so one Newton step converges almost everywhere and two
-# everywhere.  A d's two tables take 1-2 ms to build and 256 kB; only the
-# last _TABLE_CACHE d's are kept (a sweep over d needs one, verify's wedges
-# two), so a sweep does not grow the process.
-_TABLE_NODES = 4096
-_TABLE_LOG_MIN = -57.0 * math.log(2.0)
-_TABLE_CACHE = 2
-
-
-def _newton_rising(x, target, g_and_slope):
-    """Solve g(x) = target for concave increasing g.
-
-    Every tangent of a concave g lies above it, so a Newton step from above
-    the root lands at or below it, and a step from below lands below it
-    again: after the first step the iterates rise monotonically and need no
-    bracketing.  All entries step together until the largest step is below
-    _NEWTON_TOL.
-    """
-    for _ in range(_NEWTON_MAX_ITER):
-        g, slope = g_and_slope(x)
-        step = (target - g) / slope
-        x = x + step
-        if np.max(np.abs(step)) <= _NEWTON_TOL:
-            break
-    return x
-
-
-def _hermite_table(z, f, slope):
-    """Per-interval cubic coefficients of the Hermite interpolant of f on the uniform grid z."""
-    h = z[1] - z[0]
-    df = np.diff(f)
-    m0 = h * slope[:-1]
-    m1 = h * slope[1:]
-    return z[0], 1.0 / h, f[:-1], m0, 3.0 * df - 2.0 * m0 - m1, m0 + m1 - 2.0 * df
-
-
-def _hermite_start(table, z, fallback):
-    """The table's interpolant at z; fallback(z) below the table's range."""
-    lo, inv_h, a0, a1, a2, a3 = table
-    pos = (z - lo) * inv_h
-    i = pos.astype(np.intp)
-    np.clip(i, 0, len(a0) - 1, out=i)
-    s = pos - i
-    out = a3[i]
-    for a in (a2, a1, a0):
-        out *= s
-        out += a[i]
-    below = pos < 0.0
-    if below.any():
-        out[below] = fallback(z[below])
-    return out
-
-
-class _Beta3:
-    """The log-CDF equations of Beta(3, d-3) and the tables of their roots.
-
-    See _beta3_quantile.  x_table holds x = log t against w = log u and
-    y_table y = log(1-t) against v = log(1-u), both over [_TABLE_LOG_MIN,
-    log 1/2].  Their nodes are Newton roots from the asymptotic starts, and
-    their slopes are dx/dw = u / (t f(t)) and dy/dv = (1-u) / ((1-t) f(t)),
-    f the density, which are the reciprocal slopes of the equations at the
-    roots.  The y nodes are solved in y itself, never through t, which
-    rounds to 1 near the top of the range.
-    """
-
-    def __init__(self, d: int):
-        self.n = n = d - 1
-        self.c3 = n * (n - 1) * (n - 2) / 6.0
-        self.log_c3 = math.log(self.c3)
-        self.log_c2 = math.log(n * (n - 1) / 2.0)
-        self.q1 = float(n - 2)
-        self.q2 = (n - 1) * (n - 2) / 2.0
-        coef = [1.0]  # S(r) = sum_j C(n, 3+j)/C(n, 3) r^j, reversed for Horner
-        for j in range(1, min(_SERIES_TERMS, n - 3) + 1):
-            coef.append(coef[-1] * (n - 2 - j) / (3 + j))
-        coef.reverse()
-        self.coef = coef
-        t_series = _SERIES_NT / n
-        self.u_series = self.c3 * t_series**3 * (1.0 - t_series) ** (n - 3) * self.series(t_series)
-
-        w = np.linspace(_TABLE_LOG_MIN, math.log(0.5), _TABLE_NODES)
-        x = np.empty_like(w)
-        dx = np.empty_like(w)
-        in_series = w < math.log(self.u_series)
-        for sel, g in ((in_series, self.lower_series), (~in_series, self.lower)):
-            x[sel] = _newton_rising(self.x_start(w[sel]), w[sel], g)
-            dx[sel] = 1.0 / g(x[sel])[1]
-        self.x_table = _hermite_table(w, x, dx)
-        y = _newton_rising(self.y_start(w), w, self.upper)
-        self.y_table = _hermite_table(w, y, 1.0 / self.upper(y)[1])
-
-    def series(self, t):
-        r = t / (1.0 - t)
-        s = self.coef[0]
-        for c in self.coef[1:]:
-            s = s * r + c
-        return s
-
-    def lower_series(self, x):
-        t = np.exp(x)
-        s = self.series(t)
-        return self.log_c3 + 3.0 * x + (self.n - 3) * np.log1p(-t) + np.log(s), 3.0 / s
-
-    def lower(self, x):
-        t = np.exp(x)
-        log_1mt = np.log1p(-t)
-        tail = -np.expm1(self.q1 * log_1mt + np.log1p(t * (self.q1 + self.q2 * t)))
-        return np.log(tail), 3.0 * self.c3 * np.exp(3.0 * x + (self.n - 3) * log_1mt) / tail
-
-    def upper(self, y):
-        t = -np.expm1(y)
-        q = 1.0 + t * (self.q1 + self.q2 * t)
-        return self.q1 * y + np.log(q), 3.0 * self.c3 * t * t / q
-
-    def x_start(self, log_u):
-        """From L <= C(n,3) t^3, below the root."""
-        return (log_u - self.log_c3) / 3.0
-
-    def y_start(self, log_v):
-        """From U <= C(n,2) (1-t)^(n-2), below the root."""
-        return (log_v - self.log_c2) / self.q1
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE)
-def _beta3(d: int) -> _Beta3:
-    """The d's equations and start tables, built on first use."""
-    return _Beta3(d)
-
-
-def _beta3_quantile(d: int, u: np.ndarray) -> np.ndarray:
-    """Quantile function of Beta(3, d-3) for d >= 5, to relative error 1e-13.
-
-    With n = d - 1 the CDF is a binomial tail, L(t) = P[Bin(n, t) >= 3],
-    with density 3 C(n,3) t^2 (1-t)^(n-3) and complement
-
-        U(t) = (1-t)^(n-2) Q(t),    Q(t) = 1 + (n-2) t + C(n-1,2) t^2.
-
-    The densities of log t and log(1-t) are log-concave, hence so are
-    their CDFs: log L is concave and increasing in x = log t, and log U is
-    concave and increasing in y = log(1-t).  For
-    u <= 1/2 Newton solves log L = log u in x; for u > 1/2 it solves
-    log U = log(1-u) in y, where 1-u is exact.  Where n t < _SERIES_NT,
-    1 - U cancels and L is summed instead as C(n,3) t^3 (1-t)^(n-3)
-    S(t/(1-t)), S the binomial series.  Newton starts from the d's cubic
-    Hermite tables of exact roots (_Beta3), so almost every call stops
-    after one step and none needs more than two; below the tables' range
-    it starts from L <= C(n,3) t^3, below the root.
-    """
-    eq = _beta3(d)
-    out = np.where(u == 1.0, 1.0, np.where(u == 0.0, 0.0, np.nan))
-    for sel, g in (((u > 0.0) & (u < eq.u_series), eq.lower_series), ((u >= eq.u_series) & (u <= 0.5), eq.lower)):
-        if sel.any():
-            log_u = np.log(u[sel])
-            x0 = _hermite_start(eq.x_table, log_u, eq.x_start)
-            out[sel] = np.exp(_newton_rising(x0, log_u, g))
-    sel = (u > 0.5) & (u < 1.0)
-    if sel.any():
-        log_v = np.log1p(-u[sel])
-        y0 = _hermite_start(eq.y_table, log_v, eq.y_start)
-        out[sel] = -np.expm1(_newton_rising(y0, log_v, eq.upper))
-    return out
-
-
-def lead_transform(d: int, is_simplex: bool, u) -> np.ndarray:
-    """Inverse CDF of the lead coordinate from uniforms.
-
-    Simplex variant: the largest ordered coordinate, distribution u^(1/(d-1)).
-    Wedge variant: the join parameter t with density t^2 (1-t)^(d-4), a
-    Beta(3, d-3) law (plain t^2 when the prefix is a single vertex).  Its
-    CDF is a closed-form polynomial, a binomial tail, which
-    ``_beta3_quantile`` inverts exactly by Newton iteration from tabulated
-    roots, almost always in one step; the tests hold it within 1e-12 of
-    scipy.special.betaincinv for d = 5..64.
-    """
-    u = np.asarray(u, dtype=float)
-    if is_simplex:
-        return u ** (1.0 / (d - 1))
-    if d == 4:
-        return u ** (1.0 / 3.0)
-    return _beta3_quantile(d, u)
-
-
-def _ordered_chain(d: int, is_simplex: bool, u, rng: np.random.Generator):
-    """Lead coordinate and sorted uniform tail of one chain draw per uniform.
+def _ordered_chain(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """One chain draw per row: d - 1 uniforms from rng, sorted ascending in place.
 
     The one chain draw behind sample_base and every Monte-Carlo estimator.
-    lead is lead_transform(d, is_simplex, u): the top simplex coordinate
-    (level 2), or the wedge join parameter t (level d-2).  tail is one
-    ascending-sorted block of uniforms from rng, contiguous and left as
-    drawn, so its column i is the draw's s_(k-i) with s_1 >= s_2 >= ... and
-    k = tail.shape[1].  The other levels' coordinates y_i/eta_i, in chain
-    order, are lead * s_i for simplex levels 3..d and t + (1 - t) s_i for
-    wedge levels 2..d-3: tail[:, ::-1] carries them, and the estimators
-    contract the tail against reversed level coefficients instead.
+    Column j holds the level d - j coordinate y_(d-j)/eta_(d-j), so the
+    columns run from the last level up to level 2 (order statistics of
+    uniforms; David and Nagaraja, Order Statistics, 2003).  For a simplex
+    all d - 1 columns are levels d..2 and the lead, level 2, is the largest.
+    For a wedge the join parameter t = y_(d-2)/eta_(d-2), a Beta(3, d-3)
+    variable, is the third smallest (column 2), the top d - 4 columns are
+    the free levels d-3..2, and the two columns below t stand for the
+    planar part, which the estimators integrate out and sample_base draws
+    from the domain instead.
     """
-    lead = lead_transform(d, is_simplex, u)
-    tail = rng.random((len(lead), d - 2 if is_simplex else d - 4))
-    tail.sort(axis=1)
-    return lead, tail
+    v = rng.random((m, d - 1))
+    v.sort(axis=1)
+    return v
 
 
 def sample_base(config: WedgeConfig, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     """n points uniformly distributed on the (d-1)-dimensional base."""
-    d = config.d
-    eta = config.chain.eta_array
-    lead, tail = _ordered_chain(d, config.is_simplex, rng.random(n), rng)
-    pts = np.zeros((n, d))
-    pts[:, 0] = eta[0]
-    # tail column j is the level of pts column d - 1 - j (simplex) or
-    # d - 4 - j (wedge), so the tail fills those columns in reverse
-    if config.is_simplex:
-        pts[:, 1] = lead * eta[1]
-        pts[:, :1:-1] = tail * lead[:, None] * eta[:1:-1]
-    else:
-        inner = tail * (1.0 - lead)[:, None] + lead[:, None]
-        pts[:, d - 4 : 0 : -1] = inner * eta[d - 4 : 0 : -1]
-        pts[:, d - 3] = lead * eta[d - 3]
-        pts[:, -2:] = lead[:, None] * config.domain.sample(n, rng)
+    k = config.chain.k
+    v = _ordered_chain(config.d, n, rng)
+    pts = np.empty((n, config.d))
+    pts[:, 0] = config.chain.xi[0]
+    # v[:, ::-1] holds levels 2, 3, ... in chain order
+    pts[:, 1:k] = v[:, ::-1][:, : k - 1] * config.chain.eta_array[1:]
+    if not config.is_simplex:
+        pts[:, -2:] = v[:, 2:3] * config.domain.sample(n, rng)
     return pts
 
 

@@ -2,7 +2,7 @@
 
 The stream for (seed, index...) is numpy's default generator, PCG64, seeded
 through a SeedSequence with one 64-bit key mixed from the words, so any
-worker can open the stream for its stratum independently and the draws never
+worker can open the stream for its block independently and the draws never
 depend on scheduling.  Mixing uses splitmix64 so that nearby seeds give
 unrelated keys, and the SeedSequence hash spreads each key over PCG64's
 whole state.  PCG64 draws a double in well under half of Philox's time.

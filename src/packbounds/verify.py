@@ -1,12 +1,13 @@
 """Brute-force verification of the inequality chain behind the wedge bound.
 
 Each check re-derives one scalar claim by independent means (dense grids,
-finite differences, random admissible configurations, paired Monte-Carlo)
-and emits a machine-readable record with the extremal witness, so a failure
-is reproducible from the report alone.  Statistical checks use fixed default
-seeds and a three-standard-error band; an inequality that is neither
-confirmed nor refuted beyond the band is reported as inconclusive together
-with a recommendation to raise the sample count.
+finite differences, random admissible configurations, paired Monte-Carlo,
+the quadrature oracle) and emits a machine-readable record with the
+extremal witness, so a failure is reproducible from the report alone.
+Statistical checks use fixed default seeds and a three-standard-error band;
+an inequality that is neither confirmed nor refuted beyond the band is
+reported as inconclusive together with a recommendation to raise the
+sample count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import formulas as fm
 from . import geometry as geo
-from .density import improvement_gap, limiting_density_profile, surface_density
+from .density import limiting_density_profile, quadrature_density, surface_density
 from .streams import spawn_key, substream
 
 __all__ = [
@@ -381,11 +382,12 @@ def check_truncated_max(
     Type-I instances live at heights below the radii crossover and carry a
     disc-capped admissible quadrilateral; type-II instances live above the
     crossover and carry the bare trace disc.  Each surface density must stay
-    within three combined standard errors of the wedge bound.
+    within three combined standard errors of the wedge bound, which the
+    quadrature gives with its refinement error as reference_stderr.
     """
     if d < 8:
         raise ValueError("type-I truncated wedges require d >= 8")
-    ref = improvement_gap(d, max(10 * n, 10**6), spawn_key(seed, 0)).sigma_hat
+    ref = quadrature_density(geo.canonical_wedge(d))
     lo, mid, hi = fm.height_breakpoints(d)
     rng = substream(seed, 1)
     failures = []
@@ -456,7 +458,8 @@ def check_square_cap(
     """Disc-capped-square density falls as the face height grows.
 
     The value at the lowest height must reproduce the wedge bound (the
-    capped region splits into congruent copies of the base domain there).
+    capped region splits into congruent copies of the base domain there),
+    taken from the quadrature.
     """
     if d < 8:
         raise ValueError("the capped-square sweep is stated for d >= 8")
@@ -474,7 +477,7 @@ def check_square_cap(
             failures.append(
                 f"density rises from h={hs[i]:.6f} to h={hs[i+1]:.6f} by {-diff:.3e}"
             )
-    ref = improvement_gap(d, max(10 * n, 10**6), spawn_key(seed, 100)).sigma_hat
+    ref = quadrature_density(geo.canonical_wedge(d))
     anchor_dev = abs(ests[0].value - ref.value)
     band0 = 3.0 * math.hypot(ests[0].stderr, ref.stderr)
     if anchor_dev > band0:

@@ -299,54 +299,40 @@ def sampled_planar_estimate(chain, domains, n, seed):
 
     The library integrates the planar radius out given each chain draw;
     this reference draws a uniform point of every domain instead, from the
-    same per-stratum streams after the chain draw, so it shares the chain
-    draw and nothing of the planar series.  Column j uses
-    xi_1 (s + t^2 |q_j|^2)^(-d/2) with q_j a fresh sample of domains[j].
-    Returns (mean vector, covariance matrix of the mean) over 16
-    equal-probability strata of the join parameter, as the library does.
+    same block streams after the chain draw, so it shares the chain draw
+    and nothing of the planar series.  Column j uses
+    xi_1 (s + t^2 |q_j|^2)^(-d/2) with q_j a fresh sample of domains[j], and
+    s is summed over the chain coordinates formed level by level.  Returns
+    (mean vector, covariance matrix of the mean), post-stratified on the
+    join parameter over the library's 16 strata, with the within-stratum
+    covariance taken in two passes.
     """
+    from packbounds.density import _stratum_edges
     from packbounds.geometry import _ordered_chain
     from packbounds.streams import substream
 
     d = chain.d
     xi1 = chain.xi[0]
     coeff = chain.eta_array[1:] ** 2
-    dim = len(domains)
-
-    def integrand(rng, u):
-        lead, tail = _ordered_chain(d, False, u, rng)
-        inner = tail[:, ::-1] * (1.0 - lead)[:, None] + lead[:, None]
-        s = np.full(len(u), xi1 * xi1)
-        s = s + (inner * inner) @ coeff[:-1]
-        s = s + coeff[-1] * lead * lead
-        t2 = lead * lead
+    edges = _stratum_edges(d, 3)
+    labels, rows = [], []
+    for k in range(16):
+        m = n // 16 + (1 if k < n % 16 else 0)
+        rng = substream(seed, k)
+        v = _ordered_chain(d, m, rng)
+        t = v[:, 2]
+        levels = v[:, ::-1][:, : d - 3]  # levels 2..d-2, the join t last
+        s = xi1 * xi1 + (levels * levels) @ coeff
         cols = []
         for domain in domains:
-            q = domain.sample(len(u), rng)
-            cols.append(xi1 * (s + t2 * (q[:, 0] ** 2 + q[:, 1] ** 2)) ** (-0.5 * d))
-        return np.column_stack(cols)
-
-    strata = 16 if n >= 256 else 1
-    counts = [n // strata + (1 if k < n % strata else 0) for k in range(strata)]
-    chunk = max(2048, (1 << 17) // max(1, dim // 8))
-    means = np.zeros((strata, dim))
-    covs = np.zeros((strata, dim, dim))
-    for k in range(strata):
-        nk = counts[k]
-        rng = substream(seed, k)
-        s1 = np.zeros(dim)
-        s2 = np.zeros((dim, dim))
-        done = 0
-        while done < nk:
-            m = min(chunk, nk - done)
-            u = rng.random(m)
-            g = integrand(rng, (k + u) / strata)
-            s1 += g.sum(axis=0)
-            s2 += g.T @ g
-            done += m
-        means[k] = s1 / nk
-        covs[k] = (s2 - nk * np.outer(means[k], means[k])) / (nk - 1) / nk
-    return means.mean(axis=0), covs.sum(axis=0) / strata**2
+            q = domain.sample(m, rng)
+            cols.append(xi1 * (s + t * t * (q[:, 0] ** 2 + q[:, 1] ** 2)) ** (-0.5 * d))
+        labels.append(np.searchsorted(edges, t))
+        rows.append(np.column_stack(cols))
+    labels, rows = np.concatenate(labels), np.concatenate(rows)
+    means = np.array([rows[labels == k].mean(axis=0) for k in range(16)])
+    dev = rows - means[labels]
+    return means.mean(axis=0), dev.T @ dev / ((n - 16) * n)
 
 
 def sector_moments(sector, n_terms):

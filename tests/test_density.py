@@ -100,26 +100,72 @@ def test_substream_deterministic_and_distinct():
 
 
 @pytest.mark.parametrize("simplex", [True, False], ids=["simplex", "wedge"])
-@pytest.mark.parametrize("d", [5, 8, 24, 42, 64])
+@pytest.mark.parametrize("d", [4, 5, 8, 24, 42, 64])
 def test_contracted_chain_norm_matches_coordinates(d, simplex):
     # the estimators never form the chain coordinates; build them here from
-    # the same draw and sum xi_1^2 + sum_i eta_i^2 coord_i^2 directly
+    # the same draw, level by level, and sum xi_1^2 + sum_i eta_i^2 coord_i^2
     from packbounds.streams import substream
 
     chain = (geo.canonical_simplex(d) if simplex else geo.canonical_wedge(d)).chain
     xi1 = 1.25  # away from the canonical 1, so the xi_1 term is tested too
-    rng = substream(SEED, d)
-    lead, tail = geo._ordered_chain(d, simplex, rng.random(4096), rng)
-    levels = tail[:, ::-1]
-    if simplex:
-        coord = np.column_stack([lead, lead[:, None] * levels])
-    else:
-        coord = np.column_stack([lead[:, None] + (1.0 - lead)[:, None] * levels, lead])
+    v = geo._ordered_chain(d, 4096, substream(SEED, d))
+    coord = np.empty((len(v), chain.k - 1))
+    for level in range(2, chain.k + 1):
+        coord[:, level - 2] = v[:, d - level]
+    if not simplex:
+        # the join parameter is the third smallest uniform, at level d - 2
+        assert np.array_equal(coord[:, -1], v[:, 2])
     eta2 = chain.eta_array[1:] ** 2
-    assert coord.shape[1] == len(eta2)
     expected = xi1 * xi1 + (coord * coord) @ eta2
-    s = dn._chain_norm2(xi1, eta2, simplex, lead, tail)
+    s = dn._chain_norm2(xi1, dn._chain_weights(chain), v)
     np.testing.assert_allclose(s, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["simplex", "wedge"])
+@pytest.mark.parametrize("d", range(4, 65))
+def test_stratum_edges_match_beta_quantile(d, kind):
+    # the lead is the r-th smallest of d - 1 uniforms, a Beta(r, d - r) law
+    from scipy.special import betaincinv
+
+    r = d - 1 if kind == "simplex" else 3
+    edges = dn._stratum_edges(d, r)
+    expected = betaincinv(float(r), float(d - r), np.arange(1, 16) / 16)
+    assert edges.shape == (15,)
+    assert np.max(np.abs(edges - expected)) <= 1e-13
+    assert np.all(np.diff(edges) > 0.0)
+
+
+@pytest.mark.parametrize("kind", ["simplex", "wedge"])
+@pytest.mark.parametrize("d", [5, 8, 42])
+def test_post_stratum_counts_are_uniform(d, kind):
+    # the strata are equal-probability, so the counts of one large draw
+    # pass a chi-square test at the 0.999 level with 15 degrees of freedom
+    from scipy.stats import chi2
+
+    cfg = geo.canonical_simplex(d) if kind == "simplex" else geo.canonical_wedge(d)
+    planar = None if cfg.is_simplex else [dn._planar_series(cfg.domain, cfg.chain)]
+    n = 400_000
+    counts = np.zeros(16)
+    for labels, _ in dn._cone_samples(cfg.chain, cfg.is_simplex, planar, n, SEED + d):
+        counts += np.bincount(labels, minlength=16)
+    assert counts.sum() == n
+    stat = float(np.sum((counts - n / 16) ** 2 / (n / 16)))
+    assert stat < chi2.ppf(0.999, 15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 255])
+def test_small_n_takes_the_plain_mean(n):
+    # below 16 samples per stratum the estimate is the plain mean with the
+    # (n - 1) covariance, whatever the strata's counts
+    cfg = geo.canonical_wedge(8)
+    planar = [dn._planar_series(cfg.domain, cfg.chain)]
+    rows = np.concatenate([g[0] for _, g in dn._cone_samples(cfg.chain, False, planar, n, SEED)])
+    assert len(rows) == n
+    est = dn.surface_density(cfg, n, SEED)
+    assert est.value == pytest.approx(rows.mean(), rel=1e-14)
+    assert est.stderr == pytest.approx(rows.std(ddof=1) / math.sqrt(n), rel=1e-9)
+    assert math.isfinite(est.stderr) and est.stderr > 0.0
+    assert dn.surface_density(cfg, n, SEED) == est
 
 
 def _pinned_paths():
@@ -161,48 +207,41 @@ def _pinned_paths():
     }
 
 
-# the base pins were recorded before the three estimators and sample_base
-# shared one chain draw (sample_base takes its generator from the caller);
-# the estimator pins were re-recorded when the substreams became PCG64 and
-# the chain's squared norm came to be contracted from the sorted tail, which
-# changes every estimator draw (CHANGES.md lists the old and new values);
-# the gap pins were re-recorded again when the join parameter's Newton
-# iteration came to start from tabulated roots: t moved by rounding only,
-# but the paired gap and its stderr come through the cancellation
-# c00 + c11 - 2 c01 and moved by up to 1e-11 relative; and they were
-# re-recorded once more when the gap estimate stopped pairing each draw with
-# its lead-reflected partner, so that every sample is one chain draw;
-# 1e-12 relative leaves room for the BLAS summation order only
+# every pin was re-recorded when the chain draw became one sorted block of
+# d - 1 uniforms, post-stratified on its lead, in place of a stratified
+# inverse-CDF lead and a sorted tail (CHANGES.md lists the old and new
+# values, within 3 se); 1e-12 relative leaves room for the BLAS summation
+# order only
 _PINNED = {
-    "simplex": [0.25789356431007504, 0.0006789570083143024],
-    "wedge": [0.257788223347303, 0.001283169812420867],
-    "sector": [0.25694943013420823, 0.0012798987396860973],
-    "disc_cap_square": [0.2561583559944678, 0.0012496181196482389],
-    "disc_cap_polygon": [0.25579700675539074, 0.0012482139801867113],
+    "simplex": [0.25699775792204577, 0.0006465580072702997],
+    "wedge": [0.2561857691528334, 0.0012711948168404646],
+    "sector": [0.255351445448454, 0.0012677904607865495],
+    "disc_cap_square": [0.2554320975755494, 0.0012485767558130707],
+    "disc_cap_polygon": [0.2550703266648815, 0.0012471781390377737],
     "profile": [
-        0.2568917916678881, 0.2566318329789084, 0.25279525842035766,
-        0.0012622566765042452, 0.0012612201892420066, 0.0012459424321379685,
-        2.1517904547037215e-05,
+        0.2568289551221934, 0.25656764279105426, 0.2527111280683544,
+        0.0012373231000118985, 0.001236261510691739, 0.001220632366092142,
+        2.214998043294848e-05,
     ],
     "gap5": [
-        0.5253893923441044, 0.0011911305073267196,
-        0.5179551894279674, 0.0011785843205323328,
-        0.0012673502970033503, 2.808751049617933e-06,
+        0.5248035181245064, 0.0012053804211530688,
+        0.5173789387700996, 0.00119250417543211,
+        0.0012657097144211215, 2.8387895568926788e-06,
     ],
     "gap24": [
-        0.002483964338678147, 2.86748714916198e-05,
-        0.0024836123843961226, 2.867150927475259e-05,
-        1.4093834725298618e-08, 2.0107693038454556e-10,
+        0.002490191965190944, 2.760241927814871e-05,
+        0.002489839301578922, 2.7599002078279095e-05,
+        1.41222394933645e-08, 1.8940007990001088e-10,
     ],
     "base_simplex": [
-        1000.0, 502.4500181450603, 306.1927068070605, 196.29901108234355,
-        128.87240905851482, 81.288860424673, 45.79250363331962, 21.078619971017982,
-        1424.3041351428612,
+        1000.0, 506.2728085006854, 305.52237162146173, 196.74456749514385,
+        128.11581703696515, 80.40606667861408, 46.66561467855722, 21.102243730422686,
+        1428.585885719664,
     ],
     "base_wedge": [
-        1000.0, 504.3748083680749, 303.6496921844599, 194.74613112514385,
-        126.65411753911533, 79.81608810857085, 45.784484545544004, 22.652364547567778,
-        1423.6910035285039,
+        1000.0, 506.2728085006854, 305.52237162146173, 196.74456749514385,
+        128.11581703696515, 80.40606667861408, 46.20772445543603, 23.05257337114613,
+        1428.7278571229565,
     ],
 }
 
@@ -265,7 +304,7 @@ def _reference_configs():
 
 @pytest.mark.parametrize("name", list(_reference_configs()))
 def test_conditional_estimator_matches_sampled_planar(name):
-    # one seed for both: at this n each stratum is one chunk, so both draw
+    # one seed for both: at this n each block is one chunk, so both draw
     # the same chain samples and differ by the planar part alone, which
     # makes the combined-se band conservative but keeps the five cases from
     # sharing one chain-noise deviation
@@ -293,23 +332,24 @@ def test_conditional_gap_matches_sampled_planar(d):
 
 def test_gap_stderr_matches_two_pass_variance_d64():
     # at d = 64 the gap's variance is a small difference of two nearly equal
-    # column variances, so the one-pass sums must still resolve it: compare
-    # with a centred two-pass variance of the per-sample difference column
+    # column variances, so the one-pass pooled sums must still resolve it:
+    # compare with a centred two-pass variance of the per-sample difference
+    # column within each post-stratum
     d, n, seed = 64, 200_000, SEED + 94
     g = dn.improvement_gap(d, n, seed)
     chain = geo.canonical_chain(d, d - 2)
     tri, sec = geo.triangle_domain(d), geo.sector_domain(d)
     planar = [dn._planar_series(tri, chain), dn._planar_series(sec, chain)]
-    diffs = {}
-    for k, rows in dn._cone_samples(chain, False, planar, n, seed):
-        diffs.setdefault(k, []).append(rows[:, 0] - rows[:, 1])
-    var = 0.0
-    for parts in diffs.values():
-        x = np.concatenate(parts)
+    chunks = list(dn._cone_samples(chain, False, planar, n, seed))
+    labels = np.concatenate([lab for lab, _ in chunks])
+    diff = np.concatenate([rows[0] - rows[1] for _, rows in chunks])
+    within = 0.0
+    for k in range(16):
+        x = diff[labels == k]
         dev = x - x.mean()
-        var += float(dev @ dev) / (len(x) - 1) / len(x)
+        within += float(dev @ dev)
     w_sec = sec.area / (tri.area + sec.area)
-    two_pass = w_sec * math.sqrt(var) / len(diffs)
+    two_pass = w_sec * math.sqrt(within / ((n - 16) * n))
     assert abs(g.gap_stderr - two_pass) <= 1e-4 * two_pass
 
 
@@ -522,6 +562,24 @@ def test_propagation_conserves_mass():
             got = op @ x[:n, None] ** k
             want = x[:, None] ** k * (a / (a + k))
             assert np.abs(got - want).max() <= 2e-14, (n, a)
+
+
+def test_operator_cache_is_bounded_by_bytes(monkeypatch):
+    # with room for two operators of 65 x 64 doubles, a third evicts the
+    # least recently used one, and rebuilt operators give the same values
+    cfg = geo.canonical_wedge(6)
+    before = dn.quadrature_density(cfg, ns=64).value
+    monkeypatch.setattr(dn, "_operators", dn.OrderedDict())
+    monkeypatch.setattr(dn, "_OPERATOR_BYTES", 2 * 65 * 64 * 8)
+    first = dn._averaging_operator(64, 1)
+    dn._averaging_operator(64, 2)
+    dn._averaging_operator(64, 1)  # now the most recently used
+    dn._averaging_operator(64, 3)
+    assert list(dn._operators) == [(64, 1), (64, 3)]
+    assert dn._averaging_operator(64, 1) is first
+    assert sum(op.nbytes for op in dn._operators.values()) <= dn._OPERATOR_BYTES
+    assert dn.quadrature_density(cfg, ns=64).value == before
+    assert len(dn._operators) == 1  # the doubled pass's 129 x 128 alone exceeds the budget
 
 
 @pytest.mark.parametrize("d", range(8, 17))

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -387,81 +386,6 @@ def test_join_parameter_quartile_masses():
     counts = np.histogram(t, bins=[0.0, *edges, 1.0])[0]
     chi2 = float(np.sum((counts - n / 4.0) ** 2 / (n / 4.0)))
     assert chi2 < 16.27  # upper 1e-3 quantile at three degrees of freedom
-
-
-# edge inputs of the lead transform: within 1e-12 of 0 and of 1, the
-# smallest stratified uniform of a 53-bit draw, and the branch point 1/2
-LEAD_EDGES = np.array([
-    1e-30, 2.0**-53 / 16, 1e-15, 1e-13, 1e-12, 0.5,
-    1 - 1e-12, 1 - 1e-13, 1 - 1e-14, 1 - 1e-15, 1 - 2.0**-52, 1 - 2.0**-53,
-])
-
-
-@pytest.mark.parametrize("d", range(5, 65))
-def test_lead_transform_matches_beta_quantile(d):
-    # the closed-form inverse of the Beta(3, d-3) CDF against scipy's
-    from scipy.special import betaincinv
-
-    rng = np.random.default_rng(1000 + d)
-    k = np.repeat(np.arange(16), 62_500)
-    u = np.concatenate([(k + rng.random(len(k))) / 16, LEAD_EDGES, [0.0, 1.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        t = geo.lead_transform(d, False, u)
-    assert np.max(np.abs(t - betaincinv(3.0, float(d - 3), u))) <= 1e-12
-    assert t[-2] == 0.0 and t[-1] == 1.0
-    order = np.argsort(u, kind="stable")
-    assert np.all(np.diff(t[order]) >= 0.0)
-
-
-def test_lead_transform_deep_lower_tail():
-    # scipy's betaincinv returns nan this far out; there t^3 C(d-1, 3) = u
-    # holds to relative order t
-    u = np.array([1e-300, 1e-200, 1e-100])
-    for d in (5, 6, 8, 24, 64):
-        expected = (u / math.comb(d - 1, 3)) ** (1.0 / 3.0)
-        assert np.allclose(geo.lead_transform(d, False, u), expected, rtol=1e-13, atol=0.0)
-
-
-@pytest.mark.parametrize("d", [5, 8, 16, 24, 42, 64])
-def test_lead_transform_newton_starts_at_the_root(d, monkeypatch):
-    # the tabulated starts are within rounding of the root, so each Newton
-    # solve stops after one step, at most two: on every stratum of a
-    # stratified draw, at the ends of the tables, at the series switch point
-    # and at the branch point 1/2
-    from scipy.special import betaincinv
-
-    eq = geo._beta3(d)  # the tables' own Newton solves are not counted
-    newton = geo._newton_rising
-    steps = []
-
-    def counting(x, target, g_and_slope):
-        steps.append(0)
-
-        def g(x):
-            steps[-1] += 1
-            return g_and_slope(x)
-
-        return newton(x, target, g)
-
-    monkeypatch.setattr(geo, "_newton_rising", counting)
-    rng = np.random.default_rng(2000 + d)
-    ends = np.array([
-        2.0**-57, np.nextafter(2.0**-57, 1.0), eq.u_series, np.nextafter(eq.u_series, 0.0),
-        0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0 - 2.0**-53,
-    ])
-    for u in [(k + rng.random(1 << 14)) / 16 for k in range(16)] + [ends]:
-        steps.clear()
-        t = geo.lead_transform(d, False, u)
-        assert 1 <= max(steps) <= 2, steps
-        assert np.max(np.abs(t - betaincinv(3.0, float(d - 3), u))) <= 1e-12
-
-
-def test_lead_transform_power_branches_unchanged():
-    u = np.concatenate([np.random.default_rng(3).random(10_000), LEAD_EDGES, [0.0, 1.0]])
-    assert np.array_equal(geo.lead_transform(4, False, u), u ** (1.0 / 3.0))
-    for d in (2, 3, 8, 42):
-        assert np.array_equal(geo.lead_transform(d, True, u), u ** (1.0 / (d - 1)))
 
 
 def test_sampler_determinism():
