@@ -388,6 +388,37 @@ def test_join_parameter_quartile_masses():
     assert chi2 < 16.27  # upper 1e-3 quantile at three degrees of freedom
 
 
+@pytest.mark.parametrize("d", range(5, 65))
+def test_lead_transform_matches_beta_quantile(d):
+    # the lead of a wedge's sorted chain draw, its join parameter t, has the
+    # Beta(3, d-3) law, and the estimators' post-stratum of each draw is the
+    # stratum of scipy's Beta(3, d-3) CDF at t wherever t is not within
+    # rounding of a stratum edge
+    from scipy.special import betainc, betaincinv
+    from scipy.stats import chi2
+
+    from packbounds import density as dn
+
+    n = 1 << 16
+    t = geo._ordered_chain(d, n, np.random.default_rng(1000 + d))[:, 2]
+    u = betainc(3.0, float(d - 3), t)
+    edges = dn._stratum_edges(d, 3)
+    assert np.max(np.abs(edges - betaincinv(3.0, float(d - 3), np.arange(1, 16) / 16))) <= 1e-12
+    labels = np.searchsorted(edges, t)
+    cdf_labels = np.minimum(np.floor(16.0 * u), 15).astype(labels.dtype)
+    near_edge = np.min(np.abs(t[:, None] - edges), axis=1) <= 1e-12
+    assert np.array_equal(labels[~near_edge], cdf_labels[~near_edge])
+    order = np.argsort(t, kind="stable")
+    assert np.all(np.diff(labels[order]) >= 0)
+    # equal-probability strata, and the CDF values uniform (Kolmogorov-Smirnov
+    # at the 1e-3 level, critical value 1.95 / sqrt(n))
+    counts = np.bincount(labels, minlength=16)
+    stat = float(np.sum((counts - n / 16) ** 2 / (n / 16)))
+    assert stat < chi2.ppf(0.999, 15)
+    ks = np.max(np.abs(np.sort(u) - (np.arange(n) + 0.5) / n)) + 0.5 / n
+    assert ks < 1.95 / math.sqrt(n)
+
+
 def test_sampler_determinism():
     cfg = geo.canonical_wedge(6)
     a = geo.sample_base(cfg, np.random.default_rng(5), 1000)
