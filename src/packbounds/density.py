@@ -468,15 +468,17 @@ def limiting_surface_density(chain: ChainSpec, x, n: int, seed: int) -> DensityE
 # bytes of averaging operators kept, 128 MB, the least recently used evicted
 # first.  An operator holds (n + 1) n doubles: the default resolution and its
 # doubling for every a = 1..63, which keep all d <= 64 warm, take under 6 MB,
-# and the largest call of a d = 8..42 sweep at ns = 256 holds 108 MB.  A call
-# whose operators exceed the budget rebuilds them on every call, as LRU
-# evicts each just before its next use
+# and the largest call of a d = 8..42 sweep at ns = 256 holds 108 MB.  A pass
+# whose operators exceed the budget builds them without caching any: cached,
+# they would evict one another in cyclic order, each just before its next use
 _OPERATOR_BYTES = 1 << 27
 _operators: OrderedDict = OrderedDict()
 # doubles in one row block of a blocked temporary, about 2 MB
 _BLOCK = 1 << 18
 # default resolution (ns, na, nr) of quadrature_density and quadrature_gap
 _RESOLUTION = (48, 8, 64)
+# relative bound on what the Laplace pass's dropped lambda rows may carry
+_LAPLACE_TOL = 2.0**-60
 
 
 def _chebyshev_angles(n: int) -> np.ndarray:
@@ -550,13 +552,45 @@ def _build_operator(n: int, a: int) -> np.ndarray:
 
 
 def _planar_factor(mu: np.ndarray, r2: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """M(mu) = sum_k w_k exp(-mu r2_k) for every entry of mu, in blocks of rows."""
+    """M(mu) = sum_k w_k exp(-mu r2_k) for every entry of mu, in blocks of rows.
+
+    Every block's exponentials are formed in one buffer allocated per call.
+    """
     out = np.empty_like(mu)
     rows = max(1, _BLOCK // (mu.shape[1] * len(r2)))
+    buf = np.empty((min(rows, len(mu)), mu.shape[1], len(r2)))
+    neg_r2 = -r2
     for lo in range(0, len(mu), rows):
-        e = np.multiply.outer(mu[lo : lo + rows], -r2)
-        out[lo : lo + rows] = np.exp(e, out=e) @ w
+        block = mu[lo : lo + rows]
+        e = buf[: len(block)]
+        np.multiply(block[:, :, None], neg_r2, out=e)
+        np.exp(e, out=e)
+        np.matmul(e, w, out=out[lo : lo + len(block)])
     return out
+
+
+def _laplace_rows(chain: ChainSpec, r2_max: float, h: float):
+    """Nodes lambda and trapezoid weights of the rows a Laplace pass keeps.
+
+    The nodes u = log lambda run down from log(80 + 3d) in steps h while
+    above -60/p - 5, with weights h exp(p u - lambda xi_1^2 - lgamma(p)).
+    Leading and trailing rows are dropped while the weight they carry
+    together at that end stays below _LAPLACE_TOL/2 s_max^(-p), with
+    s_max = xi_1^2 + sum_(i>=2) eta_i^2 + r2_max the largest s.  Every row's
+    expectation lies in [-1, 1] and the density is at least
+    xi_1 s_max^(-p), so the cut moves it by at most _LAPLACE_TOL relative.
+    """
+    d = chain.d
+    p = 0.5 * d
+    xi1 = chain.xi[0]
+    u = np.arange(math.log(80.0 + 3.0 * d), -60.0 / p - 5.0, -h)
+    lam = np.exp(u)
+    weight = h * np.exp(p * u - lam * (xi1 * xi1) - math.lgamma(p))
+    s_max = xi1 * xi1 + np.sum(chain.eta_array[1:] ** 2) + r2_max
+    budget = 0.5 * _LAPLACE_TOL * s_max**-p
+    lo = int(np.searchsorted(np.cumsum(weight), budget))
+    hi = len(u) - int(np.searchsorted(np.cumsum(weight[::-1]), budget))
+    return lam[lo:hi], weight[lo:hi]
 
 
 def _laplace_pass(chain: ChainSpec, planar, n: int, h: float):
@@ -568,6 +602,11 @@ def _laplace_pass(chain: ChainSpec, planar, n: int, h: float):
 
         xi_1 sum_u h exp(p u - lambda xi_1^2 - lgamma(p)) E[e^(-lambda (s - xi_1^2))].
 
+    Only the rows that _laplace_rows keeps are summed, each a node of that
+    full grid: both ends are cut where the dropped weight stays below
+    _LAPLACE_TOL/2 s_max^(-p) per end, which moves the value by at most
+    _LAPLACE_TOL relative (a gap's by at most _LAPLACE_TOL of sigma).
+
     The expectation factorises over the chain levels, which read top-down
     form a Markov chain: x_1 = 1 and x_(i+1) = x_i w, with w of density
     a w^(a-1) on [0, 1] and a = d - i, for the simplex levels 2..d and for
@@ -578,25 +617,26 @@ def _laplace_pass(chain: ChainSpec, planar, n: int, h: float):
     Chebyshev nodes per lambda row (_averaging_operator); the expectation is
     (A_(d-1) F_2)(1).  planar is None for a simplex chain; for a wedge it is
     (r2, w), squared radii and normalised weights of M(mu) =
-    sum_k w_k e^(-mu r2_k).  Returns (value, lambda rows times nodes).
+    sum_k w_k e^(-mu r2_k).  The pass's operators are cached only if all of
+    them fit in _OPERATOR_BYTES.  Returns (value, kept lambda rows times
+    nodes).
     """
     d = chain.d
-    p = 0.5 * d
     xi1 = chain.xi[0]
-    u = np.arange(math.log(80.0 + 3.0 * d), -60.0 / p - 5.0, -h)
-    lam = np.exp(u)
-    weight = h * np.exp(p * u - lam * (xi1 * xi1) - math.lgamma(p))
+    lam, weight = _laplace_rows(chain, 0.0 if planar is None else float(planar[0].max()), h)
     x = 0.5 * (1.0 + np.cos(_chebyshev_angles(n)))
     mu = np.outer(lam, x * x)
     c = chain.eta_array[1:] ** 2
+    cached = len(c) * (n + 1) * n * 8 <= _OPERATOR_BYTES
+    operator = _averaging_operator if cached else _build_operator
     f = np.exp(-c[-1] * mu)
     if planar is not None:
         f *= _planar_factor(mu, *planar)
     for i in range(len(c), 1, -1):
-        f = f @ _averaging_operator(n, d - i)[:n].T
+        f = f @ operator(n, d - i)[:n].T
         f *= np.exp(-c[i - 2] * mu)
-    value = xi1 * float(weight @ (f @ _averaging_operator(n, d - 1)[n]))
-    return value, len(u) * n
+    value = xi1 * float(weight @ (f @ operator(n, d - 1)[n]))
+    return value, int(len(lam) * n)
 
 
 def _refined(chain: ChainSpec, planar, ns: int, na: int, nr: int):
@@ -646,13 +686,14 @@ def quadrature_density(
 
     At the defaults the refinement error of the canonical configurations
     is below 5e-14 relative at every d <= 42 and 3e-11 at d = 64, where
-    roundoff, not ns, sets it.  On one Intel Xeon core a call takes 2 to
-    12 ms for a simplex and 30 to 45 ms for a wedge at d = 8..64 once its
-    operators are cached; building them adds 0.07 s at d = 8 and 0.43 s at
-    d = 42 to the first call.  A simplex with d <= 3 needs no recursion: its
-    value is the exact chain integral that closed_form_simplex_density also
-    evaluates, with stderr 1e-15.  n counts the second pass's lambda rows
-    times its Chebyshev nodes.
+    roundoff, not ns, sets it.  On a 2-core Intel Xeon (OpenBLAS, 2
+    threads) a call takes 1 to 6 ms for a simplex, 10 to 20 ms for the
+    canonical wedge and 7 to 13 ms for the sector wedge at d = 8..64 once
+    its operators are cached; building them adds 0.07 s at d = 8 and
+    0.45 s at d = 42 to the first call.  A simplex with d <= 3 needs no
+    recursion: its value is the exact chain integral that
+    closed_form_simplex_density also evaluates, with stderr 1e-15.  n counts
+    the second pass's kept lambda rows times its Chebyshev nodes.
     """
     for name, value in (("ns", ns), ("na", na), ("nr", nr)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:

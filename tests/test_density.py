@@ -578,8 +578,28 @@ def test_operator_cache_is_bounded_by_bytes(monkeypatch):
     assert list(dn._operators) == [(64, 1), (64, 3)]
     assert dn._averaging_operator(64, 1) is first
     assert sum(op.nbytes for op in dn._operators.values()) <= dn._OPERATOR_BYTES
+    # each pass's three operators exceed the budget, so it builds them
+    # uncached and leaves the cache as it was
+    warm = list(dn._operators)
     assert dn.quadrature_density(cfg, ns=64).value == before
-    assert len(dn._operators) == 1  # the doubled pass's 129 x 128 alone exceeds the budget
+    assert list(dn._operators) == warm
+    assert dn._averaging_operator(64, 1) is first
+
+
+def test_oversized_pass_leaves_warm_operators(monkeypatch):
+    # the budget holds the ns = 32 pass's three operators but not the
+    # doubled pass's: the first stay cached and are reused by the next call,
+    # the second are rebuilt each call, and the value never changes
+    cfg = geo.canonical_wedge(6)
+    before = dn.quadrature_density(cfg, ns=32).value
+    monkeypatch.setattr(dn, "_operators", dn.OrderedDict())
+    monkeypatch.setattr(dn, "_OPERATOR_BYTES", 3 * 33 * 32 * 8)
+    assert dn.quadrature_density(cfg, ns=32).value == before
+    warm = dict(dn._operators)
+    assert list(warm) == [(32, 3), (32, 4), (32, 5)]
+    assert dn.quadrature_density(cfg, ns=32).value == before
+    assert list(dn._operators) == list(warm)
+    assert all(dn._operators[key] is op for key, op in warm.items())
 
 
 @pytest.mark.parametrize("d", range(8, 17))
@@ -608,6 +628,38 @@ def test_triangle_wedge_equals_simplex():
         wedge = dn.quadrature_density(tri).value
         simplex = dn.quadrature_density(geo.canonical_simplex(d)).value
         assert abs(wedge - simplex) <= 1e-13 * simplex, (d, wedge, simplex)
+
+
+def test_laplace_cut_matches_full_range(monkeypatch):
+    # _LAPLACE_TOL = 0 keeps every row of the trapezoid grid; the cut keeps
+    # a contiguous run of its nodes, drops at most its stated budget of
+    # weight at each end, and moves no value by more than roundoff
+    dims = list(range(4, 43)) + [64]
+    makes = (geo.canonical_simplex, geo.canonical_wedge, geo.sector_wedge)
+    cut = {(make, d): dn.quadrature_density(make(d)) for make in makes for d in dims}
+    gaps = {d: dn.quadrature_gap(d)[0] for d in dims if d >= 8}
+    rows = {}
+    for d in (8, 42, 64):
+        cfg = geo.canonical_wedge(d)
+        r2_max = dn._normalised_rule(cfg.domain, 128)[0].max()
+        rows[d] = cfg.chain, r2_max, dn._laplace_rows(cfg.chain, r2_max, 1 / 16)
+    monkeypatch.setattr(dn, "_LAPLACE_TOL", 0.0)
+    for (make, d), q in cut.items():
+        full = dn.quadrature_density(make(d))
+        assert abs(q.value - full.value) <= 1e-15 * full.value, (make.__name__, d)
+        assert q.n < full.n
+    for d, gap in gaps.items():
+        full = dn.quadrature_gap(d)[0]
+        assert abs(gap - full) <= 1e-13 * full, d
+    for d, (chain, r2_max, (lam, weight)) in rows.items():
+        lam_full, weight_full = dn._laplace_rows(chain, r2_max, 1 / 16)
+        lo = int(np.flatnonzero(lam_full == lam[0])[0])
+        hi = lo + len(lam)
+        assert np.array_equal(lam_full[lo:hi], lam) and np.array_equal(weight_full[lo:hi], weight)
+        s_max = chain.xi[0] ** 2 + np.sum(chain.eta_array[1:] ** 2) + r2_max
+        budget = 2.0**-61 * s_max ** (-0.5 * d)
+        assert 0 < lo and hi < len(lam_full)
+        assert weight_full[:lo].sum() < budget and weight_full[hi:].sum() < budget
 
 
 def test_quadrature_gap_positive_and_resolved():
@@ -650,6 +702,7 @@ def test_quadrature_guard_and_tolerance():
             dn.quadrature_density(geo.canonical_wedge(6), **{name: value})
     q = dn.quadrature_density(geo.canonical_wedge(6), ns=np.int64(32), na=1, nr=1)
     assert 0.0 < q.value < 1.0
+    assert type(q.n) is int
 
 
 @pytest.mark.parametrize(
