@@ -322,7 +322,7 @@ def cmd_plot_data(args) -> int:
         ]
         text = _tsv(["d", "sigma", "sigma_hat", "gap", "gap_stderr"], rows)
     elif kind == "dlim_profile":
-        d = args.d or 8
+        d = 8 if args.d is None else args.d
         if d < 4:
             print("dlim_profile requires d >= 4", file=sys.stderr)
             return 2
@@ -339,7 +339,7 @@ def cmd_plot_data(args) -> int:
             rows.append([_fmt(r), _fmt(v), _fmt(float(prof.stderr()[j])), "1" if ok else "0"])
         text = _tsv(["r", "estimate", "stderr", "nonincreasing"], rows)
     elif kind == "g_ratio":
-        d = args.d or 8
+        d = 8 if args.d is None else args.d
         if d < 4:
             print("g_ratio requires d >= 4", file=sys.stderr)
             return 2

@@ -30,20 +30,22 @@ no inverse CDF is drawn through.  No planar point is drawn: given the chain
 draw, the mean over a wedge's planar domain is a one-dimensional integral
 against the domain's radial law, which a binomial series in the domain's
 radial moments evaluates exactly (conditional Monte Carlo, or
-Rao-Blackwellisation: same mean, smaller variance).  The surface density,
-the paired gap and the limiting profile differ only in the columns' series
-coefficients: the domain's, the triangle's and the sector's, or a point
-mass at each fixed radius.
+Rao-Blackwellisation: same mean, smaller variance).  The simplex is the
+planar point mass at radius 0, so every estimate differs only in the
+columns' series coefficients: the domain's for a wedge, the triangle's and
+the sector's for the paired gap, and a point mass at radius 0 for the
+simplex or at each fixed radius for the limiting profile.
 
 Quadrature writes xi_1 s^(-d/2) as a Laplace transform in lambda (the
 Gamma identity), sums it by the trapezoid rule in log lambda, and takes the
 expectation of e^(-lambda s) level by level down the ordered chain, which
 read top-down is a Markov chain: one Chebyshev averaging operator per
-level, shared by every lambda, with a wedge's planar factor entering at the
-last level through the domain's radial rule.  The disagreement with a pass
-at doubled resolution is its error estimate.  quadrature_gap runs the same
-linear recursion on the triangle's minus the sector's planar factor, so the
-gap comes out with no cancellation between two densities.
+level, shared by every lambda, with the planar factor entering at the last
+level through a radial rule: the domain's for a wedge, the point mass at
+radius 0 for a simplex.  The disagreement with a pass at doubled resolution
+is its error estimate.  quadrature_gap runs the same linear recursion on
+the triangle's minus the sector's planar factor, so the gap comes out with
+no cancellation between two densities.
 """
 
 from __future__ import annotations
@@ -244,35 +246,36 @@ def _chain_norm2(xi1, weights, v):
     return s
 
 
-def _cone_samples(chain: ChainSpec, is_simplex: bool, planar, n, seed):
+def _cone_samples(chain: ChainSpec, planar, n, seed):
     """Per-sample integrand xi_1 E[|y|^-d | chain draw] and the draws' strata.
 
-    Every sample is one chain draw (geometry._ordered_chain).  For the
-    simplex, planar is None and there is one column.  For a wedge, planar
-    holds one (rho, coef) pair per column, and column j of a sample is the
+    Every sample is one chain draw (geometry._ordered_chain), and planar
+    holds one (rho, coef) pair per column.  Column j of a sample is the
     planar factor integrated out exactly given the draw's chain part s and
-    join parameter t: with c = s + t^2 rho_j and y = t^2 rho_j / c,
+    lead t: with c = s + t^2 rho_j and y = t^2 rho_j / c,
 
         xi_1 c^(-d/2) sum_m coef_j[m] y^m,
 
     by Horner in y.  A domain's pair comes from _planar_series; a fixed
     planar radius r is the point mass rho = r^2, coef = [1.0], which is
-    xi_1 (s + t^2 r^2)^(-d/2) exactly.  The n samples come in _STRATA
-    blocks, block k from substream (seed, k), each drawn a chunk at a time;
-    the chunk size is a pure function of d and the column count, so results
-    stay deterministic in (seed, n).  Yields (labels, g) per chunk: the
-    stratum of each sample's lead (the r-th smallest uniform, r = d - 1 for
-    a simplex and 3 for a wedge) among the _STRATA equal-probability strata
-    of its law, and g of shape (dim, m), one contiguous row per column.
+    xi_1 (s + t^2 r^2)^(-d/2) exactly, and the simplex is the point mass at
+    r = 0, xi_1 s^(-d/2).  The n samples come in _STRATA blocks, block k
+    from substream (seed, k), each drawn a chunk at a time; the chunk size
+    is a pure function of d and the column count, so results stay
+    deterministic in (seed, n).  Yields (labels, g) per chunk: the stratum
+    of each sample's lead t (the r-th smallest uniform, r = d - 1 for a
+    simplex chain, k = d, and 3, the join, for a wedge chain) among the
+    _STRATA equal-probability strata of its law, and g of shape (dim, m),
+    one contiguous row per column.
     """
     if n < 2:
         raise ValueError("sample count must be >= 2, the least that gives an error estimate")
     d = chain.d
     xi1 = chain.xi[0]
     weights = _chain_weights(chain)
-    r = d - 1 if is_simplex else 3
+    r = d - 1 if chain.k == d else 3
     edges = _stratum_edges(d, r)
-    dim = 1 if is_simplex else len(planar)
+    dim = len(planar)
     # the chunk shrinks with the draw's width and the column count to cap memory
     chunk = max(2048, _CHUNK // max(1, (d - 1) // 8, dim // 8))
 
@@ -280,21 +283,18 @@ def _cone_samples(chain: ChainSpec, is_simplex: bool, planar, n, seed):
         v = _ordered_chain(d, m, rng)
         labels = np.searchsorted(edges, v[:, r - 1])
         s = _chain_norm2(xi1, weights, v)
+        t2 = v[:, r - 1]
         g = np.empty((dim, m))
-        if is_simplex:
-            np.power(s, -0.5 * d, out=g[0])
-        else:
-            t2 = v[:, 2]
-            for row, (rho, coef) in zip(g, planar):
-                lead_r = t2 * rho
-                c = s + lead_r
-                row[:] = coef[-1]
-                if len(coef) > 1:
-                    y = np.divide(lead_r, c, out=lead_r)
-                    for cm in coef[-2::-1]:
-                        row *= y
-                        row += cm
-                row *= np.power(c, -0.5 * d, out=c)
+        for row, (rho, coef) in zip(g, planar):
+            lead_r = t2 * rho
+            c = s + lead_r
+            row[:] = coef[-1]
+            if len(coef) > 1:
+                y = np.divide(lead_r, c, out=lead_r)
+                for cm in coef[-2::-1]:
+                    row *= y
+                    row += cm
+            row *= np.power(c, -0.5 * d, out=c)
         g *= xi1
         return labels, g
 
@@ -305,7 +305,7 @@ def _cone_samples(chain: ChainSpec, is_simplex: bool, planar, n, seed):
             yield integrand(rng, min(chunk, nk - lo))
 
 
-def _cone_estimate(chain: ChainSpec, is_simplex: bool, planar, n, seed):
+def _cone_estimate(chain: ChainSpec, planar, n, seed):
     """Post-stratified mean of the _cone_samples columns and its covariance.
 
     Each sample falls in one of _STRATA equal-probability strata of its
@@ -318,11 +318,11 @@ def _cone_estimate(chain: ChainSpec, is_simplex: bool, planar, n, seed):
     With fewer than 16 samples per stratum on average (n < 256), or an
     empty stratum, it is the plain mean with the (n - 1) covariance instead.
     """
-    dim = 1 if is_simplex else len(planar)
+    dim = len(planar)
     sums = np.zeros((_STRATA, dim))
     counts = np.zeros(_STRATA)
     gram = np.zeros((dim, dim))
-    for labels, g in _cone_samples(chain, is_simplex, planar, n, seed):
+    for labels, g in _cone_samples(chain, planar, n, seed):
         counts += np.bincount(labels, minlength=_STRATA)
         for j in range(dim):
             sums[:, j] += np.bincount(labels, weights=g[j], minlength=_STRATA)
@@ -343,8 +343,8 @@ def surface_density(config: WedgeConfig, n: int, seed: int) -> DensityEstimate:
     Deterministic in (seed, n): draws come from per-block PCG64
     substreams keyed by (seed, block).
     """
-    planar = None if config.is_simplex else [_planar_series(config.domain, config.chain)]
-    value, cov = _cone_estimate(config.chain, config.is_simplex, planar, n, seed)
+    planar = (0.0, [1.0]) if config.is_simplex else _planar_series(config.domain, config.chain)
+    value, cov = _cone_estimate(config.chain, [planar], n, seed)
     return DensityEstimate(
         value=float(value[0]),
         stderr=float(math.sqrt(max(cov[0, 0], 0.0))),
@@ -375,44 +375,19 @@ def sector_density(d: int, n: int, seed: int) -> DensityEstimate:
     return surface_density(sector_wedge(d), n, seed)
 
 
-def _exact_simplex_density(chain: ChainSpec) -> float:
-    """Exact density in the cone over a simplex chain (k = d) with d = 2 or 3.
-
-    With e = eta_2^2, the base integral at d = 2 is
-    int_0^1 xi_1 / (xi_1^2 + e s^2) ds = atan(eta_2 / xi_1) / eta_2.  At
-    d = 3, with a = eta_3^2, c = xi_1^2 + e y^2 and V = sqrt(xi_1^2 + e + a),
-
-        2 int_0^1 xi_1 y / (c sqrt(c + a y^2)) dy
-            = 2 / sqrt(ae) (atan(k V / xi_1) - atan(k)),   k = sqrt(e / a).
-
-    The difference of arctangents is taken as one atan2 of
-    sqrt(ae) (V - xi_1) over a xi_1 + e V, with V - xi_1 = (e + a)/(V + xi_1):
-    the plain difference loses about 2e-12 to cancellation on chains whose
-    norms nearly coincide, where this form stays within 3e-16 of a 40-digit
-    quadrature.
-    """
-    xi1 = chain.xi[0]
-    eta = chain.eta
-    if chain.d == 2:
-        return math.atan(eta[1] / xi1) / eta[1]
-    e = eta[1] ** 2
-    a = eta[2] ** 2
-    s = math.sqrt(a * e)
-    v = math.sqrt(xi1 * xi1 + e + a)
-    return 2.0 / s * math.atan2(s * (e + a), (v + xi1) * (a * xi1 + e * v))
-
-
 def closed_form_simplex_density(d: int) -> DensityEstimate:
     """Exact low-dimensional anchors: the canonical simplex at d = 2 and 3.
 
     The values are pi/(2 sqrt(3)) at d = 2, the covered area of the regular
     triangle of edge 2 over its area, and at d = 3 the regular tetrahedron's
-    (4/3)(3 acos(1/3) - pi) over 2 sqrt(2)/3.  Both are evaluated by the
-    exact chain integral that quadrature_density uses for d <= 3.
+    (4/3)(3 acos(1/3) - pi) over 2 sqrt(2)/3.
     """
-    if d not in (2, 3):
+    if d == 2:
+        value = math.pi / (2.0 * math.sqrt(3.0))
+    elif d == 3:
+        value = (4.0 / 3.0) * (3.0 * math.acos(1.0 / 3.0) - math.pi) / (2.0 * math.sqrt(2.0) / 3.0)
+    else:
         raise ValueError("closed forms are kept for d in {2, 3} only")
-    value = _exact_simplex_density(canonical_simplex(d).chain)
     return DensityEstimate(value=value, stderr=1e-15, n=0, seed=0, method="closed_form")
 
 
@@ -440,10 +415,10 @@ def limiting_density_profile(
     """
     _check_profile_chain(chain)
     r = np.asarray(radii, dtype=float)
-    if r.ndim != 1 or len(r) == 0 or np.any(r < 0):
-        raise ValueError("radii must be a nonempty 1D array of nonnegative reals")
+    if r.ndim != 1 or len(r) == 0 or not np.all(np.isfinite(r)) or np.any(r < 0):
+        raise ValueError("radii must be a nonempty 1D array of finite nonnegative reals")
     planar = [(float(x * x), [1.0]) for x in r]
-    values, cov = _cone_estimate(chain, False, planar, n, seed)
+    values, cov = _cone_estimate(chain, planar, n, seed)
     return ProfileEstimate(radii=r, values=values, cov=cov, n=n, seed=seed)
 
 
@@ -612,26 +587,25 @@ def _laplace_pass(chain: ChainSpec, planar, n: int, h: float):
     a w^(a-1) on [0, 1] and a = d - i, for the simplex levels 2..d and for
     the wedge levels 2..d-2 alike (the join t = x_(d-2) carries the weight
     t^2 that makes its step a = 3).  With c_i = eta_i^2, F_last(x) =
-    e^(-lambda c_last x^2), times M(lambda x^2) for a wedge, and each level
-    up F_i = e^(-lambda c_i x^2) (A_(d-i) F_(i+1)), every F in [0, 1] on n
+    e^(-lambda c_last x^2) M(lambda x^2) and each level up F_i =
+    e^(-lambda c_i x^2) (A_(d-i) F_(i+1)), every F in [0, 1] on n
     Chebyshev nodes per lambda row (_averaging_operator); the expectation is
-    (A_(d-1) F_2)(1).  planar is None for a simplex chain; for a wedge it is
-    (r2, w), squared radii and normalised weights of M(mu) =
-    sum_k w_k e^(-mu r2_k).  The pass's operators are cached only if all of
-    them fit in _OPERATOR_BYTES.  Returns (value, kept lambda rows times
-    nodes).
+    (A_(d-1) F_2)(1).  planar is (r2, w), squared radii and normalised
+    weights of M(mu) = sum_k w_k e^(-mu r2_k); a simplex's is the point mass
+    (r2, w) = ([0], [1]) of _point_mass, M = 1.  The pass's operators are
+    cached only if all of them fit in _OPERATOR_BYTES.  Returns (value, kept
+    lambda rows times nodes).
     """
     d = chain.d
     xi1 = chain.xi[0]
-    lam, weight = _laplace_rows(chain, 0.0 if planar is None else float(planar[0].max()), h)
+    lam, weight = _laplace_rows(chain, float(planar[0].max()), h)
     x = 0.5 * (1.0 + np.cos(_chebyshev_angles(n)))
     mu = np.outer(lam, x * x)
     c = chain.eta_array[1:] ** 2
     cached = len(c) * (n + 1) * n * 8 <= _OPERATOR_BYTES
     operator = _averaging_operator if cached else _build_operator
     f = np.exp(-c[-1] * mu)
-    if planar is not None:
-        f *= _planar_factor(mu, *planar)
+    f *= _planar_factor(mu, *planar)
     for i in range(len(c), 1, -1):
         f = f @ operator(n, d - i)[:n].T
         f *= np.exp(-c[i - 2] * mu)
@@ -642,16 +616,19 @@ def _laplace_pass(chain: ChainSpec, planar, n: int, h: float):
 def _refined(chain: ChainSpec, planar, ns: int, na: int, nr: int):
     """(value, error, cells): the pass at doubled resolution and its disagreement.
 
-    planar(nr) gives the planar factor's (r2, w), or is None for a simplex.
-    The error is at least 16 eps of the value, the passes' own roundoff: a
-    pass lies within 3.5 eps of the exact d = 2, 3 values, and passes at
-    different resolutions spread by up to 8 eps at d = 6 and 8.
+    planar(nr) gives the planar factor's (r2, w).  The error is at least
+    16 eps of the value, the passes' own roundoff: a pass lies within 3.5 eps
+    of the exact d = 2, 3 values, and passes at different resolutions spread
+    by up to 8 eps at d = 6 and 8.
     """
-    coarse, _ = _laplace_pass(chain, None if planar is None else planar(nr), ns, 1.0 / na)
-    fine, cells = _laplace_pass(
-        chain, None if planar is None else planar(2 * nr), 2 * ns, 0.5 / na
-    )
+    coarse, _ = _laplace_pass(chain, planar(nr), ns, 1.0 / na)
+    fine, cells = _laplace_pass(chain, planar(2 * nr), 2 * ns, 0.5 / na)
     return fine, max(abs(fine - coarse), 16.0 * np.finfo(float).eps * abs(fine)), cells
+
+
+def _point_mass(nr: int):
+    """The planar rule of a simplex, the point mass at radius 0, at any nr."""
+    return np.zeros(1), np.ones(1)
 
 
 def _normalised_rule(domain, nr: int):
@@ -665,7 +642,6 @@ def quadrature_density(
     ns: int = _RESOLUTION[0],
     na: int = _RESOLUTION[1],
     nr: int = _RESOLUTION[2],
-    tol: float | None = None,
 ) -> DensityEstimate:
     """Laplace-Chebyshev quadrature of the same integral, as an independent oracle.
 
@@ -674,15 +650,15 @@ def quadrature_density(
     Chebyshev averaging operator per level (_laplace_pass).  Runs at the
     requested resolution and once more at doubled resolution; the reported
     value is the second pass and stderr is their disagreement, at least
-    16 eps of the value.  Raises if it exceeds tol.  The resolutions must
-    be integers >= 1:
+    16 eps of the value.  The resolutions must be integers >= 1:
 
     - ns: Chebyshev nodes per chain level;
     - na: trapezoid nodes per unit of log lambda, a step h = 1/na; the
       error falls geometrically, from 2e-2 at na = 1 to 4e-14 at na = 4
       (canonical wedge, d = 8), so any na >= 1 gives a usable value;
     - nr: cosine-substituted Gauss-Legendre nodes per radial breakpoint
-      piece of a wedge's planar domain (PlanarDomain.radial_rule).
+      piece of a wedge's planar domain (PlanarDomain.radial_rule); a
+      simplex's planar factor is the point mass at radius 0 at every nr.
 
     At the defaults the refinement error of the canonical configurations
     is below 5e-14 relative at every d <= 42 and 3e-11 at d = 64, where
@@ -690,23 +666,19 @@ def quadrature_density(
     threads) a call takes 1 to 6 ms for a simplex, 10 to 20 ms for the
     canonical wedge and 7 to 13 ms for the sector wedge at d = 8..64 once
     its operators are cached; building them adds 0.07 s at d = 8 and
-    0.45 s at d = 42 to the first call.  A simplex with d <= 3 needs no
-    recursion: its value is the exact chain integral that
-    closed_form_simplex_density also evaluates, with stderr 1e-15.  n counts
-    the second pass's kept lambda rows times its Chebyshev nodes.
+    0.45 s at d = 42 to the first call.  Every d >= 2 takes the same
+    recursion, so at d = 2 and 3 the value is checked against, not taken
+    from, closed_form_simplex_density.  n counts the second pass's kept
+    lambda rows times its Chebyshev nodes.
     """
     for name, value in (("ns", ns), ("na", na), ("nr", nr)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    if config.is_simplex and config.d <= 3:
-        value, err, n_cells = _exact_simplex_density(config.chain), 1e-15, 0
+    if config.is_simplex:
+        planar = _point_mass
     else:
-        planar = None if config.is_simplex else functools.partial(_normalised_rule, config.domain)
-        value, err, n_cells = _refined(config.chain, planar, ns, na, nr)
-    if tol is not None and err > tol:
-        raise RuntimeError(
-            f"quadrature refinements disagree by {err:.3e} > tol {tol:.3e}"
-        )
+        planar = functools.partial(_normalised_rule, config.domain)
+    value, err, n_cells = _refined(config.chain, planar, ns, na, nr)
     return DensityEstimate(value=value, stderr=err, n=n_cells, seed=0, method="quadrature")
 
 
@@ -777,7 +749,7 @@ def improvement_gap(d: int, n: int, seed: int) -> ImprovementGap:
     w_tri = tri.area / (tri.area + sec.area)
     w_sec = 1.0 - w_tri
     planar = [_planar_series(tri, chain), _planar_series(sec, chain)]
-    values, cov = _cone_estimate(chain, False, planar, n, seed)
+    values, cov = _cone_estimate(chain, planar, n, seed)
     t_val, s_val = float(values[0]), float(values[1])
     se_t = math.sqrt(max(cov[0, 0], 0.0))
     se_s = math.sqrt(max(cov[1, 1], 0.0))

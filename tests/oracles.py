@@ -143,7 +143,8 @@ def low_dim_quad(config):
 
     scipy's QUADPACK integrates the chain integral at d = 2 and the inner
     integral of d = 3 taken in closed form; it shares nothing with the
-    library's exact anchor, which is one arctangent of the same integral.
+    library's quadrature, which carries the same integral down the chain by
+    Chebyshev averaging operators.
     """
     from scipy.integrate import quad as _quad
 

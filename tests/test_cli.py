@@ -275,6 +275,16 @@ def test_plot_dlim_profile(capsys):
     assert all(line.split("\t")[3] == "1" for line in lines[1:])
 
 
+@pytest.mark.parametrize("kind", ["dlim_profile", "g_ratio"])
+@pytest.mark.parametrize("d", ["0", "3"])
+def test_plot_rejects_small_d(capsys, kind, d):
+    # --d 0 is a dimension like any other, not a request for the default
+    code, out, err = run_cli(capsys, "plot-data", kind, "--d", d, "--samples", "2000")
+    assert code == 2
+    assert out == ""
+    assert f"{kind} requires d >= 4" in err
+
+
 def test_plot_sigma_vs_d(capsys):
     code, out, _ = run_cli(
         capsys, "plot-data", "sigma_vs_d", "--dmin", "4", "--dmax", "5",

@@ -143,10 +143,10 @@ def test_post_stratum_counts_are_uniform(d, kind):
     from scipy.stats import chi2
 
     cfg = geo.canonical_simplex(d) if kind == "simplex" else geo.canonical_wedge(d)
-    planar = None if cfg.is_simplex else [dn._planar_series(cfg.domain, cfg.chain)]
+    planar = [(0.0, [1.0]) if cfg.is_simplex else dn._planar_series(cfg.domain, cfg.chain)]
     n = 400_000
     counts = np.zeros(16)
-    for labels, _ in dn._cone_samples(cfg.chain, cfg.is_simplex, planar, n, SEED + d):
+    for labels, _ in dn._cone_samples(cfg.chain, planar, n, SEED + d):
         counts += np.bincount(labels, minlength=16)
     assert counts.sum() == n
     stat = float(np.sum((counts - n / 16) ** 2 / (n / 16)))
@@ -156,16 +156,17 @@ def test_post_stratum_counts_are_uniform(d, kind):
 @pytest.mark.parametrize("n", [2, 3, 17, 255])
 def test_small_n_takes_the_plain_mean(n):
     # below 16 samples per stratum the estimate is the plain mean with the
-    # (n - 1) covariance, whatever the strata's counts
-    cfg = geo.canonical_wedge(8)
-    planar = [dn._planar_series(cfg.domain, cfg.chain)]
-    rows = np.concatenate([g[0] for _, g in dn._cone_samples(cfg.chain, False, planar, n, SEED)])
-    assert len(rows) == n
-    est = dn.surface_density(cfg, n, SEED)
-    assert est.value == pytest.approx(rows.mean(), rel=1e-14)
-    assert est.stderr == pytest.approx(rows.std(ddof=1) / math.sqrt(n), rel=1e-9)
-    assert math.isfinite(est.stderr) and est.stderr > 0.0
-    assert dn.surface_density(cfg, n, SEED) == est
+    # (n - 1) covariance, whatever the strata's counts; the simplex and the
+    # wedge share the estimator, the simplex as the point mass at radius 0
+    for cfg in (geo.canonical_simplex(8), geo.canonical_wedge(8)):
+        planar = [(0.0, [1.0]) if cfg.is_simplex else dn._planar_series(cfg.domain, cfg.chain)]
+        rows = np.concatenate([g[0] for _, g in dn._cone_samples(cfg.chain, planar, n, SEED)])
+        assert len(rows) == n
+        est = dn.surface_density(cfg, n, SEED)
+        assert est.value == pytest.approx(rows.mean(), rel=1e-14)
+        assert est.stderr == pytest.approx(rows.std(ddof=1) / math.sqrt(n), rel=1e-9)
+        assert math.isfinite(est.stderr) and est.stderr > 0.0
+        assert dn.surface_density(cfg, n, SEED) == est
 
 
 def _pinned_paths():
@@ -340,7 +341,7 @@ def test_gap_stderr_matches_two_pass_variance_d64():
     chain = geo.canonical_chain(d, d - 2)
     tri, sec = geo.triangle_domain(d), geo.sector_domain(d)
     planar = [dn._planar_series(tri, chain), dn._planar_series(sec, chain)]
-    chunks = list(dn._cone_samples(chain, False, planar, n, seed))
+    chunks = list(dn._cone_samples(chain, planar, n, seed))
     labels = np.concatenate([lab for lab, _ in chunks])
     diff = np.concatenate([rows[0] - rows[1] for _, rows in chunks])
     within = 0.0
@@ -446,6 +447,10 @@ def test_limiting_density_validation():
         dn.limiting_density_profile(geo.canonical_chain(8, 8), [0.1], 1000, 1)
     with pytest.raises(ValueError):
         dn.limiting_density_profile(chain, [-0.1], 1000, 1)
+    # a NaN radius would give NaN +- NaN and an infinite one 0 +- 0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dn.limiting_density_profile(chain, [0.1, bad], 1000, 1)
 
 
 def test_profile_mean_reproduces_wedge_density():
@@ -467,11 +472,14 @@ def test_profile_mean_reproduces_wedge_density():
 
 
 def test_quadrature_anchors():
-    q2 = dn.quadrature_density(geo.canonical_simplex(2))
-    assert abs(q2.value - planar_corner_density()) < 1e-8
-    q3 = dn.quadrature_density(geo.canonical_simplex(3))
-    assert abs(q3.value - tetrahedron_corner_density()) < 1e-6
-    assert q2.method == "quadrature"
+    # d = 2 and 3 run the same chain recursion as every other d, so the
+    # closed forms check it rather than replace it
+    for d in (2, 3):
+        q = dn.quadrature_density(geo.canonical_simplex(d))
+        exact = dn.closed_form_simplex_density(d).value
+        assert abs(q.value - exact) <= 1e-13 * exact, d
+        assert q.stderr <= 1e-13 * exact, d
+        assert q.method == "quadrature" and q.n > 0
 
 
 @pytest.mark.parametrize(
@@ -530,8 +538,8 @@ def inflated_chain_config(d):
     ],
 )
 def test_chain_mass_grid_matches_direct_propagation(cfg_make, d, ns, na):
-    # the library's chain recursion with no planar factor (the Chebyshev
-    # averaging operators alone) against the row-by-row propagated chain
+    # the library's chain recursion with the point-mass planar factor M = 1
+    # (the Chebyshev averaging operators alone) against the row-by-row propagated chain
     # mass, held within the grid's own refinement error: the grid is second
     # order, so its doubled pass lies closer to the true value than that
     cfg = cfg_make(d)
@@ -541,7 +549,7 @@ def test_chain_mass_grid_matches_direct_propagation(cfg_make, d, ns, na):
         assert W[:, -1].sum() > 0.1 * W.sum()
     coarse = direct_chain_moment(cfg, ns, na)
     fine = direct_chain_moment(cfg, 2 * ns, 2 * na)
-    value, err, _ = dn._refined(cfg.chain, None, *dn._RESOLUTION)
+    value, err, _ = dn._refined(cfg.chain, dn._point_mass, *dn._RESOLUTION)
     assert err <= 1e-13 * value
     assert abs(value - fine) <= abs(fine - coarse)
 
@@ -693,8 +701,6 @@ def test_radial_series_term_count_bounds_tail(p, q):
 
 
 def test_quadrature_guard_and_tolerance():
-    with pytest.raises(RuntimeError):
-        dn.quadrature_density(geo.canonical_simplex(6), ns=64, na=64, tol=1e-15)
     bad = [("ns", 0), ("na", 0), ("nr", 0), ("ns", -4), ("ns", 2.5), ("na", 8.0), ("nr", "16"),
            ("nr", True)]
     for name, value in bad:
@@ -708,8 +714,8 @@ def test_quadrature_guard_and_tolerance():
 @pytest.mark.parametrize(
     "xi",
     [tuple(f * x for x in geo.canonical_chain(d, d).xi) for d in (2, 3) for f in (1.05, 1.2, 1.5)]
-    # nearly coincident norms, where a plain difference of arctangents
-    # loses 2e-12 to cancellation
+    # nearly coincident norms, where a closed form as a plain difference of
+    # arctangents loses 2e-12 to cancellation
     + [(1.2247, 1.22472, 1.22475)],
 )
 def test_exact_anchor_against_adaptive_quadrature(xi):
@@ -780,7 +786,8 @@ sys.path.insert(0, {src!r})
 from packbounds import cli, density as dn, geometry as geo
 for d in (2, 3):
     exact = dn.closed_form_simplex_density(d).value
-    assert dn.quadrature_density(geo.canonical_simplex(d)).value == exact
+    quad = dn.quadrature_density(geo.canonical_simplex(d)).value
+    assert abs(quad - exact) <= 1e-13 * exact
 assert cli.main(["bounds", "--dmin", "8", "--dmax", "9", "--samples", "10000",
                  "--out", {str(tmp_path / "b.md")!r}]) == 0
 assert cli.main(["records", "--samples", "10000", "--out", {str(tmp_path / "r.md")!r}]) == 0
