@@ -15,7 +15,7 @@ import numpy as np
 
 from packbounds import surface_density, truncated_wedge, wedge_density
 from packbounds.formulas import height_breakpoints, truncation_scalars
-from packbounds.geometry import DiscSquare, WedgeConfig, canonical_chain, truncation_domain
+from packbounds.geometry import DiscPolygon, WedgeConfig, canonical_chain, truncation_domain
 
 SEED = 777
 N = 200_000
@@ -47,7 +47,8 @@ def main():
     print("before and after cutting at the disc:")
     g0, _ = truncation_scalars(D, lo)
     chain = canonical_chain(D, D - 2)
-    wide = DiscSquare(2.0 * g0 * math.sqrt(2.0) * 1.01, 2.0 * g0)
+    g = 2.0 * g0
+    wide = DiscPolygon(g * math.sqrt(2.0) * 1.01, [(g, g), (-g, g), (-g, -g), (g, -g)])
     full = surface_density(WedgeConfig(chain, wide), N, SEED + 2)
     cut = surface_density(WedgeConfig(chain, truncation_domain(D, lo, "disc")), N, SEED + 2)
     print(f"  full square   density = {full.value:.6f} +- {full.stderr:.1e}")

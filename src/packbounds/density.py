@@ -623,7 +623,7 @@ def _refined(chain: ChainSpec, planar, ns: int, na: int, nr: int):
     """
     coarse, _ = _laplace_pass(chain, planar(nr), ns, 1.0 / na)
     fine, cells = _laplace_pass(chain, planar(2 * nr), 2 * ns, 0.5 / na)
-    return fine, max(abs(fine - coarse), 16.0 * np.finfo(float).eps * abs(fine)), cells
+    return fine, float(max(abs(fine - coarse), 16.0 * np.finfo(float).eps * abs(fine))), cells
 
 
 def _point_mass(nr: int):

@@ -23,6 +23,10 @@ y in the base hyperplane {x_1 = xi_1} belongs to the simplex base iff
 and to the wedge base iff the inequalities hold through level d-2 with
 a = y_{d-2}/eta_{d-2}, and (y_{d-1}/a, y_d/a) lies in the domain.
 
+Planar domains: the wedge's Triangle and Sector (a UnionDomain), the
+trace Disc, and DiscPolygon, a disc cut by a convex polygon around the
+origin, of which truncation_domain's disc-capped square is one.
+
 Uniform sampling sorts d - 1 uniforms: their order statistics are the
 simplex levels, and for the wedge the join parameter t = y_{d-2}/eta_{d-2},
 whose density is proportional to t^2 (1-t)^(d-4), a Beta(3, d-3) law, is
@@ -52,7 +56,6 @@ __all__ = [
     "Triangle",
     "Sector",
     "Disc",
-    "DiscSquare",
     "DiscPolygon",
     "UnionDomain",
     "wedge_domain",
@@ -176,28 +179,29 @@ def _fan_measure(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _segment_circle_area(a: np.ndarray, b: np.ndarray, R: float) -> float:
-    """Green contribution of directed edge a -> b to area(polygon ^ disc(R))."""
-    pts = [a]
+    """Green contribution of directed edge a -> b to area(polygon ^ disc(R)).
+
+    The edge's line a + s e runs inside the open disc for s between the
+    roots s0 < s1 of |a + s e|^2 = R^2.  Pieces of the edge in (s0, s1) are
+    chords; every other piece is replaced by its arc, and so is a whole edge
+    whose line misses the open disc or touches it (discriminant <= 0).
+    """
     e = b - a
-    ee = float(np.dot(e, e))
-    if ee > 0.0:
-        # solve |a + s e|^2 = R^2 for s in (0, 1)
-        ae = float(np.dot(a, e))
-        disc = ae * ae - ee * (float(np.dot(a, a)) - R * R)
-        if disc > 0.0:
-            root = math.sqrt(disc)
-            for s in sorted(((-ae - root) / ee, (-ae + root) / ee)):
-                if 1e-14 < s < 1.0 - 1e-14:
-                    pts.append(a + s * e)
-    pts.append(b)
+    ee, ae = float(np.dot(e, e)), float(np.dot(a, e))
+    disc = ae * ae - ee * (float(np.dot(a, a)) - R * R)
+    s0 = s1 = 0.0
+    if ee > 0.0 and disc > 0.0:
+        s0, s1 = (-ae - math.sqrt(disc)) / ee, (-ae + math.sqrt(disc)) / ee
+    cuts = [s for s in (s0, s1) if 1e-14 < s < 1.0 - 1e-14]
+    params, pts = [0.0, *cuts, 1.0], [a, *(a + s * e for s in cuts), b]
     total = 0.0
-    for p, q in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (p + q)
-        if float(np.dot(mid, mid)) <= R * R:
-            total += 0.5 * (p[0] * q[1] - p[1] * q[0])
+    for k in range(len(pts) - 1):
+        p, q = pts[k], pts[k + 1]
+        cross = p[0] * q[1] - p[1] * q[0]
+        if s0 < 0.5 * (params[k] + params[k + 1]) < s1:
+            total += 0.5 * cross
         else:
-            ang = math.atan2(p[0] * q[1] - p[1] * q[0], float(np.dot(p, q)))
-            total += 0.5 * R * R * ang
+            total += 0.5 * R * R * math.atan2(cross, float(np.dot(p, q)))
     return total
 
 
@@ -220,6 +224,24 @@ def _fan_radial_mass(r, verts: np.ndarray) -> np.ndarray:
     for i in range(len(verts)):
         meas = meas + _fan_measure(r, verts[i], verts[(i + 1) % len(verts)])
     return r * np.maximum(meas, 0.0)
+
+
+def _polygon_breakpoints(verts: np.ndarray, max_radius: float) -> list[float]:
+    """Kinks of a polygon's fan radial mass up to max_radius, as Python floats.
+
+    They are 0, max_radius, the vertices' radii and each edge's least
+    radius, at the perpendicular foot from the origin clipped to the edge.
+    """
+    pts = {0.0, max_radius}
+    for i in range(len(verts)):
+        a, b = verts[i], verts[(i + 1) % len(verts)]
+        e = b - a
+        ee = float(np.dot(e, e))
+        if ee > 0:
+            s = float(np.dot(-a, e)) / ee
+            pts.add(math.hypot(*(a + np.clip(s, 0.0, 1.0) * e)))
+        pts.add(math.hypot(*a))
+    return sorted(x for x in pts if x <= max_radius + 1e-15)
 
 
 def _polar_points(R: float, ang0: float, ang1: float, n: int, rng) -> np.ndarray:
@@ -342,18 +364,7 @@ class Triangle(PlanarDomain):
         return _fan_radial_mass(r, self.vertices)
 
     def radial_breakpoints(self):
-        v = self.vertices
-        pts = {0.0, self.max_radius}
-        for i in range(3):
-            a, b = v[i], v[(i + 1) % 3]
-            e = b - a
-            ee = float(np.dot(e, e))
-            if ee > 0:
-                s = float(np.dot(-a, e)) / ee
-                foot = a + np.clip(s, 0.0, 1.0) * e
-                pts.add(float(math.hypot(*foot)))
-            pts.add(float(math.hypot(*a)))
-        return sorted(x for x in pts if x <= self.max_radius + 1e-15)
+        return _polygon_breakpoints(self.vertices, self.max_radius)
 
 
 class Sector(PlanarDomain):
@@ -411,63 +422,6 @@ class Disc(PlanarDomain):
         return np.where(r <= self.radius, 2.0 * math.pi * r, 0.0)
 
 
-class DiscSquare(PlanarDomain):
-    """Disc of radius R intersected with the square [-g, g]^2.
-
-    Area and radial mass use exact circular-segment arithmetic.
-    """
-
-    kind = "disc_cap_square"
-
-    def __init__(self, radius, half_width):
-        if radius <= 0 or half_width <= 0:
-            raise ValueError("radius and half_width must be positive")
-        self.radius = float(radius)
-        self.half_width = float(half_width)
-        R, g = self.radius, self.half_width
-        if R <= g:
-            self.area = math.pi * R * R
-        elif R >= g * math.sqrt(2.0):
-            self.area = 4.0 * g * g
-        else:
-            self.area = math.pi * R * R - 4.0 * (
-                R * R * math.acos(g / R) - g * math.sqrt(R * R - g * g)
-            )
-        self.max_radius = float(min(R, g * math.sqrt(2.0)))
-
-    def contains(self, pts, tol: float = EDGE_TOL):
-        p = _as_points(pts)
-        r = np.hypot(p[:, 0], p[:, 1])
-        box = (np.abs(p[:, 0]) <= self.half_width + tol) & (np.abs(p[:, 1]) <= self.half_width + tol)
-        return box & (r <= self.radius + tol)
-
-    def sample(self, n, rng):
-        R, g = self.radius, self.half_width
-        if R <= g:
-            return _polar_points(R, 0.0, 2.0 * math.pi, n, rng)
-        if R >= g * math.sqrt(2.0):
-            return rng.uniform(-g, g, size=(n, 2))
-        return _disc_rejection(
-            R, n, rng, lambda c: (np.abs(c[:, 0]) <= g) & (np.abs(c[:, 1]) <= g)
-        )
-
-    def radial_mass(self, r):
-        r = np.asarray(r, dtype=float)
-        g = self.half_width
-        with np.errstate(invalid="ignore", divide="ignore"):
-            angle = np.where(
-                r <= g,
-                2.0 * math.pi,
-                2.0 * math.pi - 8.0 * np.arccos(np.clip(g / np.maximum(r, 1e-300), 0.0, 1.0)),
-            )
-        angle = np.maximum(angle, 0.0)
-        return np.where(r <= self.max_radius, angle * r, 0.0)
-
-    def radial_breakpoints(self):
-        pts = sorted({0.0, min(self.half_width, self.max_radius), self.max_radius})
-        return pts
-
-
 class DiscPolygon(PlanarDomain):
     """Disc of radius R intersected with a convex polygon containing the origin."""
 
@@ -523,12 +477,7 @@ class DiscPolygon(PlanarDomain):
         return np.where(r <= self.radius, _fan_radial_mass(r, self.vertices), 0.0)
 
     def radial_breakpoints(self):
-        pts = {0.0, self.max_radius}
-        v = self.vertices
-        for i in range(len(v)):
-            pts.add(float(math.hypot(*v[i])))
-            pts.add(self._edge_dist[i])
-        return sorted(x for x in pts if x <= self.max_radius + 1e-15)
+        return _polygon_breakpoints(self.vertices, self.max_radius)
 
 
 class UnionDomain(PlanarDomain):
@@ -597,18 +546,25 @@ def wedge_domain(d: int) -> UnionDomain:
     return UnionDomain([triangle_domain(d), sector_domain(d)])
 
 
+def _square(half_width: float) -> list[tuple[float, float]]:
+    """Counterclockwise vertices of the square [-half_width, half_width]^2."""
+    g = float(half_width)
+    return [(g, g), (-g, g), (-g, -g), (g, -g)]
+
+
 def truncation_domain(d: int, h: float, shape: str = "disc", vertices=None) -> PlanarDomain:
     """Trace disc of radius g0(h), optionally capped by a square or polygon.
 
-    The square has half-width g(h).  A polygon must be admissible: every
-    vertex outside the open trace disc and every side line at distance at
-    least g(h) from the center.
+    The square, of half-width g(h), is the DiscPolygon of its corners, so a
+    "disc_cap_square" domain reports kind "disc_cap_polygon".  A polygon
+    given by its vertices must be admissible: every vertex outside the open
+    trace disc and every side line at distance at least g(h) from the center.
     """
     g0, g = truncation_scalars(d, h)
     if shape == "disc":
         return Disc(g0)
     if shape == "disc_cap_square":
-        return DiscSquare(g0, g)
+        return DiscPolygon(g0, _square(g))
     if shape == "disc_cap_polygon":
         if vertices is None:
             raise ValueError("polygon shape requires vertices")

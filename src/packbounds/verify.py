@@ -292,10 +292,11 @@ def check_truncation_gain(d: int = 8, n: int = 2 * 10**5, seed: int = 20260802) 
     # (label, dimension, full domain, truncated domain, substream)
     pairs = [
         # square of half-width 2 g0: sticks out of the disc, truncates to the disc
-        ("square-2g0", d, geo.DiscSquare(2.0 * g0 * math.sqrt(2.0) * 1.01, 2.0 * g0),
+        ("square-2g0", d, geo.DiscPolygon(2.0 * g0 * math.sqrt(2.0) * 1.01, geo._square(2.0 * g0)),
          geo.Disc(g0), 0),
         # domain already inside the disc: truncation is the identity
-        ("square-inside", d, geo.DiscSquare(g0, 0.5 * g0), geo.DiscSquare(g0, 0.5 * g0), 1),
+        ("square-inside", d, geo.DiscPolygon(g0, geo._square(0.5 * g0)),
+         geo.DiscPolygon(g0, geo._square(0.5 * g0)), 1),
     ]
     # a wider quadrilateral at d+2, same construction idea
     d2 = d + 2

@@ -112,6 +112,32 @@ def mixed_directions(config, n, rng, jitter=0.05):
     return np.vstack([gauss, aimed])
 
 
+def disc_square_area(R, g):
+    """Area of the disc of radius R cut by the square [-g, g]^2, in closed form.
+
+    The disc for R <= g, the square for R >= g sqrt(2), and in between the
+    disc less four circular segments of half-chord sqrt(R^2 - g^2).
+    """
+    if R <= g:
+        return math.pi * R * R
+    if R >= g * math.sqrt(2.0):
+        return 4.0 * g * g
+    return math.pi * R * R - 4.0 * (R * R * math.acos(g / R) - g * math.sqrt(R * R - g * g))
+
+
+def disc_square_radial_mass(r, R, g):
+    """Radial mass r * angle(r) of the same domain, in closed form.
+
+    A circle of radius r in (g, g sqrt(2)) loses the angle 2 acos(g/r) to
+    each of the four sides; the mass vanishes beyond min(R, g sqrt(2)).
+    """
+    r = np.asarray(r, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cut = 8.0 * np.arccos(np.clip(g / np.maximum(r, 1e-300), 0.0, 1.0))
+    angle = np.maximum(np.where(r <= g, 2.0 * math.pi, 2.0 * math.pi - cut), 0.0)
+    return np.where(r <= min(R, g * math.sqrt(2.0)), angle * r, 0.0)
+
+
 def grid_centroid(domain, cells=1500):
     r = domain.max_radius
     xs = np.linspace(-r, r, cells, endpoint=False) + r / cells

@@ -711,6 +711,15 @@ def test_quadrature_guard_and_tolerance():
     assert type(q.n) is int
 
 
+def test_quadrature_errors_are_floats():
+    # at d = 8 the wedge's error is the 16-eps floor, which numpy's eps makes a numpy scalar
+    q = dn.quadrature_density(geo.canonical_wedge(8))
+    assert q.stderr == 16.0 * np.finfo(float).eps * q.value
+    assert type(q.value) is float and type(q.stderr) is float
+    gap, err = dn.quadrature_gap(8)
+    assert type(gap) is float and type(err) is float
+
+
 @pytest.mark.parametrize(
     "xi",
     [tuple(f * x for x in geo.canonical_chain(d, d).xi) for d in (2, 3) for f in (1.05, 1.2, 1.5)]

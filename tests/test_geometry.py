@@ -6,6 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    disc_square_area,
+    disc_square_radial_mass,
     grid_centroid,
     membership_oracle,
     mixed_directions,
@@ -15,6 +17,7 @@ from oracles import (
 )
 from packbounds import formulas as fm
 from packbounds import geometry as geo
+from packbounds.density import quadrature_density, surface_density
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +91,7 @@ def test_wedge_domain_membership_examples():
         lambda: geo.triangle_domain(6),
         lambda: geo.sector_domain(8),
         lambda: geo.Disc(0.25),
-        lambda: geo.DiscSquare(0.25, 0.19),
+        lambda: geo.DiscPolygon(0.25, geo._square(0.19)),
         lambda: geo.DiscPolygon(0.25, [(0.2, 0.21), (-0.23, 0.2), (-0.2, -0.22), (0.24, -0.2)]),
     ],
 )
@@ -133,7 +136,7 @@ def disc_polygons(draw):
 
 @st.composite
 def disc_squares(draw):
-    return geo.DiscSquare(draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0)))
+    return geo.DiscPolygon(draw(st.floats(0.05, 1.0)), geo._square(draw(st.floats(0.05, 1.0))))
 
 
 domains = st.one_of(triangles(), disc_polygons(), disc_squares())
@@ -163,6 +166,8 @@ def radial_integral(dom, n=64):
 @example(geo.Triangle((-2.220446049250313e-16, 0.9999999999999999),
                       (-0.820688136785924, -0.2182540773122461),
                       (-1.0475074674389329e-252, -6.103515625e-05)))
+# every side tangent to the disc: the area is the disc's, not the square's
+@example(geo.DiscPolygon(0.3, geo._square(0.3)))
 def test_radial_mass_integrates_to_area(dom):
     # the identity the quadrature's radial nodes rely on
     assert radial_integral(dom) == pytest.approx(dom.area, rel=1e-9)
@@ -207,15 +212,14 @@ def test_samples_lie_in_domain(dom, seed):
 
 
 def test_disc_square_matches_polygon_route():
-    R, g = 0.25, 0.19
-    sq = geo.DiscSquare(R, g)
-    poly = geo.DiscPolygon(R, [(g, g), (-g, g), (-g, -g), (g, -g)])
-    assert sq.area == pytest.approx(poly.area, abs=1e-12)
-    r = np.linspace(0.0, R, 100_001)
-    assert np.max(np.abs(sq.radial_mass(r) - poly.radial_mass(r))) < 1e-9
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-R, R, size=(50_000, 2))
-    assert np.array_equal(sq.contains(pts), poly.contains(pts))
+    # the closed forms of the disc-capped square against the polygon route,
+    # with the disc inside the square, cut by it, holding it, and tangent
+    g = 0.19
+    for R in (0.15, 0.25, g * math.sqrt(2.0) * 1.01, g):
+        dom = geo.DiscPolygon(R, geo._square(g))
+        assert dom.area == pytest.approx(disc_square_area(R, g), rel=1e-15, abs=0.0)
+        r = np.linspace(0.0, 1.5 * g, 100_001)
+        assert np.max(np.abs(dom.radial_mass(r) - disc_square_radial_mass(r, R, g))) < 1e-9
 
 
 def test_truncation_domain_disc_area():
@@ -244,7 +248,12 @@ def test_truncation_domain_polygon_admissibility():
     g0, g = fm.truncation_scalars(8, h)
     good = [(g0, g0), (-g0, g0), (-g0, -g0), (g0, -g0)]
     dom = geo.truncation_domain(8, h, "disc_cap_polygon", vertices=good)
-    assert dom.area > 0
+    # the sides touch the trace disc, so the domain is the whole disc
+    assert dom.area == pytest.approx(math.pi * g0 * g0, rel=1e-15)
+    cfg = geo.truncated_wedge(8, h, "disc_cap_polygon", vertices=good)
+    mc = surface_density(cfg, 200_000, 1)
+    quad = quadrature_density(cfg)
+    assert abs(mc.value - quad.value) <= 3.0 * math.hypot(mc.stderr, quad.stderr)
     # vertex inside the trace disc
     bad_vertex = [(0.5 * g0, 0.5 * g0), (-g0, g0), (-g0, -g0), (g0, -g0)]
     with pytest.raises(ValueError):
