@@ -17,7 +17,6 @@ the refinement rests on.
 from .formulas import (
     ReferenceBounds,
     SectorGeometry,
-    chain_scalars,
     max_tilt_cosine,
     next_chain_floor,
     pair_gap_bound,

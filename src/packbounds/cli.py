@@ -7,9 +7,10 @@ Subcommands
     plot-data  columnar data files for external plotting
 
 Exit codes: 0 pass, 1 check failure, 2 usage or input error, 3 inconclusive
-only.  Every output embeds the seed and sample count; numbers carry nine
-significant digits.  The daniels and kl columns are asymptotic reference
-curves, not certified finite-dimension bounds.
+only.  Dimensions run from 2 (4 where a wedge is built) to D_MAX = 64.  Every
+output embeds the seed and sample count; numbers carry nine significant
+digits.  The daniels and kl columns are asymptotic reference curves, not
+certified finite-dimension bounds.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from . import __version__
 from .density import improvement_gap, limiting_density_profile, simplex_density, voronoi_bounds
 from .formulas import height_breakpoints, reference_bounds, sector_geometry, truncation_scalars
 from .geometry import canonical_chain
-from .streams import spawn_key
+from .streams import DEFAULT_SEED, spawn_key
 from .verify import REGISTRY, run_checks
 
-DEFAULT_SEED = 20260808
 DEFAULT_SAMPLES = 10**6
-PRECISION_SAMPLES = 10**8
+D_MAX = 64
 
 
 def _fmt(x: float) -> str:
@@ -68,6 +68,22 @@ def _md(cols, rows) -> list[str]:
     """Lines of a markdown table; rows hold formatted cells."""
     lines = ["| " + " | ".join(cols) + " |", "|" + "|".join(["---"] * len(cols)) + "|"]
     return lines + ["| " + " | ".join(row) + " |" for row in rows]
+
+
+def _dims_ok(what: str, lo: int, **dims: int) -> bool:
+    """Whether lo <= the named dimensions <= D_MAX, in the given order; if not,
+    print the usage error.
+
+    lo is 2 where only the simplex is built and 4 where a wedge is.  Above
+    D_MAX the binomial coefficients of the stratum edges overflow a double.
+    """
+    values = list(dims.values())
+    if all(a <= b for a, b in zip([lo, *values], [*values, D_MAX])):
+        return True
+    got = ", ".join(f"{k} = {v}" for k, v in dims.items())
+    print(f"{what} requires d >= {lo} and {' <= '.join(dims)} <= {D_MAX}; got {got}",
+          file=sys.stderr)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +143,7 @@ def _bounds_flat(row):
 
 
 def cmd_bounds(args) -> int:
-    if not (4 <= args.dmin <= args.dmax <= 64):
-        print("bounds requires 4 <= dmin <= dmax <= 64", file=sys.stderr)
+    if not _dims_ok("bounds", 4, dmin=args.dmin, dmax=args.dmax):
         return 2
     if args.samples < 10**4:
         print("bounds requires at least 1e4 samples", file=sys.stderr)
@@ -169,6 +184,8 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return 2
+    if args.d is not None and not _dims_ok("verify", 4, d=args.d):
+        return 2
     overrides = {
         "d": args.d,
         "grid": args.grid,
@@ -241,6 +258,8 @@ def _parse_records(path):
 
 
 def cmd_records(args) -> int:
+    if not _dims_ok("records", 2, dmin=args.dmin, dmax=args.dmax):
+        return 2
     path = args.file or bundled_records_path()
     try:
         records = _parse_records(path)
@@ -299,6 +318,13 @@ def _tsv(header, rows) -> str:
 
 def cmd_plot_data(args) -> int:
     kind = args.kind
+    d = 8 if args.d is None else args.d
+    if kind in ("sigma_vs_d", "gap_vs_d"):
+        ok = _dims_ok(kind, 2 if kind == "sigma_vs_d" else 4, dmin=args.dmin, dmax=args.dmax)
+    else:
+        ok = _dims_ok(kind, 4, d=d)
+    if not ok:
+        return 2
     if kind == "sigma_vs_d":
         rows = []
         for d in range(args.dmin, args.dmax + 1):
@@ -312,9 +338,6 @@ def cmd_plot_data(args) -> int:
             rows,
         )
     elif kind == "gap_vs_d":
-        if args.dmin < 4:
-            print("gap_vs_d requires dmin >= 4", file=sys.stderr)
-            return 2
         rows = [
             [str(r["d"]), _fmt(r["sigma"]["value"]), _fmt(r["sigma_hat"]["value"]),
              _fmt(r["_gap"]), _fmt(r["_gap_stderr"])]
@@ -322,10 +345,6 @@ def cmd_plot_data(args) -> int:
         ]
         text = _tsv(["d", "sigma", "sigma_hat", "gap", "gap_stderr"], rows)
     elif kind == "dlim_profile":
-        d = 8 if args.d is None else args.d
-        if d < 4:
-            print("dlim_profile requires d >= 4", file=sys.stderr)
-            return 2
         chain = canonical_chain(d, d - 2)
         radii = [2.0 * sector_geometry(d).radius * k / 23.0 for k in range(24)]
         prof = limiting_density_profile(chain, radii, args.samples, args.seed)
@@ -339,10 +358,6 @@ def cmd_plot_data(args) -> int:
             rows.append([_fmt(r), _fmt(v), _fmt(float(prof.stderr()[j])), "1" if ok else "0"])
         text = _tsv(["r", "estimate", "stderr", "nonincreasing"], rows)
     elif kind == "g_ratio":
-        d = 8 if args.d is None else args.d
-        if d < 4:
-            print("g_ratio requires d >= 4", file=sys.stderr)
-            return 2
         lo, mid, _ = height_breakpoints(d)
         rows = []
         for k in range(200):
@@ -371,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, dmin=None, dmax=None):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-        p.add_argument("--precision", action="store_true",
-                       help=f"raise the sample count to {PRECISION_SAMPLES:.0e}")
         p.add_argument("--out", type=str, default=None, help="write output to FILE")
         if dmin is not None:
             p.add_argument("--dmin", type=int, default=dmin)
@@ -413,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "precision", False):
-        args.samples = PRECISION_SAMPLES
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -58,7 +58,6 @@ __all__ = [
     "SectorGeometry",
     "ReferenceBounds",
     "TiltAngleScalars",
-    "chain_scalars",
     "chain_floor",
     "chain_height",
     "next_chain_floor",
@@ -100,11 +99,6 @@ def chain_height(i: int) -> float:
     if i < 1:
         raise ValueError(f"chain level must be >= 1, got {i}")
     return math.sqrt(2.0 / (i * (i + 1.0)))
-
-
-def chain_scalars(i: int) -> tuple[float, float]:
-    """Return (m_i, h_i) for chain level i >= 1."""
-    return chain_floor(i), chain_height(i)
 
 
 def next_chain_floor(R: float) -> float:

@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mix", "substream", "spawn_key"]
+__all__ = ["DEFAULT_SEED", "substream", "spawn_key"]
+
+# the seed of every command and of every statistical check's default
+DEFAULT_SEED = 20260808
 
 _MASK = (1 << 64) - 1
 
 
-def mix(*words: int) -> int:
-    """Fold integer words into one 64-bit key (splitmix64 finalizer chain)."""
+def spawn_key(seed: int, *indices: int) -> int:
+    """Fold (seed, indices...) into one 64-bit key (splitmix64 finalizer chain)."""
     acc = 0x9E3779B97F4A7C15
-    for w in words:
+    for w in (seed, *indices):
         acc = (acc + (int(w) & _MASK)) & _MASK
         z = acc
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
@@ -29,11 +32,6 @@ def mix(*words: int) -> int:
     return acc
 
 
-def spawn_key(seed: int, *indices: int) -> int:
-    """Derive a child seed for a named sub-computation."""
-    return mix(seed, *indices)
-
-
 def substream(seed: int, *indices: int) -> np.random.Generator:
     """Open the deterministic stream for (seed, indices...)."""
-    return np.random.default_rng(mix(seed, *indices))
+    return np.random.default_rng(spawn_key(seed, *indices))

@@ -4,10 +4,13 @@ Each check re-derives one scalar claim by independent means (dense grids,
 finite differences, random admissible configurations, paired Monte-Carlo,
 the quadrature oracle) and emits a machine-readable record with the
 extremal witness, so a failure is reproducible from the report alone.
-Statistical checks use fixed default seeds and a three-standard-error band;
-an inequality that is neither confirmed nor refuted beyond the band is
-reported as inconclusive together with a recommendation to raise the
-sample count.
+Statistical checks all default to the command line's seed, DEFAULT_SEED,
+so ``run_checks()`` and ``packbounds verify`` decide each claim on the same
+draws.  They decide by a three-standard-error band; an inequality that is
+neither confirmed nor refuted beyond the band is reported as inconclusive
+together with a recommendation to raise the sample count.  Each check
+computes only what its claim needs: determinism in (seed, n) and the
+estimators' own properties are held by the test suite, not re-derived here.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from . import formulas as fm
 from . import geometry as geo
 from .density import limiting_density_profile, quadrature_density, surface_density
-from .streams import spawn_key, substream
+from .streams import DEFAULT_SEED, spawn_key, substream
 
 __all__ = [
     "CheckResult",
@@ -244,7 +247,7 @@ def check_radius_ratio(d: int = 8, grid: int = 1000) -> CheckResult:
 
 
 def check_profile_monotone(
-    d: int = 8, n_points: int = 6, n: int = 2 * 10**5, seed: int = 20260801
+    d: int = 8, n_points: int = 6, n: int = 2 * 10**5, seed: int = DEFAULT_SEED
 ) -> CheckResult:
     """Limiting density profile is nonincreasing in the local radius."""
     chain = geo.canonical_chain(d, d - 2)
@@ -260,18 +263,6 @@ def check_profile_monotone(
                 f"profile increases from r={radii[i]:.6f} to r={radii[i+1]:.6f} "
                 f"by {-diff:.3e} > 3se={band:.3e}"
             )
-    # norm dependence only: two equal-norm points on different rays agree
-    r_probe = 0.5 * rmax
-    est1 = limiting_density_profile(chain, [r_probe], n, spawn_key(seed, 1))
-    est2 = limiting_density_profile(chain, [r_probe], n, spawn_key(seed, 2))
-    sep = abs(float(est1.values[0]) - float(est2.values[0]))
-    band = 3.0 * math.hypot(float(est1.stderr()[0]), float(est2.stderr()[0]))
-    if sep > band:
-        failures.append(f"equal-radius estimates differ by {sep:.3e} > 3se={band:.3e}")
-    # determinism: same seed, same value
-    est3 = limiting_density_profile(chain, [r_probe], n, spawn_key(seed, 1))
-    if float(est3.values[0]) != float(est1.values[0]):
-        failures.append("identical seeds gave different estimates")
     return _result(
         "profile-monotone", failures, [],
         f"d={d}: profile nonincreasing over {n_points} radii in [0, {rmax:.4f}]",
@@ -286,7 +277,9 @@ def check_profile_monotone(
     )
 
 
-def check_truncation_gain(d: int = 8, n: int = 2 * 10**5, seed: int = 20260802) -> CheckResult:
+def check_truncation_gain(
+    d: int = 8, n: int = 2 * 10**5, seed: int = DEFAULT_SEED
+) -> CheckResult:
     """Cutting the base at the trace disc never lowers the surface density."""
     g0, _ = fm.truncation_scalars(d, fm.height_breakpoints(d)[0])
     # (label, dimension, full domain, truncated domain, substream)
@@ -294,9 +287,6 @@ def check_truncation_gain(d: int = 8, n: int = 2 * 10**5, seed: int = 20260802) 
         # square of half-width 2 g0: sticks out of the disc, truncates to the disc
         ("square-2g0", d, geo.DiscPolygon(2.0 * g0 * math.sqrt(2.0) * 1.01, geo._square(2.0 * g0)),
          geo.Disc(g0), 0),
-        # domain already inside the disc: truncation is the identity
-        ("square-inside", d, geo.DiscPolygon(g0, geo._square(0.5 * g0)),
-         geo.DiscPolygon(g0, geo._square(0.5 * g0)), 1),
     ]
     # a wider quadrilateral at d+2, same construction idea
     d2 = d + 2
@@ -310,7 +300,7 @@ def check_truncation_gain(d: int = 8, n: int = 2 * 10**5, seed: int = 20260802) 
     rows = []
     for label, dim, full_dom, trunc_dom, key in pairs:
         chain = geo.canonical_chain(dim, dim - 2)
-        # one substream per pair: an identity pair is then exactly equal
+        # one substream per pair, shared by its two sides
         full = surface_density(geo.WedgeConfig(chain, full_dom), n, spawn_key(seed, key))
         trunc = surface_density(geo.WedgeConfig(chain, trunc_dom), n, spawn_key(seed, key))
         band = 3.0 * math.hypot(full.stderr, trunc.stderr)
@@ -354,20 +344,11 @@ def _random_admissible_quadrilateral(d: int, h: float, rng, attempts: int = 50):
         angles = (np.arange(4) * math.pi / 2.0) + rng.uniform(-0.2, 0.2, size=4)
         offsets = rng.uniform(g, g0, size=4)
         verts = []
-        ok = True
         for k in range(4):
+            # consecutive normals differ by pi/2 +- 0.4, so |det| >= cos 0.4
             a0, a1 = angles[k], angles[(k + 1) % 4]
-            n0 = np.array([math.cos(a0), math.sin(a0)])
-            n1 = np.array([math.cos(a1), math.sin(a1)])
-            mat = np.array([n0, n1])
-            det = np.linalg.det(mat)
-            if abs(det) < 1e-9:
-                ok = False
-                break
-            v = np.linalg.solve(mat, np.array([offsets[k], offsets[(k + 1) % 4]]))
-            verts.append(v)
-        if not ok:
-            continue
+            mat = np.array([[math.cos(a0), math.sin(a0)], [math.cos(a1), math.sin(a1)]])
+            verts.append(np.linalg.solve(mat, np.array([offsets[k], offsets[(k + 1) % 4]])))
         verts = np.array(verts)
         if np.any(np.hypot(verts[:, 0], verts[:, 1]) < g0):
             continue
@@ -376,7 +357,7 @@ def _random_admissible_quadrilateral(d: int, h: float, rng, attempts: int = 50):
 
 
 def check_truncated_max(
-    d: int = 8, trials: int = 50, n: int = 10**5, seed: int = 20260803
+    d: int = 8, trials: int = 50, n: int = 10**5, seed: int = DEFAULT_SEED
 ) -> CheckResult:
     """Random admissible truncated wedges never beat the wedge bound.
 
@@ -454,7 +435,7 @@ def check_truncated_max(
 
 
 def check_square_cap(
-    d: int = 8, h_grid: int = 5, n: int = 2 * 10**5, seed: int = 20260804
+    d: int = 8, h_grid: int = 5, n: int = 2 * 10**5, seed: int = DEFAULT_SEED
 ) -> CheckResult:
     """Disc-capped-square density falls as the face height grows.
 
@@ -506,7 +487,7 @@ def check_square_cap(
 
 
 def check_chain_inflation(
-    d: int = 5, n: int = 2 * 10**5, seed: int = 20260805
+    d: int = 5, n: int = 2 * 10**5, seed: int = DEFAULT_SEED
 ) -> CheckResult:
     """Inflating chain norms can only lower the density, strictly when large.
 
@@ -538,10 +519,6 @@ def check_chain_inflation(
             failures.append(f"{what} inflation raised the density by {-sep:.3e}")
         elif sep <= band:
             inconclusive.append(f"{note} separation within the error band; raise n")
-    # identical chain, identical seed: exactly equal
-    same = surface_density(geo.canonical_simplex(d), n, spawn_key(seed, 0))
-    if same.value != canonical[0]:
-        failures.append("identical configuration and seed gave different values")
     return _result(
         "chain-inflation", failures, inconclusive,
         f"inflated chains strictly below canonical (separations "

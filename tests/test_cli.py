@@ -115,16 +115,12 @@ def test_verify_all_defaults_pass(capsys):
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
-def test_precision_flag_raises_sample_count(capsys, monkeypatch):
-    import packbounds.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "PRECISION_SAMPLES", 30000)
-    code, out, _ = run_cli(
-        capsys, "bounds", "--dmin", "8", "--dmax", "8", "--precision",
-        "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["meta"]["n"] == 30000
+def test_verify_rejects_large_d(capsys):
+    # the wedge's stratum edges overflow a double from d = 1031 on
+    code, out, err = run_cli(capsys, "verify", "profile-monotone", "--d", "1100")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "verify requires d >= 4 and d <= 64; got d = 1100"
 
 
 def test_verify_inconclusive_exit_code(capsys):
@@ -191,6 +187,17 @@ def test_records_outside_range_listed_without_bound(capsys, tmp_path):
     )
     assert code == 0
     assert "24" in out
+
+
+def test_records_rejects_large_dmax(capsys, tmp_path):
+    f = tmp_path / "big.csv"
+    f.write_text("d,density,name,source\n1100,0.001,big,made up\n")
+    code, out, err = run_cli(capsys, "records", str(f), "--dmax", "2000")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (
+        "records requires d >= 2 and dmin <= dmax <= 64; got dmin = 2, dmax = 2000"
+    )
 
 
 def test_records_bound_kind_follows_proven_range(capsys, tmp_path):
@@ -283,6 +290,15 @@ def test_plot_rejects_small_d(capsys, kind, d):
     assert code == 2
     assert out == ""
     assert f"{kind} requires d >= 4" in err
+
+
+def test_plot_gap_vs_d_rejects_large_d(capsys):
+    code, out, err = run_cli(capsys, "plot-data", "gap_vs_d", "--dmin", "1100", "--dmax", "1100")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (
+        "gap_vs_d requires d >= 4 and dmin <= dmax <= 64; got dmin = 1100, dmax = 1100"
+    )
 
 
 def test_plot_sigma_vs_d(capsys):

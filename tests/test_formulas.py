@@ -13,13 +13,12 @@ SQ2 = math.sqrt(2.0)
 
 
 def test_chain_scalars_level_one():
-    m, h = fm.chain_scalars(1)
-    assert m == 1.0
-    assert h == 1.0
+    assert fm.chain_floor(1) == 1.0
+    assert fm.chain_height(1) == 1.0
 
 
 def test_chain_scalars_level_eight():
-    m, h = fm.chain_scalars(8)
+    m, h = fm.chain_floor(8), fm.chain_height(8)
     assert m == pytest.approx(math.sqrt(16.0 / 9.0), abs=1e-15)
     assert h == pytest.approx(1.0 / 6.0, abs=1e-15)
 

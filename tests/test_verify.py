@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from packbounds import verify as vf
@@ -70,10 +72,7 @@ def test_profile_monotone_check():
 def test_truncation_gain_check():
     r = vf.check_truncation_gain(d=8, n=60_000)
     assert r.passed
-    assert len(r.witness["pairs"]) == 3
-    # the identity pair is exactly equal (same domain, same seed handling)
-    identity = [p for p in r.witness["pairs"] if p["pair"] == "square-inside"][0]
-    assert identity["full"] == identity["truncated"]
+    assert [p["pair"] for p in r.witness["pairs"]] == ["square-2g0", "quadrilateral"]
 
 
 def test_truncated_max_check_small():
@@ -111,11 +110,21 @@ def test_run_checks_filters_overrides():
     assert results[1].witness["d_max"] == 200
 
 
+def test_run_checks_matches_the_command(tmp_path, capsys):
+    # one default seed: the library and the command decide a claim on the same draws
+    from packbounds.cli import _round9, main
+
+    out = tmp_path / "verify.json"
+    names = ["profile-monotone", "chain-inflation"]
+    assert main(["verify", *names, "--samples", "20000", "--out", str(out)]) == 0
+    capsys.readouterr()
+    records = [_round9(r.to_dict()) for r in vf.run_checks(names, n=20000)]
+    assert records == json.loads(out.read_text())["checks"]
+
+
 def test_check_results_serialize():
     r = vf.check_floor_recursion(i_max=10)
     doc = r.to_dict()
     assert doc["name"] == "floor-recursion"
     assert doc["status"] in ("pass", "fail", "inconclusive")
-    import json
-
     json.dumps(doc)
