@@ -28,7 +28,7 @@ from .density import improvement_gap, limiting_density_profile, simplex_density,
 from .formulas import height_breakpoints, reference_bounds, sector_geometry, truncation_scalars
 from .geometry import canonical_chain
 from .streams import DEFAULT_SEED, spawn_key
-from .verify import REGISTRY, run_checks
+from .verify import MIN_D, REGISTRY, run_checks
 
 DEFAULT_SAMPLES = 10**6
 D_MAX = 64
@@ -184,8 +184,15 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.d is not None and not _dims_ok("verify", 4, d=args.d):
-        return 2
+    if args.d is not None:
+        if not _dims_ok("verify", 4, d=args.d):
+            return 2
+        # every selected check's d range is checked before any check runs
+        rejecting = [f"{n} (d >= {MIN_D[n]})" for n in names if args.d < MIN_D.get(n, 4)]
+        if rejecting:
+            print(f"verify --d {args.d} is outside the range of {', '.join(rejecting)}",
+                  file=sys.stderr)
+            return 2
     overrides = {
         "d": args.d,
         "grid": args.grid,

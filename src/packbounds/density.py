@@ -42,10 +42,13 @@ expectation of e^(-lambda s) level by level down the ordered chain, which
 read top-down is a Markov chain: one Chebyshev averaging operator per
 level, shared by every lambda, with the planar factor entering at the last
 level through a radial rule: the domain's for a wedge, the point mass at
-radius 0 for a simplex.  The disagreement with a pass at doubled resolution
-is its error estimate.  quadrature_gap runs the same linear recursion on
-the triangle's minus the sector's planar factor, so the gap comes out with
-no cancellation between two densities.
+radius 0 for a simplex.  The planar factor M(mu) depends on mu = lambda x^2
+alone, so a wedge's is tabulated once per pass as a Chebyshev series in mu
+and evaluated by Clenshaw's recurrence at every (lambda, node); the point
+mass is summed directly.  The disagreement with a pass at doubled
+resolution is its error estimate.  quadrature_gap runs the same linear
+recursion on the triangle's minus the sector's planar factor, so the gap
+comes out with no cancellation between two densities.
 """
 
 from __future__ import annotations
@@ -209,7 +212,8 @@ def _planar_series(domain, chain: ChainSpec):
     nu_m from PlanarDomain.radial_moments.  y <= q = rho / (xi_1^2 + rho) < 1
     because s >= xi_1^2 and t <= 1, and the term count is the least whose tail
     bound is below 1e-17 of the value (_series_terms).  The quadrature uses no
-    series: it sums e^(-mu r^2) over the domain's radial rule directly.
+    radial-moment series: it sums e^(-mu r^2) over the domain's radial rule,
+    once per pass at the Chebyshev points of its table (_planar_factor).
     """
     p = 0.5 * chain.d
     xi1 = chain.xi[0]
@@ -454,6 +458,9 @@ _BLOCK = 1 << 18
 _RESOLUTION = (48, 8, 64)
 # relative bound on what the Laplace pass's dropped lambda rows may carry
 _LAPLACE_TOL = 2.0**-60
+# Chebyshev points at which _planar_factor first tabulates M; 64 resolve the
+# canonical and truncated domains at d = 4..64 to roundoff with 7 to 31 terms
+_TABLE_POINTS = 64
 
 
 def _chebyshev_angles(n: int) -> np.ndarray:
@@ -526,10 +533,11 @@ def _build_operator(n: int, a: int) -> np.ndarray:
     return op
 
 
-def _planar_factor(mu: np.ndarray, r2: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """M(mu) = sum_k w_k exp(-mu r2_k) for every entry of mu, in blocks of rows.
+def _planar_sum(mu: np.ndarray, r2: np.ndarray, w: np.ndarray, fn=np.exp) -> np.ndarray:
+    """sum_k w_k fn(-mu r2_k) for every entry of mu, in blocks of rows.
 
-    Every block's exponentials are formed in one buffer allocated per call.
+    With fn = exp this is M(mu).  Every block's terms are formed in one
+    buffer allocated per call.
     """
     out = np.empty_like(mu)
     rows = max(1, _BLOCK // (mu.shape[1] * len(r2)))
@@ -539,9 +547,63 @@ def _planar_factor(mu: np.ndarray, r2: np.ndarray, w: np.ndarray) -> np.ndarray:
         block = mu[lo : lo + rows]
         e = buf[: len(block)]
         np.multiply(block[:, :, None], neg_r2, out=e)
-        np.exp(e, out=e)
+        fn(e, out=e)
         np.matmul(e, w, out=out[lo : lo + len(block)])
     return out
+
+
+def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k c_k T_k(t) at every entry of t, by Clenshaw's recurrence."""
+    b1, b2 = np.zeros_like(t), np.zeros_like(t)
+    t2 = 2.0 * t
+    for ck in c[:0:-1]:
+        b2 *= -1.0
+        b2 += ck
+        b2 += t2 * b1
+        b1, b2 = b2, b1
+    b1 *= t
+    b1 -= b2
+    b1 += c[0]
+    return b1
+
+
+def _planar_factor(mu: np.ndarray, r2: np.ndarray, w: np.ndarray, mu_top: float) -> np.ndarray:
+    """M(mu) = sum_k w_k exp(-mu r2_k) for every entry of mu in [0, mu_top].
+
+    M is entire in mu, so its Chebyshev series on [0, mu_top] converges
+    faster than geometrically.  M is tabulated at m Chebyshev-Gauss points
+    as sum_k w_k + sum_k w_k expm1(-mu r2_k), whose error shrinks with mu r2
+    where the gap's signed weights cancel.  The coefficients come from the
+    cosine sum, each angle k (2j + 1) pi / 2m reduced mod 2 pi in integers,
+    which keeps their roundoff near eps instead of k eps.  The series is
+    chopped after its last coefficient not below tol = 4 eps max_k |c_k|
+    (after Aurentz and Trefethen, ACM TOMS 43, 2017).  m starts at
+    _TABLE_POINTS and doubles until the upper half of the coefficients lies
+    below tol, so the kept series has reached roundoff; Clenshaw's
+    recurrence then evaluates it at every entry of mu.  A rule of at most m
+    nodes, the simplex's point mass among them, is summed directly, which
+    costs no more per entry and is exact.
+    """
+    m = _TABLE_POINTS
+    while m < len(r2):
+        k = np.arange(m)
+        # cos(k theta_j); row k = 1 holds the nodes cos theta_j
+        cosines = np.cos((np.multiply.outer(k, 2 * k + 1) % (4 * m)) * (math.pi / (2 * m)))
+        nodes = 0.5 * mu_top * (1.0 + cosines[1])
+        table = _planar_sum(nodes[:, None], r2, w, np.expm1)[:, 0] + w.sum()
+        c = cosines @ table * (2.0 / m)
+        c[0] *= 0.5
+        tol = 4.0 * np.finfo(float).eps * np.abs(c).max()
+        if np.abs(c[m // 2 :]).max() <= tol:
+            kept = np.flatnonzero(np.abs(c) >= tol)[-1] + 1
+            return _clenshaw(c[:kept], mu * (2.0 / mu_top) - 1.0)
+        m *= 2
+    return _planar_sum(mu, r2, w)
+
+
+def _lambda_top(d: int) -> float:
+    """The largest lambda of a Laplace pass's full trapezoid grid, before its cut."""
+    return 80.0 + 3.0 * d
 
 
 def _laplace_rows(chain: ChainSpec, r2_max: float, h: float):
@@ -558,7 +620,7 @@ def _laplace_rows(chain: ChainSpec, r2_max: float, h: float):
     d = chain.d
     p = 0.5 * d
     xi1 = chain.xi[0]
-    u = np.arange(math.log(80.0 + 3.0 * d), -60.0 / p - 5.0, -h)
+    u = np.arange(math.log(_lambda_top(d)), -60.0 / p - 5.0, -h)
     lam = np.exp(u)
     weight = h * np.exp(p * u - lam * (xi1 * xi1) - math.lgamma(p))
     s_max = xi1 * xi1 + np.sum(chain.eta_array[1:] ** 2) + r2_max
@@ -591,10 +653,12 @@ def _laplace_pass(chain: ChainSpec, planar, n: int, h: float):
     e^(-lambda c_i x^2) (A_(d-i) F_(i+1)), every F in [0, 1] on n
     Chebyshev nodes per lambda row (_averaging_operator); the expectation is
     (A_(d-1) F_2)(1).  planar is (r2, w), squared radii and normalised
-    weights of M(mu) = sum_k w_k e^(-mu r2_k); a simplex's is the point mass
-    (r2, w) = ([0], [1]) of _point_mass, M = 1.  The pass's operators are
-    cached only if all of them fit in _OPERATOR_BYTES.  Returns (value, kept
-    lambda rows times nodes).
+    weights of M(mu) = sum_k w_k e^(-mu r2_k), tabulated by _planar_factor on
+    [0, lambda_top], lambda_top the full grid's top node whether or not the
+    cut keeps it, so a cut and an uncut pass share one table; a simplex's
+    is the point mass (r2, w) = ([0], [1]) of _point_mass, M = 1.  The
+    pass's operators are cached only if all of them fit in _OPERATOR_BYTES.
+    Returns (value, kept lambda rows times nodes).
     """
     d = chain.d
     xi1 = chain.xi[0]
@@ -605,7 +669,7 @@ def _laplace_pass(chain: ChainSpec, planar, n: int, h: float):
     cached = len(c) * (n + 1) * n * 8 <= _OPERATOR_BYTES
     operator = _averaging_operator if cached else _build_operator
     f = np.exp(-c[-1] * mu)
-    f *= _planar_factor(mu, *planar)
+    f *= _planar_factor(mu, *planar, _lambda_top(d))
     for i in range(len(c), 1, -1):
         f = f @ operator(n, d - i)[:n].T
         f *= np.exp(-c[i - 2] * mu)
@@ -663,13 +727,13 @@ def quadrature_density(
     At the defaults the refinement error of the canonical configurations
     is below 5e-14 relative at every d <= 42 and 3e-11 at d = 64, where
     roundoff, not ns, sets it.  On a 2-core Intel Xeon (OpenBLAS, 2
-    threads) a call takes 1 to 6 ms for a simplex, 10 to 20 ms for the
-    canonical wedge and 7 to 13 ms for the sector wedge at d = 8..64 once
-    its operators are cached; building them adds 0.07 s at d = 8 and
-    0.45 s at d = 42 to the first call.  Every d >= 2 takes the same
-    recursion, so at d = 2 and 3 the value is checked against, not taken
-    from, closed_form_simplex_density.  n counts the second pass's kept
-    lambda rows times its Chebyshev nodes.
+    threads) a call takes 1 to 6 ms for a simplex and 2.5 to 7 ms for the
+    canonical wedge or the sector wedge at d = 8..64 once its operators are
+    cached; building them adds 0.07 s at d = 8 and 0.47 s at d = 42 to the
+    first call.  Every d >= 2 takes the same recursion, so at d = 2 and 3
+    the value is checked against, not taken from,
+    closed_form_simplex_density.  n counts the second pass's kept lambda
+    rows times its Chebyshev nodes.
     """
     for name, value in (("ns", ns), ("na", na), ("nr", nr)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:

@@ -28,6 +28,7 @@ from .streams import DEFAULT_SEED, spawn_key, substream
 __all__ = [
     "CheckResult",
     "REGISTRY",
+    "MIN_D",
     "run_check",
     "run_checks",
     "check_floor_recursion",
@@ -45,6 +46,10 @@ __all__ = [
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
+
+# least dimension of the checks that take d and reject some d >= 4: the
+# wedge bound is proved for d >= 8 only
+MIN_D = {"truncated-max": 8, "square-cap-monotone": 8}
 
 
 @dataclass
@@ -367,7 +372,7 @@ def check_truncated_max(
     within three combined standard errors of the wedge bound, which the
     quadrature gives with its refinement error as reference_stderr.
     """
-    if d < 8:
+    if d < MIN_D["truncated-max"]:
         raise ValueError("type-I truncated wedges require d >= 8")
     ref = quadrature_density(geo.canonical_wedge(d))
     lo, mid, hi = fm.height_breakpoints(d)
@@ -443,7 +448,7 @@ def check_square_cap(
     capped region splits into congruent copies of the base domain there),
     taken from the quadrature.
     """
-    if d < 8:
+    if d < MIN_D["square-cap-monotone"]:
         raise ValueError("the capped-square sweep is stated for d >= 8")
     lo, mid, _ = fm.height_breakpoints(d)
     hs = np.linspace(lo, mid, h_grid, endpoint=False)

@@ -411,3 +411,25 @@ def vertex_triangle_moments(triangle, rho, n_terms):
                     for k in range(1, m + 2))
         nu.append(float(Fraction(rho) * total / (2 * (m + 1))))
     return np.array(nu)
+
+
+# doubles in one row block of direct_planar_factor's exponentials, about 2 MB
+_BLOCK = 1 << 18
+
+
+def direct_planar_factor(mu: np.ndarray, r2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """M(mu) = sum_k w_k exp(-mu r2_k) for every entry of mu, in blocks of rows.
+
+    Every block's exponentials are formed in one buffer allocated per call.
+    """
+    out = np.empty_like(mu)
+    rows = max(1, _BLOCK // (mu.shape[1] * len(r2)))
+    buf = np.empty((min(rows, len(mu)), mu.shape[1], len(r2)))
+    neg_r2 = -r2
+    for lo in range(0, len(mu), rows):
+        block = mu[lo : lo + rows]
+        e = buf[: len(block)]
+        np.multiply(block[:, :, None], neg_r2, out=e)
+        np.exp(e, out=e)
+        np.matmul(e, w, out=out[lo : lo + len(block)])
+    return out

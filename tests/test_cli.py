@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from packbounds import cli
 from packbounds.cli import bundled_records_path, main
 from packbounds.density import simplex_density
 from packbounds.streams import spawn_key
@@ -121,6 +122,24 @@ def test_verify_rejects_large_d(capsys):
     assert code == 2
     assert out == ""
     assert err.strip() == "verify requires d >= 4 and d <= 64; got d = 1100"
+
+
+def test_verify_checks_every_d_range_before_running(capsys, tmp_path, monkeypatch):
+    # two of the ten checks are stated for d >= 8 only: --d 6 names them and
+    # runs no check at all, so no partial report is written
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda names, **kw: ran.append(names))
+    out = tmp_path / "verify.json"
+    code, stdout, err = run_cli(capsys, "verify", "--d", "6", "--samples", "20000",
+                                "--out", str(out))
+    assert code == 2
+    assert ran == [] and stdout == "" and not out.exists()
+    assert err == ("verify --d 6 is outside the range of truncated-max (d >= 8), "
+                   "square-cap-monotone (d >= 8)\n")
+    monkeypatch.undo()
+    code, stdout, _ = run_cli(capsys, "verify", "tilt-extremum", "--d", "6")
+    assert code == 0
+    assert json.loads(stdout)["checks"][0]["status"] == "pass"
 
 
 def test_verify_inconclusive_exit_code(capsys):

@@ -3,14 +3,18 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     direct_chain_grid_pass,
     direct_chain_mass_grid,
     direct_chain_moment,
+    direct_planar_factor,
     low_dim_quad,
     planar_corner_density,
     sampled_planar_estimate,
@@ -19,6 +23,7 @@ from oracles import (
 from packbounds import density as dn
 from packbounds import formulas as fm
 from packbounds import geometry as geo
+from packbounds import verify as vf
 from packbounds.streams import spawn_key
 
 SEED = 97531
@@ -496,6 +501,65 @@ def test_quadrature_cross_oracle(cfg_make, d):
     m = dn.surface_density(cfg_make(d), 400_000,
                            spawn_key(SEED, d, cfg_make is geo.canonical_wedge))
     assert abs(q.value - m.value) <= 3.0 * math.hypot(q.stderr, m.stderr)
+
+
+def assert_table_matches_direct(r2, w, d):
+    # M at 4000 points of the pass's whole interval [0, lambda_top] against
+    # the direct exponential sum.  A rule of more than _TABLE_POINTS nodes
+    # takes the Chebyshev table, held within 16 eps sum_k |w_k| absolute:
+    # its roundoff measured at most 5.5 of that over the canonical rules at
+    # d = 4..64 and 200 truncated domains.  A smaller rule is summed directly
+    top = dn._lambda_top(d)
+    mu = np.linspace(0.0, top, 4001)[:-1].reshape(40, 100)
+    with mock.patch.object(dn, "_clenshaw", wraps=dn._clenshaw) as clenshaw:
+        got = dn._planar_factor(mu, r2, w, top)
+    direct = direct_planar_factor(mu, r2, w)
+    if len(r2) <= dn._TABLE_POINTS:
+        assert clenshaw.call_count == 0 and np.array_equal(got, direct)
+        return
+    assert clenshaw.call_count == 1
+    err = np.abs(got - direct).max()
+    assert err <= 16 * np.finfo(float).eps * np.abs(w).sum()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(["disc", "disc_cap_square", "disc_cap_polygon"]),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.sampled_from([64, 128]))
+def test_planar_table_matches_direct_sum_truncated(shape, frac, seed, nr):
+    d = 8
+    lo, mid, hi = fm.height_breakpoints(d)
+    if shape == "disc":
+        dom = geo.truncation_domain(d, mid + frac * (hi - mid) * (1.0 - 1e-6), shape)
+    else:
+        h = lo + frac * (mid - lo) * (1.0 - 1e-9)
+        quad = vf._random_admissible_quadrilateral(d, h, np.random.default_rng(seed))
+        if shape == "disc_cap_square" or quad is None:
+            dom = geo.truncation_domain(d, h, "disc_cap_square")
+        else:
+            dom = geo.truncation_domain(d, h, shape, vertices=quad)
+    assert_table_matches_direct(*dn._normalised_rule(dom, nr), d)
+
+
+@pytest.mark.parametrize("d", range(4, 65))
+def test_planar_table_matches_direct_sum_canonical(d):
+    tri, sec = geo.triangle_domain(d), geo.sector_domain(d)
+    for nr in (64, 128):
+        (r2_t, w_t), (r2_s, w_s) = dn._normalised_rule(tri, nr), dn._normalised_rule(sec, nr)
+        if d in (8, 24, 42, 64):
+            assert_table_matches_direct(r2_t, w_t, d)
+            assert_table_matches_direct(r2_s, w_s, d)
+        # the gap's signed rule, whose values cancel to a few percent of its weights
+        assert_table_matches_direct(np.concatenate([r2_t, r2_s]), np.concatenate([w_t, -w_s]), d)
+
+
+def test_point_mass_planar_factor_is_the_direct_sum():
+    # the simplex's point mass takes the direct sum, bit for bit: M = 1
+    top = dn._lambda_top(8)
+    mu = np.outer(np.linspace(0.01, top, 300), np.linspace(0.0, 1.0, 96) ** 2)
+    r2, w = dn._point_mass(64)
+    got = dn._planar_factor(mu, r2, w, top)
+    assert np.array_equal(got, direct_planar_factor(mu, r2, w))
+    assert np.array_equal(got, np.ones_like(mu))
 
 
 @pytest.mark.parametrize(
