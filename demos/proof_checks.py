@@ -2,11 +2,11 @@
 """Run the whole inequality-check registry and print a one-line verdict each.
 
 Every scalar inequality the wedge bound rests on is re-verified by brute
-force: dense grids for the closed forms, paired Monte-Carlo for the
-statistical claims.  Exit status mirrors the CLI: 0 all pass, 1 failure,
+force: dense grids for the closed forms, the quadrature oracle for the
+density comparisons.  Exit status mirrors the CLI: 0 all pass, 1 failure,
 3 inconclusive only.
 
-Usage: python demos/proof_checks.py [--quick]
+Usage: python demos/proof_checks.py
 """
 
 import sys
@@ -16,15 +16,12 @@ from packbounds.verify import REGISTRY, run_checks
 
 
 def main():
-    quick = "--quick" in sys.argv
-    overrides = {"n": 40_000, "trials": 8} if quick else {}
-
     print("=" * 78)
     print("  Inequality checks behind the wedge bound")
     print("=" * 78)
 
     t0 = time.time()
-    results = run_checks(None, **overrides)
+    results = run_checks()
     width = max(len(name) for name in REGISTRY)
     for r in results:
         print(f"  {r.name:<{width}s}  [{r.status:^12s}]  {r.summary}")
@@ -33,7 +30,7 @@ def main():
     if any(r.status == "fail" for r in results):
         return 1
     if any(r.status == "inconclusive" for r in results):
-        print("  some statistical comparisons were inconclusive; rerun without --quick")
+        print("  some strict comparisons were not resolved beyond the refinement error")
         return 3
     return 0
 

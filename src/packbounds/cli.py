@@ -28,7 +28,7 @@ from .density import improvement_gap, limiting_density_profile, simplex_density,
 from .formulas import height_breakpoints, reference_bounds, sector_geometry, truncation_scalars
 from .geometry import canonical_chain
 from .streams import DEFAULT_SEED, spawn_key
-from .verify import MIN_D, REGISTRY, run_checks
+from .verify import REGISTRY, out_of_range, run_checks
 
 DEFAULT_SAMPLES = 10**6
 D_MAX = 64
@@ -187,16 +187,13 @@ def cmd_verify(args) -> int:
     if args.d is not None:
         if not _dims_ok("verify", 4, d=args.d):
             return 2
-        # every selected check's d range is checked before any check runs
-        rejecting = [f"{n} (d >= {MIN_D[n]})" for n in names if args.d < MIN_D.get(n, 4)]
-        if rejecting:
+        if rejecting := out_of_range(names, args.d):
             print(f"verify --d {args.d} is outside the range of {', '.join(rejecting)}",
                   file=sys.stderr)
             return 2
     overrides = {
         "d": args.d,
         "grid": args.grid,
-        "n": args.samples,
         "seed": args.seed,
         "trials": args.trials,
         "i_max": args.i_max,
@@ -390,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dmin=None, dmax=None):
+    def common(p, dmin=None, dmax=None, samples_help=None):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=samples_help)
         p.add_argument("--out", type=str, default=None, help="write output to FILE")
         if dmin is not None:
             p.add_argument("--dmin", type=int, default=dmin)
@@ -406,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run inequality checks")
     p_verify.add_argument("checks", nargs="*", metavar="CHECK",
                           help=f"subset of: {', '.join(sorted(REGISTRY))}")
-    common(p_verify)
+    common(p_verify, samples_help="ignored: no check draws Monte-Carlo samples")
     p_verify.add_argument("--d", type=int, default=None)
     p_verify.add_argument("--grid", type=int, default=None)
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--i-max", dest="i_max", type=int, default=None)
     p_verify.add_argument("--d-max", dest="d_max", type=int, default=None)
-    p_verify.set_defaults(func=cmd_verify, samples=None)
+    p_verify.set_defaults(func=cmd_verify)
 
     p_records = sub.add_parser("records", help="compare record densities to the bounds")
     p_records.add_argument("file", nargs="?", default=None,

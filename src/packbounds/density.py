@@ -42,10 +42,10 @@ expectation of e^(-lambda s) level by level down the ordered chain, which
 read top-down is a Markov chain: one Chebyshev averaging operator per
 level, shared by every lambda, with the planar factor entering at the last
 level through a radial rule: the domain's for a wedge, the point mass at
-radius 0 for a simplex.  The planar factor M(mu) depends on mu = lambda x^2
-alone, so a wedge's is tabulated once per pass as a Chebyshev series in mu
-and evaluated by Clenshaw's recurrence at every (lambda, node); the point
-mass is summed directly.  The disagreement with a pass at doubled
+radius 0 for a simplex or at each radius of a profile.  The planar factor
+M(mu) depends on mu = lambda x^2 alone, so a wedge's is tabulated once per
+pass as a Chebyshev series in mu and evaluated by Clenshaw's recurrence at
+every (lambda, node); the point mass is summed directly.  The disagreement with a pass at doubled
 resolution is its error estimate.  quadrature_gap runs the same linear
 recursion on the triangle's minus the sector's planar factor, so the gap
 comes out with no cancellation between two densities.
@@ -87,6 +87,7 @@ __all__ = [
     "limiting_surface_density",
     "limiting_density_profile",
     "quadrature_density",
+    "quadrature_profile",
     "quadrature_gap",
     "voronoi_bounds",
 ]
@@ -399,11 +400,16 @@ def closed_form_simplex_density(d: int) -> DensityEstimate:
 # limiting density at a point of the terminal plane
 
 
-def _check_profile_chain(chain: ChainSpec):
+def _profile_radii(chain: ChainSpec, radii) -> np.ndarray:
+    """A profile's radii as a float array, checked along with its chain."""
     if chain.k != chain.d - 2:
         raise ValueError("limiting density requires a chain with k = d - 2")
     if chain.d < 4:
         raise ValueError("limiting density requires d >= 4")
+    r = np.asarray(radii, dtype=float)
+    if r.ndim != 1 or len(r) == 0 or not np.all(np.isfinite(r)) or np.any(r < 0):
+        raise ValueError("radii must be a nonempty 1D array of finite nonnegative reals")
+    return r
 
 
 def limiting_density_profile(
@@ -417,10 +423,7 @@ def limiting_density_profile(
     Sharing samples across radii gives a full covariance matrix, so
     differences along the profile carry honest (and small) error bars.
     """
-    _check_profile_chain(chain)
-    r = np.asarray(radii, dtype=float)
-    if r.ndim != 1 or len(r) == 0 or not np.all(np.isfinite(r)) or np.any(r < 0):
-        raise ValueError("radii must be a nonempty 1D array of finite nonnegative reals")
+    r = _profile_radii(chain, radii)
     planar = [(float(x * x), [1.0]) for x in r]
     values, cov = _cone_estimate(chain, planar, n, seed)
     return ProfileEstimate(radii=r, values=values, cov=cov, n=n, seed=seed)
@@ -690,9 +693,9 @@ def _refined(chain: ChainSpec, planar, ns: int, na: int, nr: int):
     return fine, float(max(abs(fine - coarse), 16.0 * np.finfo(float).eps * abs(fine))), cells
 
 
-def _point_mass(nr: int):
-    """The planar rule of a simplex, the point mass at radius 0, at any nr."""
-    return np.zeros(1), np.ones(1)
+def _point_mass(nr: int, r2: float = 0.0):
+    """The planar rule of the point mass at squared radius r2, at any nr."""
+    return np.full(1, r2), np.ones(1)
 
 
 def _normalised_rule(domain, nr: int):
@@ -744,6 +747,14 @@ def quadrature_density(
         planar = functools.partial(_normalised_rule, config.domain)
     value, err, n_cells = _refined(config.chain, planar, ns, na, nr)
     return DensityEstimate(value=value, stderr=err, n=n_cells, seed=0, method="quadrature")
+
+
+def quadrature_profile(chain: ChainSpec, radii) -> tuple[np.ndarray, np.ndarray]:
+    """limiting_density_profile's densities by quadrature, as (values, refinement
+    errors): quadrature_density's passes with the point mass at each radius."""
+    rows = [_refined(chain, functools.partial(_point_mass, r2=x * x), *_RESOLUTION)[:2]
+            for x in _profile_radii(chain, radii)]
+    return tuple(np.array(rows).T)
 
 
 def quadrature_gap(d: int) -> tuple[float, float]:

@@ -1,16 +1,15 @@
 """Brute-force verification of the inequality chain behind the wedge bound.
 
 Each check re-derives one scalar claim by independent means (dense grids,
-finite differences, random admissible configurations, paired Monte-Carlo,
-the quadrature oracle) and emits a machine-readable record with the
-extremal witness, so a failure is reproducible from the report alone.
-Statistical checks all default to the command line's seed, DEFAULT_SEED,
-so ``run_checks()`` and ``packbounds verify`` decide each claim on the same
-draws.  They decide by a three-standard-error band; an inequality that is
-neither confirmed nor refuted beyond the band is reported as inconclusive
-together with a recommendation to raise the sample count.  Each check
-computes only what its claim needs: determinism in (seed, n) and the
-estimators' own properties are held by the test suite, not re-derived here.
+finite differences, random admissible configurations, the quadrature
+oracle) and emits a machine-readable record with the extremal witness, so a
+failure is reproducible from the report alone.  The five density checks
+take every density from the quadrature oracle and decide a comparison only
+beyond the sum of the two values' refinement errors (_decide); a strict
+claim within that sum is reported as inconclusive.  Only truncation-gain
+and truncated-max draw random configurations, from substreams of the
+command line's seed, DEFAULT_SEED, by default.  The oracle's agreement with
+the Monte-Carlo estimators is held by the test suite, not re-derived here.
 """
 
 from __future__ import annotations
@@ -22,13 +21,14 @@ import numpy as np
 
 from . import formulas as fm
 from . import geometry as geo
-from .density import limiting_density_profile, quadrature_density, surface_density
-from .streams import DEFAULT_SEED, spawn_key, substream
+from .density import quadrature_density, quadrature_profile
+from .streams import DEFAULT_SEED, substream
 
 __all__ = [
     "CheckResult",
     "REGISTRY",
     "MIN_D",
+    "out_of_range",
     "run_check",
     "run_checks",
     "check_floor_recursion",
@@ -80,6 +80,16 @@ def _result(name, failures, inconclusive, summary, witness) -> CheckResult:
     if inconclusive:
         return CheckResult(name, INCONCLUSIVE, inconclusive[0], witness)
     return CheckResult(name, PASS, summary, witness)
+
+
+def _decide(diff: float, err: float, strict: bool = False) -> str:
+    """The claim diff > 0 (strict) or diff >= 0, diff known to within err: it
+    fails below -err, a strict one is inconclusive within [-err, err]."""
+    if diff < -err:
+        return FAIL
+    if strict and diff <= err:
+        return INCONCLUSIVE
+    return PASS
 
 
 # ---------------------------------------------------------------------------
@@ -248,50 +258,45 @@ def check_radius_ratio(d: int = 8, grid: int = 1000) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# statistical checks
+# density comparisons by the quadrature oracle
 
 
-def check_profile_monotone(
-    d: int = 8, n_points: int = 6, n: int = 2 * 10**5, seed: int = DEFAULT_SEED
-) -> CheckResult:
+def check_profile_monotone(d: int = 8, n_points: int = 6) -> CheckResult:
     """Limiting density profile is nonincreasing in the local radius."""
     chain = geo.canonical_chain(d, d - 2)
     rmax = 2.0 * fm.sector_geometry(d).radius
     radii = np.linspace(0.0, rmax, n_points)
-    prof = limiting_density_profile(chain, radii, n, seed)
+    values, errors = quadrature_profile(chain, radii)
     failures = []
     for i in range(n_points - 1):
-        diff = prof.values[i] - prof.values[i + 1]
-        band = 3.0 * prof.diff_stderr(i, i + 1)
-        if diff < -band:
+        diff = values[i] - values[i + 1]
+        err = errors[i] + errors[i + 1]
+        if _decide(diff, err) == FAIL:
             failures.append(
                 f"profile increases from r={radii[i]:.6f} to r={radii[i+1]:.6f} "
-                f"by {-diff:.3e} > 3se={band:.3e}"
+                f"by {-diff:.3e} > error {err:.3e}"
             )
     return _result(
         "profile-monotone", failures, [],
         f"d={d}: profile nonincreasing over {n_points} radii in [0, {rmax:.4f}]",
         {
             "d": d,
-            "n": n,
-            "seed": seed,
+            "method": "quadrature",
             "radii": [float(r) for r in radii],
-            "values": [float(v) for v in prof.values],
-            "stderr": [float(s) for s in prof.stderr()],
+            "values": [float(v) for v in values],
+            "stderr": [float(e) for e in errors],
         },
     )
 
 
-def check_truncation_gain(
-    d: int = 8, n: int = 2 * 10**5, seed: int = DEFAULT_SEED
-) -> CheckResult:
+def check_truncation_gain(d: int = 8, seed: int = DEFAULT_SEED) -> CheckResult:
     """Cutting the base at the trace disc never lowers the surface density."""
     g0, _ = fm.truncation_scalars(d, fm.height_breakpoints(d)[0])
-    # (label, dimension, full domain, truncated domain, substream)
+    # (label, dimension, full domain, truncated domain)
     pairs = [
         # square of half-width 2 g0: sticks out of the disc, truncates to the disc
         ("square-2g0", d, geo.DiscPolygon(2.0 * g0 * math.sqrt(2.0) * 1.01, geo._square(2.0 * g0)),
-         geo.Disc(g0), 0),
+         geo.Disc(g0)),
     ]
     # a wider quadrilateral at d+2, same construction idea
     d2 = d + 2
@@ -300,28 +305,27 @@ def check_truncation_gain(
     if quad is not None:
         g0_2, _ = fm.truncation_scalars(d2, lo2)
         trunc_dom = geo.truncation_domain(d2, lo2, "disc_cap_polygon", vertices=quad)
-        pairs.append(("quadrilateral", d2, geo.DiscPolygon(4.0 * g0_2, quad), trunc_dom, 3))
+        pairs.append(("quadrilateral", d2, geo.DiscPolygon(4.0 * g0_2, quad), trunc_dom))
     failures = []
     rows = []
-    for label, dim, full_dom, trunc_dom, key in pairs:
+    for label, dim, full_dom, trunc_dom in pairs:
         chain = geo.canonical_chain(dim, dim - 2)
-        # one substream per pair, shared by its two sides
-        full = surface_density(geo.WedgeConfig(chain, full_dom), n, spawn_key(seed, key))
-        trunc = surface_density(geo.WedgeConfig(chain, trunc_dom), n, spawn_key(seed, key))
-        band = 3.0 * math.hypot(full.stderr, trunc.stderr)
+        full = quadrature_density(geo.WedgeConfig(chain, full_dom))
+        trunc = quadrature_density(geo.WedgeConfig(chain, trunc_dom))
+        band = full.stderr + trunc.stderr
         rows.append(
             {"pair": label, "full": full.value, "truncated": trunc.value,
              "band": band, "d": dim}
         )
-        if trunc.value < full.value - band:
+        if _decide(trunc.value - full.value, band) == FAIL:
             failures.append(
                 f"{label}: truncated density {trunc.value:.6f} below full {full.value:.6f}"
-                f" beyond 3se={band:.2e}"
+                f" beyond error {band:.2e}"
             )
     return _result(
         "truncation-gain", failures, [],
         f"truncation never lowered density across {len(rows)} domain pairs",
-        {"d": d, "n": n, "seed": seed, "pairs": rows},
+        {"d": d, "seed": seed, "method": "quadrature", "pairs": rows},
     )
 
 
@@ -361,16 +365,13 @@ def _random_admissible_quadrilateral(d: int, h: float, rng, attempts: int = 50):
     return None
 
 
-def check_truncated_max(
-    d: int = 8, trials: int = 50, n: int = 10**5, seed: int = DEFAULT_SEED
-) -> CheckResult:
+def check_truncated_max(d: int = 8, trials: int = 50, seed: int = DEFAULT_SEED) -> CheckResult:
     """Random admissible truncated wedges never beat the wedge bound.
 
     Type-I instances live at heights below the radii crossover and carry a
     disc-capped admissible quadrilateral; type-II instances live above the
-    crossover and carry the bare trace disc.  Each surface density must stay
-    within three combined standard errors of the wedge bound, which the
-    quadrature gives with its refinement error as reference_stderr.
+    crossover and carry the bare trace disc.  Each density must not exceed
+    the wedge bound beyond their summed refinement errors.
     """
     if d < MIN_D["truncated-max"]:
         raise ValueError("type-I truncated wedges require d >= 8")
@@ -380,7 +381,6 @@ def check_truncated_max(
     failures = []
     skipped = 0
     worst = {"excess": -math.inf}
-    rows = []
     for trial in range(trials):
         for kind in ("I", "II"):
             if kind == "I":
@@ -398,9 +398,8 @@ def check_truncated_max(
                 h = float(rng.uniform(mid, hi * (1.0 - 1e-6)))
                 domain = geo.truncation_domain(d, h, "disc")
             chain = _repaired_chain(d, d - 2, h, rng)
-            cfg = geo.WedgeConfig(chain, domain)
-            est = surface_density(cfg, n, spawn_key(seed, 2, trial, 0 if kind == "I" else 1))
-            band = 3.0 * math.hypot(est.stderr, ref.stderr)
+            est = quadrature_density(geo.WedgeConfig(chain, domain))
+            band = est.stderr + ref.stderr
             excess = est.value - ref.value
             if excess > worst["excess"]:
                 worst = {
@@ -411,10 +410,10 @@ def check_truncated_max(
                     "value": est.value,
                     "band": band,
                 }
-            if excess > band:
+            if _decide(-excess, band) == FAIL:
                 failures.append(
                     f"type-{kind} trial {trial} at h={h:.6f} exceeds the bound by "
-                    f"{excess:.3e} > 3se={band:.3e}"
+                    f"{excess:.3e} > error {band:.3e}"
                 )
     # boundary anchor: type-II at the crossover equals the disc-capped square
     disc_dom = geo.truncation_domain(d, mid, "disc")
@@ -428,8 +427,8 @@ def check_truncated_max(
         f"({skipped} skipped as inadmissible); worst excess {worst['excess']:.3e}",
         {
             "d": d,
-            "n": n,
             "seed": seed,
+            "method": "quadrature",
             "reference": ref.value,
             "reference_stderr": ref.stderr,
             "skipped": skipped,
@@ -439,38 +438,32 @@ def check_truncated_max(
     )
 
 
-def check_square_cap(
-    d: int = 8, h_grid: int = 5, n: int = 2 * 10**5, seed: int = DEFAULT_SEED
-) -> CheckResult:
+def check_square_cap(d: int = 8, h_grid: int = 5) -> CheckResult:
     """Disc-capped-square density falls as the face height grows.
 
     The value at the lowest height must reproduce the wedge bound (the
-    capped region splits into congruent copies of the base domain there),
-    taken from the quadrature.
+    capped region splits into congruent copies of the base domain there)
+    within the two values' summed refinement errors.
     """
     if d < MIN_D["square-cap-monotone"]:
         raise ValueError("the capped-square sweep is stated for d >= 8")
     lo, mid, _ = fm.height_breakpoints(d)
     hs = np.linspace(lo, mid, h_grid, endpoint=False)
-    ests = []
-    for i, h in enumerate(hs):
-        cfg = geo.truncated_wedge(d, float(h), "disc_cap_square")
-        ests.append(surface_density(cfg, n, spawn_key(seed, i)))
+    ests = [quadrature_density(geo.truncated_wedge(d, float(h), "disc_cap_square")) for h in hs]
     failures = []
     for i in range(len(hs) - 1):
         diff = ests[i].value - ests[i + 1].value
-        band = 3.0 * math.hypot(ests[i].stderr, ests[i + 1].stderr)
-        if diff < -band:
+        if _decide(diff, ests[i].stderr + ests[i + 1].stderr) == FAIL:
             failures.append(
                 f"density rises from h={hs[i]:.6f} to h={hs[i+1]:.6f} by {-diff:.3e}"
             )
     ref = quadrature_density(geo.canonical_wedge(d))
     anchor_dev = abs(ests[0].value - ref.value)
-    band0 = 3.0 * math.hypot(ests[0].stderr, ref.stderr)
-    if anchor_dev > band0:
+    band0 = ests[0].stderr + ref.stderr
+    if _decide(-anchor_dev, band0) == FAIL:
         failures.append(
             f"lowest-height value {ests[0].value:.6f} does not reproduce the bound "
-            f"{ref.value:.6f} (dev {anchor_dev:.3e} > 3se={band0:.3e})"
+            f"{ref.value:.6f} (dev {anchor_dev:.3e} > error {band0:.3e})"
         )
     g0_lo, g_lo = fm.truncation_scalars(d, lo)
     return _result(
@@ -479,8 +472,7 @@ def check_square_cap(
         f"anchor matches the bound within {band0:.1e}",
         {
             "d": d,
-            "n": n,
-            "seed": seed,
+            "method": "quadrature",
             "heights": [float(h) for h in hs],
             "values": [e.value for e in ests],
             "stderr": [e.stderr for e in ests],
@@ -491,44 +483,34 @@ def check_square_cap(
     )
 
 
-def check_chain_inflation(
-    d: int = 5, n: int = 2 * 10**5, seed: int = DEFAULT_SEED
-) -> CheckResult:
+def check_chain_inflation(d: int = 5) -> CheckResult:
     """Inflating chain norms can only lower the density, strictly when large.
 
     Compares the canonical simplex against elementwise and single-coordinate
-    inflations; a uniform inflation beyond five percent must separate by
-    more than three combined standard errors.
+    inflations; each must lower the density by more than the two values'
+    summed refinement errors.
     """
-    # (case, failure subject, inconclusive subject, dimension, multipliers)
-    cases = [
-        # elementwise 10 percent: strict decrease expected
-        ("uniform-1.1", "uniform", "uniform-1.1", d, [1.1] * d),
-        # single-coordinate inflation at d=8
-        ("last-coordinate-1.2", "single-coordinate", "last-coordinate", 8, [1.0] * 7 + [1.2]),
-    ]
-    failures = []
-    inconclusive = []
-    rows = []
-    canonical = []
-    for k, (case, what, note, dim, mults) in enumerate(cases):
-        base = surface_density(geo.canonical_simplex(dim), n, spawn_key(seed, 2 * k))
+    # (case, dimension, multipliers): elementwise 10 percent, and one coordinate at d=8
+    cases = [("uniform-1.1", d, [1.1] * d), ("last-coordinate-1.2", 8, [1.0] * 7 + [1.2])]
+    failures, inconclusive, rows, canonical = [], [], [], []
+    for case, dim, mults in cases:
+        base = quadrature_density(geo.canonical_simplex(dim))
         xi = tuple(fm.chain_floor(i + 1) * m for i, m in enumerate(mults))
-        cfg = geo.WedgeConfig(geo.ChainSpec(d=dim, k=dim, xi=xi))
-        est = surface_density(cfg, n, spawn_key(seed, 2 * k + 1))
+        est = quadrature_density(geo.WedgeConfig(geo.ChainSpec(d=dim, k=dim, xi=xi)))
         canonical.append(base.value)
         sep = base.value - est.value
-        band = 3.0 * math.hypot(base.stderr, est.stderr)
+        band = base.stderr + est.stderr
         rows.append({"case": case, "density": est.value, "separation": sep, "band": band})
-        if sep < 0.0 and abs(sep) > band:
-            failures.append(f"{what} inflation raised the density by {-sep:.3e}")
-        elif sep <= band:
-            inconclusive.append(f"{note} separation within the error band; raise n")
+        status = _decide(sep, band, strict=True)
+        if status == FAIL:
+            failures.append(f"{case} inflation raised the density by {-sep:.3e}")
+        elif status == INCONCLUSIVE:
+            inconclusive.append(f"{case} separation {sep:.3e} within the error {band:.3e}")
     return _result(
         "chain-inflation", failures, inconclusive,
         f"inflated chains strictly below canonical (separations "
         f"{rows[0]['separation']:.2e}, {rows[1]['separation']:.2e})",
-        {"d": d, "n": n, "seed": seed, "canonical": canonical[0], "cases": rows},
+        {"d": d, "method": "quadrature", "canonical": canonical[0], "cases": rows},
     )
 
 
@@ -546,6 +528,11 @@ REGISTRY = {
 }
 
 
+def out_of_range(names, d: int | None) -> list[str]:
+    """The named checks whose d range excludes d, each as 'name (d >= MIN_D)'."""
+    return [f"{n} (d >= {MIN_D[n]})" for n in names if d is not None and d < MIN_D.get(n, d)]
+
+
 def run_check(name: str, **overrides) -> CheckResult:
     if name not in REGISTRY:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(sorted(REGISTRY))}")
@@ -558,5 +545,8 @@ def run_check(name: str, **overrides) -> CheckResult:
 
 
 def run_checks(names=None, **overrides) -> list[CheckResult]:
+    """Run the named checks, all by default; none if d is out of any one's range."""
     selected = list(REGISTRY) if not names else list(names)
+    if rejecting := out_of_range(selected, overrides.get("d")):
+        raise ValueError(f"d = {overrides['d']} is outside the range of {', '.join(rejecting)}")
     return [run_check(name, **overrides) for name in selected]

@@ -222,12 +222,12 @@ def test_12_profile_representation():
 
 
 def test_13_truncation_spot_checks():
-    r1 = vf.check_truncation_gain(d=8, n=2 * 10**5, seed=spawn_key(SEED, 13, 1))
+    r1 = vf.check_truncation_gain(d=8, seed=spawn_key(SEED, 13, 1))
     assert r1.passed, r1.summary
-    r2 = vf.check_truncated_max(d=8, trials=50, n=10**5, seed=spawn_key(SEED, 13, 2))
+    r2 = vf.check_truncated_max(d=8, trials=50, seed=spawn_key(SEED, 13, 2))
     assert r2.passed, r2.summary
     assert r2.witness["skipped"] <= 10
-    r3 = vf.check_square_cap(d=8, h_grid=5, n=2 * 10**5, seed=spawn_key(SEED, 13, 3))
+    r3 = vf.check_square_cap(d=8, h_grid=5)
     assert r3.passed, r3.summary
     report(13, "truncation raises density; 100 random admissible truncated "
                "wedges stay below the bound; capped-square sweep nonincreasing "

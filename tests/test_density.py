@@ -458,6 +458,42 @@ def test_limiting_density_validation():
             dn.limiting_density_profile(chain, [0.1, bad], 1000, 1)
 
 
+def test_quadrature_profile_is_linear_in_the_planar_rule():
+    # the recursion is linear in the planar factor, so the radial rule's
+    # weighted sum of point-mass profiles is the wedge's own quadrature
+    r2, w = dn._normalised_rule(geo.wedge_domain(8), 16)
+    values, errors = dn.quadrature_profile(geo.canonical_chain(8, 6), np.sqrt(r2))
+    hat = dn.quadrature_density(geo.canonical_wedge(8))
+    assert abs(w @ values - hat.value) <= w @ errors + hat.stderr
+
+
+def test_quadrature_profile_matches_monte_carlo():
+    # at profile-monotone's six radii, with the command's seed fixed in advance
+    from packbounds.streams import DEFAULT_SEED
+
+    chain = geo.canonical_chain(8, 6)
+    radii = np.linspace(0.0, 2.0 * fm.sector_geometry(8).radius, 6)
+    values, errors = dn.quadrature_profile(chain, radii)
+    assert np.all(errors <= 1e-14 * values)
+    prof = dn.limiting_density_profile(chain, radii, 2 * 10**5, DEFAULT_SEED)
+    assert np.all(np.abs(prof.values - values) <= 3.0 * prof.stderr())
+
+
+@pytest.mark.parametrize(
+    "k,radii",
+    [(8, [0.1]), (1, [0.1]), (6, [-0.1]), (6, []), (6, [[0.1]]), (6, [0.1, math.nan]),
+     (6, [0.1, math.inf])],
+)
+def test_quadrature_profile_validation_matches_monte_carlo(k, radii):
+    d = 3 if k == 1 else 8
+    chain = geo.canonical_chain(d, k)
+    with pytest.raises(ValueError) as mc:
+        dn.limiting_density_profile(chain, radii, 1000, 1)
+    with pytest.raises(ValueError) as quad:
+        dn.quadrature_profile(chain, radii)
+    assert str(quad.value) == str(mc.value)
+
+
 def test_profile_mean_reproduces_wedge_density():
     # area-weighted average of the limiting profile over the base domain
     d = 8

@@ -1,5 +1,8 @@
+import functools
 import json
+import math
 
+import numpy as np
 import pytest
 
 from packbounds import verify as vf
@@ -63,20 +66,21 @@ def test_radius_ratio_check(d):
 
 
 def test_profile_monotone_check():
-    r = vf.check_profile_monotone(d=8, n_points=5, n=60_000)
+    r = vf.check_profile_monotone(d=8, n_points=5)
     assert r.passed
+    assert r.witness["method"] == "quadrature"
     vals = r.witness["values"]
     assert len(vals) == 5
 
 
 def test_truncation_gain_check():
-    r = vf.check_truncation_gain(d=8, n=60_000)
+    r = vf.check_truncation_gain(d=8)
     assert r.passed
     assert [p["pair"] for p in r.witness["pairs"]] == ["square-2g0", "quadrilateral"]
 
 
 def test_truncated_max_check_small():
-    r = vf.check_truncated_max(d=8, trials=6, n=30_000)
+    r = vf.check_truncated_max(d=8, trials=6)
     assert r.passed
     assert r.witness["crossover_area_deviation"] < 1e-12
     with pytest.raises(ValueError):
@@ -84,9 +88,7 @@ def test_truncated_max_check_small():
 
 
 def test_square_cap_check_small():
-    import math
-
-    r = vf.check_square_cap(d=8, h_grid=3, n=60_000)
+    r = vf.check_square_cap(d=8, h_grid=3)
     assert r.passed
     assert r.witness["anchor_deviation"] <= 5e-3
     # square half-width at the lowest height is the clearance radius there
@@ -96,10 +98,39 @@ def test_square_cap_check_small():
 
 
 def test_chain_inflation_check():
-    r = vf.check_chain_inflation(d=5, n=60_000)
+    r = vf.check_chain_inflation(d=5)
     assert r.passed
     cases = {c["case"]: c for c in r.witness["cases"]}
     assert cases["uniform-1.1"]["separation"] > 0
+
+
+def test_density_checks_oracle_matches_monte_carlo(monkeypatch):
+    # every configuration the density checks hand the oracle, re-estimated by
+    # Monte-Carlo at n = 1e5 from the default seed's keyed streams; one pooled
+    # sum of z^2 against the chi-square 0.999 quantile, both fixed in advance
+    from scipy.stats import chi2
+
+    from packbounds.density import surface_density
+    from packbounds.streams import DEFAULT_SEED, spawn_key
+
+    seen = []
+    oracle = vf.quadrature_density
+
+    def recording(cfg):
+        seen.append((cfg, oracle(cfg)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(vf, "quadrature_density", recording)
+    vf.check_truncation_gain()
+    vf.check_truncated_max(trials=3)
+    vf.check_square_cap()
+    vf.check_chain_inflation()
+    z2 = []
+    for k, (cfg, q) in enumerate(seen):
+        m = surface_density(cfg, 10**5, spawn_key(DEFAULT_SEED, k))
+        z2.append(((m.value - q.value) / math.hypot(m.stderr, q.stderr)) ** 2)
+    assert len(z2) == 21
+    assert sum(z2) <= chi2.ppf(0.999, len(z2))
 
 
 def test_run_checks_filters_overrides():
@@ -111,15 +142,58 @@ def test_run_checks_filters_overrides():
 
 
 def test_run_checks_matches_the_command(tmp_path, capsys):
-    # one default seed: the library and the command decide a claim on the same draws
+    # one default seed: the library and the command draw the same configurations
     from packbounds.cli import _round9, main
 
     out = tmp_path / "verify.json"
-    names = ["profile-monotone", "chain-inflation"]
-    assert main(["verify", *names, "--samples", "20000", "--out", str(out)]) == 0
+    names = ["profile-monotone", "truncation-gain", "chain-inflation"]
+    assert main(["verify", *names, "--out", str(out)]) == 0
     capsys.readouterr()
-    records = [_round9(r.to_dict()) for r in vf.run_checks(names, n=20000)]
+    records = [_round9(r.to_dict()) for r in vf.run_checks(names)]
     assert records == json.loads(out.read_text())["checks"]
+
+
+def test_run_checks_rejects_d_before_running(monkeypatch):
+    # the library path checks every selected check's d range up front, as
+    # the command does, so no partial result is computed and then lost
+    ran = []
+
+    def recording(name, fn):
+        @functools.wraps(fn)
+        def wrapper(**kwargs):
+            ran.append(name)
+            return fn(**kwargs)
+
+        return wrapper
+
+    for name, fn in list(vf.REGISTRY.items()):
+        monkeypatch.setitem(vf.REGISTRY, name, recording(name, fn))
+    with pytest.raises(ValueError, match=r"^d = 6 is outside the range of truncated-max "
+                       r"\(d >= 8\), square-cap-monotone \(d >= 8\)$"):
+        vf.run_checks(d=6, grid=1000)
+    assert ran == []
+    (r,) = vf.run_checks(["tilt-extremum"], d=6, grid=1000)
+    assert ran == ["tilt-extremum"] and r.passed and r.witness["d"] == 6
+
+
+@pytest.mark.parametrize(
+    "diff,strict,status",
+    [
+        # violated beyond the error: fails, strict or not
+        (np.nextafter(-1.0, -2.0), False, "fail"),
+        (np.nextafter(-1.0, -2.0), True, "fail"),
+        # within the error: passes when non-strict, undecided when strict
+        (-1.0, False, "pass"),
+        (-1.0, True, "inconclusive"),
+        (0.0, True, "inconclusive"),
+        (1.0, True, "inconclusive"),
+        # beyond the error: passes
+        (np.nextafter(1.0, 2.0), True, "pass"),
+        (np.nextafter(1.0, 2.0), False, "pass"),
+    ],
+)
+def test_decide_boundaries(diff, strict, status):
+    assert vf._decide(diff, 1.0, strict=strict) == status
 
 
 def test_check_results_serialize():
