@@ -64,6 +64,7 @@ from .formulas import unit_ball_volume
 from .geometry import (
     ChainSpec,
     WedgeConfig,
+    _gauss_legendre,
     _ordered_chain,
     canonical_chain,
     canonical_simplex,
@@ -469,26 +470,6 @@ _TABLE_POINTS = 64
 def _chebyshev_angles(n: int) -> np.ndarray:
     """theta_j of the Chebyshev-Gauss nodes x_j = (1 + cos theta_j)/2 of [0, 1]."""
     return (np.arange(n) + 0.5) * (math.pi / n)
-
-
-def _gauss_legendre(m: int):
-    """Gauss-Legendre nodes and weights of [-1, 1], to a few ulp.
-
-    numpy's leggauss leaves moment errors near 1e-14 (a w^40 weight summed
-    to 1 - 1.8e-13 with 76 nodes), and the chain recursion compounds them
-    once per level; three Newton steps on the three-term recurrence polish
-    the nodes, and the weights 2 / ((1 - x^2) P_m'(x)^2) follow.  Called
-    only when an operator is built, as numpy.polynomial is not loaded at
-    import.
-    """
-    x = np.polynomial.legendre.leggauss(m)[0]
-    for _ in range(3):
-        p0, p1 = np.ones_like(x), x.copy()
-        for k in range(2, m + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        slope = m * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / slope
-    return x, 2.0 / ((1.0 - x * x) * slope * slope)
 
 
 def _averaging_operator(n: int, a: int) -> np.ndarray:

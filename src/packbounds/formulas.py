@@ -26,7 +26,10 @@ Truncation radii at face height h (d >= 4, m_{d-2} <= h < sqrt(2d/(d+1))):
 
 Sector geometry (d >= 4): the planar base domain is a right triangle with
 legs h_{d-1}, h_d completed by a circular sector of radius 2/sqrt(d^2-1)
-so that the total angle at the corner is pi/4.
+so that the total angle at the corner is pi/4.  That radius is the
+triangle's hypotenuse |(h_{d-1}, h_d)|, so the domain is the disc of that
+radius cut by the triangle (0, 0), (h_{d-1}, 0), (h_{d-1}, h_{d-1}), and
+the sector alone is the disc cut by (0, 0), (h_{d-1}, h_d), (h_{d-1}, h_{d-1}).
 
 Tilt extremal problem (d >= 4): with l^2 = 2d/(d+1) fixed, the angles of
 the extremal tangent configuration at ring parameter x satisfy

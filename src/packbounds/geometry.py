@@ -23,9 +23,11 @@ y in the base hyperplane {x_1 = xi_1} belongs to the simplex base iff
 and to the wedge base iff the inequalities hold through level d-2 with
 a = y_{d-2}/eta_{d-2}, and (y_{d-1}/a, y_d/a) lies in the domain.
 
-Planar domains: the wedge's Triangle and Sector (a UnionDomain), the
-trace Disc, and DiscPolygon, a disc cut by a convex polygon around the
-origin, of which truncation_domain's disc-capped square is one.
+Planar domains: the trace Disc, and DiscPolygon, a disc centred at the
+origin cut by a convex polygon.  The wedge's triangle, its sector and their
+union are each the disc of radius 2/sqrt(d^2 - 1) cut by a triangle
+cornered at the origin; truncation_domain's capped square and polygons are
+cut by polygons around it.
 
 Uniform sampling sorts d - 1 uniforms: their order statistics are the
 simplex levels, and for the wedge the join parameter t = y_{d-2}/eta_{d-2},
@@ -45,7 +47,6 @@ from .formulas import (
     EDGE_TOL,
     chain_floor,
     chain_height,
-    sector_geometry,
     truncation_scalars,
 )
 
@@ -53,11 +54,8 @@ __all__ = [
     "ChainSpec",
     "canonical_chain",
     "PlanarDomain",
-    "Triangle",
-    "Sector",
     "Disc",
     "DiscPolygon",
-    "UnionDomain",
     "wedge_domain",
     "sector_domain",
     "triangle_domain",
@@ -147,9 +145,9 @@ def _as_points(pts) -> np.ndarray:
 def _fan_measure(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Angular measure at radii r of the triangle (origin, a, b).
 
-    Assumes the edge a -> b subtends less than pi as seen from the origin
-    (always true for edges of a convex region containing the origin and for
-    triangle fans).  Degenerate edges through the origin contribute zero.
+    Signed: negative when a -> b turns clockwise about the origin, so the
+    sum over a polygon's edges measures the polygon wherever the origin
+    lies.  An edge whose line passes through the origin contributes zero.
     """
     r = np.asarray(r, dtype=float)
     na, nb = math.hypot(*a), math.hypot(*b)
@@ -218,7 +216,7 @@ def _inside_edges(p: np.ndarray, verts: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _fan_radial_mass(r, verts: np.ndarray) -> np.ndarray:
-    """Radial mass of a polygon containing the origin, as a fan of edge triangles."""
+    """Radial mass of a convex polygon, as a signed fan of edge triangles."""
     r = np.asarray(r, dtype=float)
     meas = np.zeros_like(r)
     for i in range(len(verts)):
@@ -251,30 +249,50 @@ def _polar_points(R: float, ang0: float, ang1: float, n: int, rng) -> np.ndarray
     return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
 
 
-def _disc_rejection(R: float, n: int, rng, accept) -> np.ndarray:
-    """n uniform points of the disc of radius R for which accept(points) holds."""
-    out = np.empty((n, 2))
-    got = 0
-    while got < n:
-        cand = _polar_points(R, 0.0, 2.0 * math.pi, max(2 * (n - got), 64), rng)
-        keep = cand[accept(cand)]
-        take = min(n - got, len(keep))
-        out[got : got + take] = keep[:take]
-        got += take
-    return out
+def _angular_span(verts: np.ndarray) -> tuple[float, float]:
+    """Angles ang0 < ang1 between which a convex polygon lies, seen from the origin.
+
+    The whole turn when no gap between the vertex directions exceeds pi (the
+    origin inside the polygon or on its boundary); otherwise the complement
+    of the largest gap.  A vertex at the origin has no direction.
+    """
+    ang = np.sort([math.atan2(v[1], v[0]) for v in verts if v[0] or v[1]])
+    gaps = np.diff(ang, append=ang[0] + 2.0 * math.pi)
+    k = int(np.argmax(gaps))
+    if gaps[k] <= math.pi:
+        return 0.0, 2.0 * math.pi
+    if k == len(ang) - 1:
+        return float(ang[0]), float(ang[k])
+    return float(ang[k + 1]), float(ang[k]) + 2.0 * math.pi
 
 
 # Gauss-Legendre nodes per breakpoint piece in PlanarDomain.radial_moments
 _MOMENT_NODES = 64
 
 
+def _gauss_legendre(m: int):
+    """Gauss-Legendre nodes and weights of [-1, 1], to a few ulp.
+
+    numpy's leggauss leaves moment errors near 1e-14 (a w^40 weight summed
+    to 1 - 1.8e-13 with 76 nodes), and the chain recursion compounds them
+    once per level; three Newton steps on the three-term recurrence polish
+    the nodes, and the weights 2 / ((1 - x^2) P_m'(x)^2) follow.  Called
+    only when a rule is built, as numpy.polynomial is not loaded at import.
+    """
+    x = np.polynomial.legendre.leggauss(m)[0]
+    for _ in range(3):
+        p0, p1 = np.ones_like(x), x.copy()
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = m * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / slope
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
 @functools.lru_cache(maxsize=8)
 def _cosine_gauss_legendre(n: int):
-    """Nodes u = (1 - cos theta)/2 in [0, 1] and weights of the n-node radial rule.
-
-    Built on first use, as numpy.polynomial is not loaded at import.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Nodes u = (1 - cos theta)/2 in [0, 1] and weights of the n-node radial rule."""
+    x, w = _gauss_legendre(n)
     theta = 0.5 * math.pi * (x + 1.0)
     return 0.5 * (1.0 - np.cos(theta)), 0.25 * math.pi * w * np.sin(theta)
 
@@ -334,72 +352,6 @@ class PlanarDomain:
         return nu
 
 
-class Triangle(PlanarDomain):
-    kind = "triangle"
-
-    def __init__(self, v0, v1, v2):
-        verts = np.asarray([v0, v1, v2], dtype=float)
-        e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
-        area2 = float(e1[0] * e2[1] - e1[1] * e2[0])
-        if area2 < 0:
-            verts = verts[::-1]
-            area2 = -area2
-        if area2 <= 0:
-            raise ValueError("degenerate triangle")
-        self.vertices = verts
-        self.area = 0.5 * area2
-        self.max_radius = float(np.max(np.hypot(verts[:, 0], verts[:, 1])))
-
-    def contains(self, pts, tol: float = EDGE_TOL):
-        return _inside_edges(_as_points(pts), self.vertices, tol)
-
-    def sample(self, n, rng):
-        u = rng.random((n, 2))
-        flip = u.sum(axis=1) > 1.0
-        u[flip] = 1.0 - u[flip]
-        v = self.vertices
-        return v[0] + u[:, :1] * (v[1] - v[0]) + u[:, 1:] * (v[2] - v[0])
-
-    def radial_mass(self, r):
-        return _fan_radial_mass(r, self.vertices)
-
-    def radial_breakpoints(self):
-        return _polygon_breakpoints(self.vertices, self.max_radius)
-
-
-class Sector(PlanarDomain):
-    """Circular sector centered at the origin, angles [ang0, ang1], span < pi."""
-
-    kind = "sector"
-
-    def __init__(self, radius, ang0, ang1):
-        if radius <= 0:
-            raise ValueError("sector radius must be positive")
-        if not (0 < ang1 - ang0 < math.pi):
-            raise ValueError("sector span must lie in (0, pi)")
-        self.radius = float(radius)
-        self.ang0 = float(ang0)
-        self.ang1 = float(ang1)
-        self.area = 0.5 * radius * radius * (ang1 - ang0)
-        self.max_radius = float(radius)
-        self._u0 = np.array([math.cos(ang0), math.sin(ang0)])
-        self._u1 = np.array([math.cos(ang1), math.sin(ang1)])
-
-    def contains(self, pts, tol: float = EDGE_TOL):
-        p = _as_points(pts)
-        r = np.hypot(p[:, 0], p[:, 1])
-        side0 = self._u0[0] * p[:, 1] - self._u0[1] * p[:, 0]
-        side1 = self._u1[0] * p[:, 1] - self._u1[1] * p[:, 0]
-        return (r <= self.radius + tol) & (side0 >= -tol) & (side1 <= tol)
-
-    def sample(self, n, rng):
-        return _polar_points(self.radius, self.ang0, self.ang1, n, rng)
-
-    def radial_mass(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= self.radius, (self.ang1 - self.ang0) * r, 0.0)
-
-
 class Disc(PlanarDomain):
     kind = "disc"
 
@@ -423,7 +375,10 @@ class Disc(PlanarDomain):
 
 
 class DiscPolygon(PlanarDomain):
-    """Disc of radius R intersected with a convex polygon containing the origin."""
+    """Disc of radius R centred at the origin, intersected with a convex polygon.
+
+    The origin may lie inside the polygon, on its boundary or outside it.
+    """
 
     kind = "disc_cap_polygon"
 
@@ -446,21 +401,21 @@ class DiscPolygon(PlanarDomain):
             e = b - a
             f = verts[(i + 2) % len(verts)] - b
             cr = float(e[0] * f[1] - e[1] * f[0])
-            if cr < -1e-12:
-                raise ValueError("polygon must be convex")
-            p = (a[0] * b[1] - a[1] * b[0]) / math.hypot(*e)
-            if p <= 0:
-                raise ValueError("polygon must contain the origin strictly")
-            self._edge_dist.append(p)
+            ln = math.hypot(*e)
+            if area2 == 0.0 or ln == 0.0 or cr < -1e-12:
+                raise ValueError("polygon must be convex, with distinct vertices and positive area")
+            # signed distance of the edge's line, positive on the origin's side
+            self._edge_dist.append((a[0] * b[1] - a[1] * b[0]) / ln)
+        # with the origin outside, the polygon's nearest point lies on an edge
+        if min(self._edge_dist) < 0.0 and _polygon_breakpoints(verts, math.inf)[1] >= radius:
+            raise ValueError("polygon must meet the open disc")
         self.radius = float(radius)
         self.vertices = verts
-        self.area = sum(
+        self.area = float(sum(
             _segment_circle_area(verts[i], verts[(i + 1) % len(verts)], self.radius)
             for i in range(len(verts))
-        )
-        self.max_radius = float(
-            min(self.radius, float(np.max(np.hypot(verts[:, 0], verts[:, 1]))))
-        )
+        ))
+        self.max_radius = min(self.radius, max(math.hypot(*v) for v in verts))
 
     def contains(self, pts, tol: float = EDGE_TOL):
         p = _as_points(pts)
@@ -468,9 +423,19 @@ class DiscPolygon(PlanarDomain):
         return (r <= self.radius + tol) & _inside_edges(p, self.vertices, tol)
 
     def sample(self, n, rng):
-        # the polygon contains disc(min edge distance), so acceptance from the
-        # enclosing disc is at least (min_dist/R)^2
-        return _disc_rejection(self.radius, n, rng, lambda c: self.contains(c, tol=0.0))
+        # rejection from the polar sector of radius max_radius spanning the
+        # polygon's directions, so that a polygon cornered at the origin is
+        # not drawn from the whole disc
+        span = _angular_span(self.vertices)
+        out = np.empty((n, 2))
+        got = 0
+        while got < n:
+            cand = _polar_points(self.max_radius, *span, max(2 * (n - got), 64), rng)
+            keep = cand[self.contains(cand, tol=0.0)]
+            take = min(n - got, len(keep))
+            out[got : got + take] = keep[:take]
+            got += take
+        return out
 
     def radial_mass(self, r):
         r = np.asarray(r, dtype=float)
@@ -480,70 +445,45 @@ class DiscPolygon(PlanarDomain):
         return _polygon_breakpoints(self.vertices, self.max_radius)
 
 
-class UnionDomain(PlanarDomain):
-    """Disjoint union of planar domains (components may share boundary only)."""
-
-    kind = "union"
-
-    def __init__(self, components):
-        comps = list(components)
-        if not comps:
-            raise ValueError("empty union")
-        self.components = comps
-        self.area = sum(c.area for c in comps)
-        self.max_radius = max(c.max_radius for c in comps)
-
-    def contains(self, pts, tol: float = EDGE_TOL):
-        p = _as_points(pts)
-        ok = np.zeros(len(p), dtype=bool)
-        for c in self.components:
-            ok |= c.contains(p, tol)
-        return ok
-
-    def sample(self, n, rng):
-        weights = np.array([c.area for c in self.components])
-        weights = weights / weights.sum()
-        counts = rng.multinomial(n, weights)
-        parts = [c.sample(int(m), rng) for c, m in zip(self.components, counts) if m > 0]
-        pts = np.concatenate(parts, axis=0)
-        rng.shuffle(pts, axis=0)
-        return pts
-
-    def radial_mass(self, r):
-        r = np.asarray(r, dtype=float)
-        total = np.zeros_like(r)
-        for c in self.components:
-            total = total + c.radial_mass(r)
-        return total
-
-    def radial_breakpoints(self):
-        pts = set()
-        for c in self.components:
-            pts.update(c.radial_breakpoints())
-        return sorted(pts)
-
-
-def triangle_domain(d: int) -> Triangle:
-    """Right triangle with legs h_{d-1}, h_d at the chain endpoint."""
+def _corner(d: int) -> tuple[float, float, float]:
+    """Legs h_{d-1}, h_d of the wedge's corner triangle and its hypotenuse R."""
     if d < 4:
-        raise ValueError(f"triangle domain needs d >= 4, got {d}")
+        raise ValueError(f"wedge base domains need d >= 4, got {d}")
     a, b = chain_height(d - 1), chain_height(d)
-    return Triangle((0.0, 0.0), (a, 0.0), (a, b))
+    return a, b, math.hypot(a, b)
 
 
-def sector_domain(d: int) -> Sector:
-    """Circular sector closing the corner angle of the triangle to pi/4."""
-    geo = sector_geometry(d)
-    return Sector(geo.radius, geo.alpha, math.pi / 4.0)
+def triangle_domain(d: int) -> DiscPolygon:
+    """Right triangle with legs h_{d-1}, h_d at the chain endpoint.
+
+    It is the disc of radius R = |(h_{d-1}, h_d)| = 2/sqrt(d^2 - 1), which
+    holds it, cut by the triangle itself.
+    """
+    a, b, R = _corner(d)
+    return DiscPolygon(R, [(0.0, 0.0), (a, 0.0), (a, b)])
 
 
-def wedge_domain(d: int) -> UnionDomain:
+def sector_domain(d: int) -> DiscPolygon:
+    """Circular sector of radius R closing the triangle's corner angle to pi/4.
+
+    It is the disc of radius R cut by the triangle (0, 0), (h_{d-1}, h_d),
+    (h_{d-1}, h_{d-1}): at angles alpha <= phi <= pi/4, where cos alpha =
+    h_{d-1}/R, the disc already keeps x <= R cos phi <= h_{d-1}.
+    """
+    a, b, R = _corner(d)
+    return DiscPolygon(R, [(0.0, 0.0), (a, b), (a, a)])
+
+
+def wedge_domain(d: int) -> DiscPolygon:
     """Triangle and sector joined along the common corner ray.
 
     Local coordinates sit in the terminal 2-plane with origin at the chain
-    endpoint; the union subtends exactly the angle pi/4 there.
+    endpoint; the union subtends exactly the angle pi/4 there, and it is
+    the disc of radius R cut by the triangle (0, 0), (h_{d-1}, 0),
+    (h_{d-1}, h_{d-1}).
     """
-    return UnionDomain([triangle_domain(d), sector_domain(d)])
+    a, _, R = _corner(d)
+    return DiscPolygon(R, [(0.0, 0.0), (a, 0.0), (a, a)])
 
 
 def _square(half_width: float) -> list[tuple[float, float]]:

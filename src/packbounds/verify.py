@@ -375,6 +375,8 @@ def check_truncated_max(d: int = 8, trials: int = 50, seed: int = DEFAULT_SEED) 
     """
     if d < MIN_D["truncated-max"]:
         raise ValueError("type-I truncated wedges require d >= 8")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     ref = quadrature_density(geo.canonical_wedge(d))
     lo, mid, hi = fm.height_breakpoints(d)
     rng = substream(seed, 1)

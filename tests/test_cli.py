@@ -117,6 +117,17 @@ def test_verify_all_defaults_pass(capsys):
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
+def test_verify_rejects_empty_truncated_max(capsys, tmp_path):
+    # zero trials would report "0 truncated wedges all below the bound" and
+    # write an excess of -Infinity, which is not JSON
+    out = tmp_path / "verify.json"
+    code, stdout, err = run_cli(capsys, "verify", "truncated-max", "--trials", "0",
+                                "--out", str(out))
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err == "error: trials must be >= 1\n"
+
+
 def test_verify_rejects_large_d(capsys):
     # the wedge's stratum edges overflow a double from d = 1031 on
     code, out, err = run_cli(capsys, "verify", "profile-monotone", "--d", "1100")

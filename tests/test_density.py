@@ -215,29 +215,30 @@ def _pinned_paths():
 
 # every pin was re-recorded when the chain draw became one sorted block of
 # d - 1 uniforms, post-stratified on its lead, in place of a stratified
-# inverse-CDF lead and a sorted tail (CHANGES.md lists the old and new
-# values, within 3 se); 1e-12 relative leaves room for the BLAS summation
-# order only
+# inverse-CDF lead and a sorted tail, and again when the wedge's triangle,
+# sector and union became disc-capped triangles on a Newton-polished radial
+# rule (CHANGES.md lists the old and new values, within 3 se); 1e-12
+# relative leaves room for the BLAS summation order only
 _PINNED = {
     "simplex": [0.25699775792204577, 0.0006465580072702997],
-    "wedge": [0.2561857691528334, 0.0012711948168404646],
-    "sector": [0.255351445448454, 0.0012677904607865495],
-    "disc_cap_square": [0.2554320975755494, 0.0012485767558130707],
-    "disc_cap_polygon": [0.2550703266648815, 0.0012471781390377737],
+    "wedge": [0.2561857691528328, 0.0012711948168404618],
+    "sector": [0.2553514454484536, 0.0012677904607865508],
+    "disc_cap_square": [0.2554320975755491, 0.0012485767558130692],
+    "disc_cap_polygon": [0.25507032666488105, 0.0012471781390377737],
     "profile": [
         0.2568289551221934, 0.25656764279105426, 0.2527111280683544,
         0.0012373231000118985, 0.001236261510691739, 0.001220632366092142,
         2.214998043294848e-05,
     ],
     "gap5": [
-        0.5248035181245064, 0.0012053804211530688,
-        0.5173789387700996, 0.00119250417543211,
-        0.0012657097144211215, 2.8387895568926788e-06,
+        0.5248035181245055, 0.001205380421153057,
+        0.5173789387700986, 0.0011925041754320981,
+        0.0012657097144211412, 2.8387895567496013e-06,
     ],
     "gap24": [
-        0.002490191965190944, 2.760241927814871e-05,
-        0.002489839301578922, 2.7599002078279095e-05,
-        1.41222394933645e-08, 1.8940007990001088e-10,
+        0.00249019196519094, 2.7602419278148663e-05,
+        0.0024898393015789183, 2.759900207827904e-05,
+        1.4122239493347134e-08, 1.8940008252626833e-10,
     ],
     "base_simplex": [
         1000.0, 506.2728085006854, 305.52237162146173, 196.74456749514385,
@@ -246,8 +247,8 @@ _PINNED = {
     ],
     "base_wedge": [
         1000.0, 506.2728085006854, 305.52237162146173, 196.74456749514385,
-        128.11581703696515, 80.40606667861408, 46.20772445543603, 23.05257337114613,
-        1428.7278571229565,
+        128.11581703696515, 80.40606667861408, 45.28758345246584, 22.87683277488786,
+        1428.5918444250292,
     ],
 }
 

@@ -64,14 +64,30 @@ def test_inflated_chain_heights():
 # planar domains
 
 
+def _triangle(*v):
+    """The triangle v as a DiscPolygon, its disc just reaching the farthest vertex."""
+    return geo.DiscPolygon(max(math.hypot(*p) for p in v), v)
+
+
 def test_wedge_domain_areas_d8():
-    dom = geo.wedge_domain(8)
-    tri, sec = dom.components
+    dom, tri, sec = geo.wedge_domain(8), geo.triangle_domain(8), geo.sector_domain(8)
     assert tri.area == pytest.approx(0.0157485, abs=1e-7)
     assert sec.area == pytest.approx(0.0019893, abs=1e-7)
     assert dom.area == pytest.approx(0.0177379, abs=2e-7)
-    # additivity is exact by construction
-    assert dom.area == tri.area + sec.area
+    assert sec.area == pytest.approx(0.5 * sec.radius**2 * fm.sector_geometry(8).theta, rel=1e-14)
+
+
+@pytest.mark.parametrize("d", range(4, 65))
+def test_wedge_domain_is_triangle_plus_sector(d):
+    # three disc-capped triangles on one disc: the wedge's area is the sum of
+    # the other two to a few ulp, and no radial rule has more than two pieces
+    dom, tri, sec = geo.wedge_domain(d), geo.triangle_domain(d), geo.sector_domain(d)
+    assert abs(dom.area - (tri.area + sec.area)) <= 4.0 * math.ulp(dom.area)
+    assert tri.area == 0.5 * fm.chain_height(d - 1) * fm.chain_height(d)
+    for part in (dom, tri, sec):
+        assert part.radius == pytest.approx(fm.sector_geometry(d).radius, rel=1e-15)
+        assert part.max_radius == pytest.approx(part.radius, rel=1e-15)
+        assert len(part.radial_breakpoints()) <= 3
 
 
 def test_wedge_domain_membership_examples():
@@ -93,6 +109,10 @@ def test_wedge_domain_membership_examples():
         lambda: geo.Disc(0.25),
         lambda: geo.DiscPolygon(0.25, geo._square(0.19)),
         lambda: geo.DiscPolygon(0.25, [(0.2, 0.21), (-0.23, 0.2), (-0.2, -0.22), (0.24, -0.2)]),
+        # the origin at a vertex, with the disc cutting the far side
+        lambda: geo.DiscPolygon(0.3, [(0.0, 0.0), (0.35, 0.05), (0.1, 0.32)]),
+        # the origin outside, with the disc cutting two sides
+        lambda: geo.DiscPolygon(0.3, [(0.1, -0.05), (0.4, 0.1), (0.2, 0.35), (-0.05, 0.15)]),
     ],
 )
 def test_domain_area_sampler_membership_consistency(make):
@@ -117,7 +137,7 @@ def triangles(draw):
     v = np.array([[draw(coord), draw(coord)] for _ in range(3)])
     e1, e2 = v[1] - v[0], v[2] - v[0]
     assume(abs(e1[0] * e2[1] - e1[1] * e2[0]) > 1e-2)
-    return geo.Triangle(*v)
+    return _triangle(*v)
 
 
 @st.composite
@@ -163,9 +183,9 @@ def radial_integral(dom, n=64):
 @given(domains)
 # an edge line that passes within rounding of the origin, where the fan
 # measure's foot angle is open to cancellation
-@example(geo.Triangle((-2.220446049250313e-16, 0.9999999999999999),
-                      (-0.820688136785924, -0.2182540773122461),
-                      (-1.0475074674389329e-252, -6.103515625e-05)))
+@example(_triangle((-2.220446049250313e-16, 0.9999999999999999),
+                   (-0.820688136785924, -0.2182540773122461),
+                   (-1.0475074674389329e-252, -6.103515625e-05)))
 # every side tangent to the disc: the area is the disc's, not the square's
 @example(geo.DiscPolygon(0.3, geo._square(0.3)))
 def test_radial_mass_integrates_to_area(dom):
@@ -192,9 +212,9 @@ def test_sector_moments_closed_form(d):
     "tri",
     [geo.triangle_domain(d) for d in (4, 8, 24, 42)]
     + [
-        geo.Triangle((0.0, 0.0), (0.3, 0.1), (0.05, 0.25)),
+        _triangle((0.0, 0.0), (0.3, 0.1), (0.05, 0.25)),
         # the origin's foot on the far edge lies outside that edge
-        geo.Triangle((0.3, 0.0), (0.0, 0.0), (0.5, 0.2)),
+        _triangle((0.3, 0.0), (0.0, 0.0), (0.5, 0.2)),
     ],
 )
 def test_vertex_triangle_moments_closed_form(tri):
@@ -205,10 +225,50 @@ def test_vertex_triangle_moments_closed_form(tri):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(domains, st.integers(0, 2**32 - 1))
+# the origin at a vertex, and outside with the disc cutting two sides
+@example(geo.sector_domain(42), 3)
+@example(geo.DiscPolygon(0.3, [(0.1, -0.05), (0.4, 0.1), (0.2, 0.35), (-0.05, 0.15)]), 5)
 def test_samples_lie_in_domain(dom, seed):
     pts = dom.sample(2000, np.random.default_rng(seed))
     assert pts.shape == (2000, 2)
     assert dom.contains(pts).all()
+
+
+@pytest.mark.parametrize(
+    "dom, span",
+    [
+        (geo.triangle_domain(42), (0.0, fm.sector_geometry(42).alpha)),
+        (geo.sector_domain(42), (fm.sector_geometry(42).alpha, math.pi / 4.0)),
+        (geo.wedge_domain(8), (0.0, math.pi / 4.0)),
+        (geo.DiscPolygon(0.25, geo._square(0.19)), (0.0, 2.0 * math.pi)),
+        # the largest gap between vertex directions straddles the angle pi
+        (_triangle((-1.0, 0.1), (-1.0, -0.1), (-0.5, -0.2)),
+         (math.atan2(0.1, -1.0), math.atan2(-0.2, -0.5) + 2.0 * math.pi)),
+    ],
+)
+def test_sampler_draws_from_the_angles_the_polygon_subtends(dom, span):
+    # rejection runs in the polar sector that the polygon subtends at the
+    # origin, so a thin sector is not drawn from its whole disc
+    assert geo._angular_span(dom.vertices) == pytest.approx(span, rel=1e-15, abs=1e-15)
+    pts = dom.sample(4000, np.random.default_rng(17))
+    turn = np.mod(np.arctan2(pts[:, 1], pts[:, 0]) - span[0] + 1e-12, 2.0 * math.pi)
+    assert turn.max() <= span[1] - span[0] + 2e-12
+
+
+def test_disc_polygon_validation():
+    with pytest.raises(ValueError, match="convex"):
+        geo.DiscPolygon(1.0, [(0.0, 0.0), (1.0, 0.0), (0.2, 0.2), (0.0, 1.0)])
+    with pytest.raises(ValueError, match="positive area"):
+        geo.DiscPolygon(1.0, [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)])
+    with pytest.raises(ValueError, match="distinct"):
+        geo.DiscPolygon(1.0, [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match="radius"):
+        geo.DiscPolygon(0.0, geo._square(0.5))
+    # a polygon outside the disc, and one touching it from outside
+    with pytest.raises(ValueError, match="meet"):
+        geo.DiscPolygon(0.1, [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0)])
+    with pytest.raises(ValueError, match="meet"):
+        geo.DiscPolygon(0.1, [(0.1, -1.0), (1.0, 0.0), (0.1, 1.0)])
 
 
 def test_disc_square_matches_polygon_route():

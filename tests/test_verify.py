@@ -85,6 +85,10 @@ def test_truncated_max_check_small():
     assert r.witness["crossover_area_deviation"] < 1e-12
     with pytest.raises(ValueError):
         vf.check_truncated_max(d=7)
+    # no trial checks nothing: it must not pass with a worst excess of -inf
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            vf.check_truncated_max(d=8, trials=trials)
 
 
 def test_square_cap_check_small():
