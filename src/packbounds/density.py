@@ -18,15 +18,23 @@ bounded by 1, so values always land in (0, 1).
 Each Monte-Carlo sample is one draw of the ordered chain from the shared
 kernel geometry._ordered_chain: d - 1 uniforms sorted, whose columns are
 the chain levels' coordinates.  The n samples come in 16 blocks, each from
-its own PCG64 substream keyed by (seed, block) (streams.substream), so
-results are reproducible bit-for-bit and independent of any parallel
-scheduling.  One estimator, _cone_estimate, serves sigma, sigma_hat and
-lambda.  The chain coordinates are never formed: _chain_norm2 contracts the
-squared draw with the levels' coefficients, one matrix-vector product per
-chunk.  The samples are post-stratified into 16 equal-probability strata of
-the lead coordinate (the join parameter t of a wedge, the leading ordered
-coordinate of a simplex), whose edges are the quantiles of its Beta law, so
-no inverse CDF is drawn through.  No planar point is drawn: given the chain
+its own PCG64 substream keyed by (seed, block) (streams.substream).  One
+estimator, _cone_estimate, serves sigma, sigma_hat and lambda, and runs the
+blocks on one thread per usable core, at most 16, the calling thread among
+them.  The caller opens every substream; each thread draws its blocks chunk
+by chunk and keeps only per-chunk partial sums, which the caller adds in
+(block, chunk) order.  A block's draws depend on its stream alone and the
+sums on that one order, so results are reproducible bit for bit and the
+same at any worker count, core layout or scheduling.  The kernel makes no
+BLAS call, so no BLAS thread pool spins against the workers: the chain
+coordinates are never formed, and _chain_norm2 contracts the squared draw
+with the levels' coefficients in one einsum loop per chunk.
+
+The samples are post-stratified into 16 equal-probability strata of the
+lead coordinate (the join parameter t of a wedge, the leading ordered
+coordinate of a simplex), whose edges are the quantiles of its Beta law,
+read off a lookup table over 4096 cells of [0, 1), so no inverse CDF is
+drawn through.  No planar point is drawn: given the chain
 draw, the mean over a wedge's planar domain is a one-dimensional integral
 against the domain's radial law, which a binomial series in the domain's
 radial moments evaluates exactly (conditional Monte Carlo, or
@@ -55,6 +63,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -95,6 +105,8 @@ __all__ = [
 
 _CHUNK = 1 << 17
 _STRATA = 16
+# cells of [0, 1) in a stratum lookup table (_stratum_table), at the least
+_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -178,6 +190,40 @@ def _stratum_edges(d: int, r: int) -> np.ndarray:
     return edges
 
 
+@functools.lru_cache(maxsize=None)
+def _stratum_table(d: int, r: int):
+    """(cells, lo, upper): the strata of _stratum_edges(d, r) as a lookup table.
+
+    The table cuts [0, 1) into cells [k/cells, (k + 1)/cells).  lo[k]
+    counts the edges below k/cells, so upper[lo[k]] is the first edge at or
+    above it, upper being the edges followed by +inf.  A lead t lies in
+    cell k = floor(t cells), exactly so as cells is a power of two, and
+    lo[k] + (t > upper[lo[k]]) is its stratum, np.searchsorted(edges, t),
+    exactly when no cell holds two edges.  _CELLS cells separate the edges
+    of every d <= 64; cells doubles until they are separated.  lo is one
+    byte a cell, 4 kB a table.
+    """
+    edges = _stratum_edges(d, r)
+    cells = _CELLS
+    while True:
+        lo = np.searchsorted(edges, np.arange(cells) / cells).astype(np.uint8)
+        if np.diff(lo, append=len(edges)).max() <= 1:
+            break
+        cells *= 2
+    upper = np.append(edges, np.inf)
+    lo.flags.writeable = False
+    upper.flags.writeable = False
+    return cells, lo, upper
+
+
+def _strata(table, t: np.ndarray) -> np.ndarray:
+    """Stratum of every lead in t, from a _stratum_table."""
+    cells, lo, upper = table
+    labels = lo[(t * cells).astype(np.intp)].astype(np.intp)
+    labels += t > upper[labels]
+    return labels
+
+
 # relative truncation error allowed in the radial series
 _SERIES_TOL = 1e-17
 
@@ -243,18 +289,20 @@ def _chain_weights(chain: ChainSpec) -> np.ndarray:
 def _chain_norm2(xi1, weights, v):
     """Squared norm s = xi_1^2 + sum_i eta_i^2 (y_i/eta_i)^2 of chain draws v.
 
-    One matrix-vector product of the squared draw with _chain_weights;
-    every term is nonnegative, so nothing cancels.  v is squared in place.
+    One contraction of the squared draw with _chain_weights, an einsum loop
+    rather than a BLAS call (see _cone_estimate); every term is
+    nonnegative, so nothing cancels.  v is squared in place.
     """
     v *= v
-    s = v @ weights
+    s = np.einsum("ij,j->i", v, weights)
     s += xi1 * xi1
     return s
 
 
-def _cone_samples(chain: ChainSpec, planar, n, seed):
-    """Per-sample integrand xi_1 E[|y|^-d | chain draw] and the draws' strata.
+def _cone_kernel(chain: ChainSpec, planar):
+    """(integrand, chunk): the per-chunk kernel of _cone_estimate and its chunk size.
 
+    integrand(rng, m) draws m samples from rng and returns (labels, g).
     Every sample is one chain draw (geometry._ordered_chain), and planar
     holds one (rho, coef) pair per column.  Column j of a sample is the
     planar factor integrated out exactly given the draw's chain part s and
@@ -265,29 +313,27 @@ def _cone_samples(chain: ChainSpec, planar, n, seed):
     by Horner in y.  A domain's pair comes from _planar_series; a fixed
     planar radius r is the point mass rho = r^2, coef = [1.0], which is
     xi_1 (s + t^2 r^2)^(-d/2) exactly, and the simplex is the point mass at
-    r = 0, xi_1 s^(-d/2).  The n samples come in _STRATA blocks, block k
-    from substream (seed, k), each drawn a chunk at a time; the chunk size
-    is a pure function of d and the column count, so results stay
-    deterministic in (seed, n).  Yields (labels, g) per chunk: the stratum
-    of each sample's lead t (the r-th smallest uniform, r = d - 1 for a
-    simplex chain, k = d, and 3, the join, for a wedge chain) among the
-    _STRATA equal-probability strata of its law, and g of shape (dim, m),
-    one contiguous row per column.
+    r = 0, xi_1 s^(-d/2).  labels holds the stratum of each sample's lead t
+    (the r-th smallest uniform, r = d - 1 for a simplex chain, k = d, and
+    3, the join, for a wedge chain) among the _STRATA equal-probability
+    strata of its law (_strata), and g of shape (dim, m) one
+    contiguous row per column.  The chunk size is a pure function of d and
+    the column count, so results stay deterministic in (seed, n).  The
+    kernel reads only what is bound here and calls nothing public, so it
+    may run on any thread.
     """
-    if n < 2:
-        raise ValueError("sample count must be >= 2, the least that gives an error estimate")
     d = chain.d
     xi1 = chain.xi[0]
     weights = _chain_weights(chain)
     r = d - 1 if chain.k == d else 3
-    edges = _stratum_edges(d, r)
+    table = _stratum_table(d, r)
     dim = len(planar)
     # the chunk shrinks with the draw's width and the column count to cap memory
     chunk = max(2048, _CHUNK // max(1, (d - 1) // 8, dim // 8))
 
     def integrand(rng, m):
         v = _ordered_chain(d, m, rng)
-        labels = np.searchsorted(edges, v[:, r - 1])
+        labels = _strata(table, v[:, r - 1])
         s = _chain_norm2(xi1, weights, v)
         t2 = v[:, r - 1]
         g = np.empty((dim, m))
@@ -304,15 +350,81 @@ def _cone_samples(chain: ChainSpec, planar, n, seed):
         g *= xi1
         return labels, g
 
-    for k in range(_STRATA):
-        nk = n // _STRATA + (1 if k < n % _STRATA else 0)
-        rng = substream(seed, k)
-        for lo in range(0, nk, chunk):
-            yield integrand(rng, min(chunk, nk - lo))
+    return integrand, chunk
+
+
+def _blocks(n: int, seed: int):
+    """(stream, sample count) of each of the _STRATA blocks, opened in block order."""
+    if n < 2:
+        raise ValueError("sample count must be >= 2, the least that gives an error estimate")
+    return [(substream(seed, k), n // _STRATA + (1 if k < n % _STRATA else 0))
+            for k in range(_STRATA)]
+
+
+def _chunks(kernel, rng, size: int):
+    """One block's chunks (labels, g) from kernel = (integrand, chunk), in draw order."""
+    integrand, chunk = kernel
+    for lo in range(0, size, chunk):
+        yield integrand(rng, min(chunk, size - lo))
+
+
+def _cone_samples(chain: ChainSpec, planar, n, seed):
+    """Every chunk (labels, g) that _cone_estimate reduces, in (block, chunk) order.
+
+    The same kernel and blocks, drawn serially on the calling thread.
+    """
+    kernel = _cone_kernel(chain, planar)
+    for rng, size in _blocks(n, seed):
+        yield from _chunks(kernel, rng, size)
+
+
+def _partial(labels, g):
+    """One chunk's stratum counts, per-stratum column sums and Gram matrix."""
+    sums = np.empty((_STRATA, len(g)))
+    for j, row in enumerate(g):
+        sums[:, j] = np.bincount(labels, weights=row, minlength=_STRATA)
+    return np.bincount(labels, minlength=_STRATA), sums, np.einsum("ik,jk->ij", g, g)
+
+
+def _workers() -> int:
+    """Threads for one estimate: the cores this process may run on, at most _STRATA."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cores = os.cpu_count() or 1
+    return min(_STRATA, cores)
+
+
+def _on_workers(task, workers: int) -> None:
+    """Run task(w) for w = 0..workers-1 and return when every one has.
+
+    task(0) runs on the calling thread and the others on threads started
+    here and joined before returning, even when something raises, so no
+    thread outlives the call.  A helper's exception is re-raised here.
+    """
+    errors = []
+
+    def helper(w):
+        try:
+            task(w)
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            errors.append(exc)
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            threads.append(threading.Thread(target=helper, args=(w,)))
+            threads[-1].start()
+        task(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _cone_estimate(chain: ChainSpec, planar, n, seed):
-    """Post-stratified mean of the _cone_samples columns and its covariance.
+    """Post-stratified mean of the _cone_kernel columns and its covariance.
 
     Each sample falls in one of _STRATA equal-probability strata of its
     lead (post-stratification; Holt and Smith, JRSS A 142, 1979).  The value
@@ -323,16 +435,37 @@ def _cone_estimate(chain: ChainSpec, planar, n, seed):
 
     With fewer than 16 samples per stratum on average (n < 256), or an
     empty stratum, it is the plain mean with the (n - 1) covariance instead.
+
+    The _STRATA blocks run on W = _workers() threads: the calling thread
+    opens every block's substream in block order, then worker w draws the
+    blocks k = w mod W, the calling thread being worker 0.  Each chunk
+    leaves only its _partial (counts, per-stratum column sums, Gram
+    matrix) in its block's slot, and the caller adds them in (block,
+    chunk) order.  A block's draws depend on its stream alone and every sum
+    is taken in that one order, so the result is bitwise the same for
+    every W and every scheduling.  The kernel makes no BLAS call: its
+    contractions are einsum loops, as fast as BLAS at these shapes, and a
+    threaded BLAS would hold a core spinning against the workers.
     """
+    kernel = _cone_kernel(chain, planar)
+    blocks = _blocks(n, seed)
+    workers = _workers()
+    partials = [None] * _STRATA
+
+    def task(w):
+        for k in range(w, _STRATA, workers):
+            partials[k] = [_partial(*chunk) for chunk in _chunks(kernel, *blocks[k])]
+
+    _on_workers(task, workers)
     dim = len(planar)
     sums = np.zeros((_STRATA, dim))
     counts = np.zeros(_STRATA)
     gram = np.zeros((dim, dim))
-    for labels, g in _cone_samples(chain, planar, n, seed):
-        counts += np.bincount(labels, minlength=_STRATA)
-        for j in range(dim):
-            sums[:, j] += np.bincount(labels, weights=g[j], minlength=_STRATA)
-        gram += g @ g.T
+    for block in partials:
+        for chunk_counts, chunk_sums, chunk_gram in block:
+            counts += chunk_counts
+            sums += chunk_sums
+            gram += chunk_gram
     if n >= 16 * _STRATA and counts.all():
         means = sums / counts[:, None]
         value = means.mean(axis=0)
@@ -347,7 +480,7 @@ def surface_density(config: WedgeConfig, n: int, seed: int) -> DensityEstimate:
     """Monte-Carlo surface density of the unit sphere in the cone.
 
     Deterministic in (seed, n): draws come from per-block PCG64
-    substreams keyed by (seed, block).
+    substreams keyed by (seed, block), at any worker count.
     """
     planar = (0.0, [1.0]) if config.is_simplex else _planar_series(config.domain, config.chain)
     value, cov = _cone_estimate(config.chain, [planar], n, seed)
@@ -551,6 +684,19 @@ def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return b1
 
 
+@functools.lru_cache(maxsize=None)
+def _chebyshev_cosines(m: int) -> np.ndarray:
+    """cos(k theta_j) for k, j < m, each angle reduced mod 2 pi in integers.
+
+    Row k = 1 holds the Chebyshev-Gauss nodes cos theta_j.  Read-only, as
+    every pass at m shares it.
+    """
+    k = np.arange(m)
+    cosines = np.cos((np.multiply.outer(k, 2 * k + 1) % (4 * m)) * (math.pi / (2 * m)))
+    cosines.flags.writeable = False
+    return cosines
+
+
 def _planar_factor(mu: np.ndarray, r2: np.ndarray, w: np.ndarray, mu_top: float) -> np.ndarray:
     """M(mu) = sum_k w_k exp(-mu r2_k) for every entry of mu in [0, mu_top].
 
@@ -564,15 +710,14 @@ def _planar_factor(mu: np.ndarray, r2: np.ndarray, w: np.ndarray, mu_top: float)
     (after Aurentz and Trefethen, ACM TOMS 43, 2017).  m starts at
     _TABLE_POINTS and doubles until the upper half of the coefficients lies
     below tol, so the kept series has reached roundoff; Clenshaw's
-    recurrence then evaluates it at every entry of mu.  A rule of at most m
-    nodes, the simplex's point mass among them, is summed directly, which
-    costs no more per entry and is exact.
+    recurrence then evaluates it at every entry of mu.  A rule the table
+    has not resolved once m reaches its node count is summed directly, as
+    is the one-node point mass of a simplex or a profile radius, which is
+    exact and costs one exponential per entry.
     """
     m = _TABLE_POINTS
-    while m < len(r2):
-        k = np.arange(m)
-        # cos(k theta_j); row k = 1 holds the nodes cos theta_j
-        cosines = np.cos((np.multiply.outer(k, 2 * k + 1) % (4 * m)) * (math.pi / (2 * m)))
+    while len(r2) > 1:
+        cosines = _chebyshev_cosines(m)
         nodes = 0.5 * mu_top * (1.0 + cosines[1])
         table = _planar_sum(nodes[:, None], r2, w, np.expm1)[:, 0] + w.sum()
         c = cosines @ table * (2.0 / m)
@@ -582,6 +727,8 @@ def _planar_factor(mu: np.ndarray, r2: np.ndarray, w: np.ndarray, mu_top: float)
             kept = np.flatnonzero(np.abs(c) >= tol)[-1] + 1
             return _clenshaw(c[:kept], mu * (2.0 / mu_top) - 1.0)
         m *= 2
+        if m >= len(r2):
+            break
     return _planar_sum(mu, r2, w)
 
 

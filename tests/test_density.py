@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -23,6 +25,7 @@ from oracles import (
 from packbounds import density as dn
 from packbounds import formulas as fm
 from packbounds import geometry as geo
+from packbounds import streams
 from packbounds import verify as vf
 from packbounds.streams import spawn_key
 
@@ -174,6 +177,142 @@ def test_small_n_takes_the_plain_mean(n):
         assert dn.surface_density(cfg, n, SEED) == est
 
 
+@pytest.mark.parametrize(
+    "d,r",
+    [(d, d - 1) for d in range(2, 65)] + [(d, 3) for d in range(4, 65)] + [(1000, 999), (1000, 3)],
+)
+def test_stratum_table_labels_match_searchsorted(d, r):
+    # the lookup table's label is the binary search's wherever no cell holds
+    # two edges, which _CELLS cells give for every lead the estimators use at
+    # d <= 64 (simplex r = d - 1, wedge r = 3); at d = 1000 the cells double.
+    # Checked at every edge and one ulp either side, at every cell boundary
+    # and one ulp below it, and at random leads
+    edges = dn._stratum_edges(d, r)
+    table = dn._stratum_table(d, r)
+    cells, lo, _ = table
+    assert np.diff(lo, append=len(edges)).max() <= 1
+    assert cells == dn._CELLS == 4096 if d <= 64 else cells > dn._CELLS
+    bounds = np.arange(cells) / cells
+    t = np.concatenate([
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        bounds, np.nextafter(bounds[1:], 0.0), np.random.default_rng(d * 65 + r).random(4096),
+    ])
+    assert np.array_equal(dn._strata(table, t), np.searchsorted(edges, t))
+
+
+def _worker_cases():
+    """Estimates that must not depend on the worker count, each as comparable values."""
+
+    def profile():
+        p = dn.limiting_density_profile(geo.canonical_chain(8, 6), np.linspace(0.0, 0.3, 24),
+                                        50_000, SEED)
+        return p.values.tobytes(), p.cov.tobytes()
+
+    return {
+        # n % 16 != 0 and two chunks in every block
+        "gap42": lambda: dataclasses.astuple(dn.improvement_gap(42, 600_001, SEED)),
+        "simplex": lambda: dn.simplex_density(24, 100_003, SEED),
+        "wedge": lambda: dn.wedge_density(24, 100_003, SEED),
+        "profile": profile,
+        "small_n": lambda: (dn.wedge_density(8, 200, SEED), dn.simplex_density(8, 17, SEED)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_worker_cases()))
+def test_estimates_are_bitwise_the_same_for_every_worker_count(case):
+    results = []
+    for workers in (1, 2, 3):
+        with mock.patch.object(dn, "_workers", return_value=workers):
+            results.append(_worker_cases()[case]())
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+def test_gap42_worker_case_takes_two_chunks_per_block():
+    chain = geo.canonical_chain(42, 40)
+    _, chunk = dn._cone_kernel(chain, [dn._planar_series(geo.triangle_domain(42), chain)] * 2)
+    assert 600_001 % 16 != 0
+    assert chunk < 600_001 // 16 <= 2 * chunk
+
+
+def test_more_workers_than_cores_under_fast_switching():
+    # each block's partials go to a slot of their own, so sixteen threads
+    # switching every microsecond still give the one-worker result bit for bit
+    with mock.patch.object(dn, "_workers", return_value=1):
+        expected = dn.improvement_gap(24, 40_000, SEED)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(dn, "_workers", return_value=16):
+            got = dn.improvement_gap(24, 40_000, SEED)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+def _public_code():
+    """Code objects of every public function and method of the instrumented modules."""
+    code = set()
+    for mod in (dn, geo, fm, streams):
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            for fn in vars(obj).values() if isinstance(obj, type) else [obj]:
+                fn = getattr(fn, "fget", fn)  # property
+                fn = getattr(fn, "__func__", fn)  # staticmethod, classmethod
+                fn = getattr(fn, "__wrapped__", fn)  # lru_cache
+                if hasattr(fn, "__code__"):
+                    code.add(fn.__code__)
+    return code
+
+
+def test_helper_threads_call_nothing_public():
+    # the benchmark's spans wrap public functions around one shared call
+    # stack, so the helper threads may run the private kernel only, and the
+    # substreams are opened on the calling thread
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append((threading.get_ident(), frame.f_code))
+
+    with mock.patch.object(dn, "_workers", return_value=3):
+        threading.setprofile(profile)
+        sys.setprofile(profile)
+        try:
+            dn.improvement_gap(24, 20_000, SEED)
+            dn.simplex_density(8, 20_000, SEED)
+            dn.wedge_density(8, 20_000, SEED)
+            dn.limiting_density_profile(geo.canonical_chain(8, 6), [0.0, 0.1], 20_000, SEED)
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+    caller = threading.get_ident()
+    on_caller = {code for ident, code in calls if ident == caller}
+    on_helpers = {code for ident, code in calls if ident != caller}
+    assert geo._ordered_chain.__code__ in on_helpers
+    assert streams.substream.__code__ in on_caller
+    assert streams.substream.__code__ not in on_helpers
+    assert not on_helpers & _public_code()
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_worker_exception_propagates_and_no_thread_outlives_it(where):
+    caller = threading.get_ident()
+    draw = dn._ordered_chain
+
+    def failing(d, m, rng):
+        if (threading.get_ident() == caller) == (where == "caller"):
+            raise RuntimeError(f"draw failed on the {where}")
+        return draw(d, m, rng)
+
+    before = threading.active_count()
+    with mock.patch.object(dn, "_workers", return_value=3), \
+            mock.patch.object(dn, "_ordered_chain", failing):
+        with pytest.raises(RuntimeError, match=f"on the {where}"):
+            dn.wedge_density(8, 10_000, SEED)
+    assert threading.active_count() == before
+
+
 def _pinned_paths():
     """Fixed-seed Monte-Carlo paths, each returning a flat list of floats."""
     lo, mid, _ = fm.height_breakpoints(8)
@@ -217,8 +356,11 @@ def _pinned_paths():
 # d - 1 uniforms, post-stratified on its lead, in place of a stratified
 # inverse-CDF lead and a sorted tail, and again when the wedge's triangle,
 # sector and union became disc-capped triangles on a Newton-polished radial
-# rule (CHANGES.md lists the old and new values, within 3 se); 1e-12
-# relative leaves room for the BLAS summation order only
+# rule (CHANGES.md lists the old and new values, within 3 se).  Three
+# cancelling combinations, the profile's difference stderr, gap5's gap
+# stderr and gap24's gap, were re-recorded at roundoff when the estimator's
+# contractions left BLAS for einsum.  1e-12 relative leaves room for the
+# summation order only
 _PINNED = {
     "simplex": [0.25699775792204577, 0.0006465580072702997],
     "wedge": [0.2561857691528328, 0.0012711948168404618],
@@ -228,17 +370,17 @@ _PINNED = {
     "profile": [
         0.2568289551221934, 0.25656764279105426, 0.2527111280683544,
         0.0012373231000118985, 0.001236261510691739, 0.001220632366092142,
-        2.214998043294848e-05,
+        2.214998043302496e-05,
     ],
     "gap5": [
         0.5248035181245055, 0.001205380421153057,
         0.5173789387700986, 0.0011925041754320981,
-        0.0012657097144211412, 2.8387895567496013e-06,
+        0.0012657097144211412, 2.838789556528479e-06,
     ],
     "gap24": [
         0.00249019196519094, 2.7602419278148663e-05,
         0.0024898393015789183, 2.759900207827904e-05,
-        1.4122239493347134e-08, 1.8940008252626833e-10,
+        1.4122239493329769e-08, 1.8940008252626833e-10,
     ],
     "base_simplex": [
         1000.0, 506.2728085006854, 305.52237162146173, 196.74456749514385,
@@ -542,16 +684,16 @@ def test_quadrature_cross_oracle(cfg_make, d):
 
 def assert_table_matches_direct(r2, w, d):
     # M at 4000 points of the pass's whole interval [0, lambda_top] against
-    # the direct exponential sum.  A rule of more than _TABLE_POINTS nodes
-    # takes the Chebyshev table, held within 16 eps sum_k |w_k| absolute:
-    # its roundoff measured at most 5.5 of that over the canonical rules at
-    # d = 4..64 and 200 truncated domains.  A smaller rule is summed directly
+    # the direct exponential sum.  A rule of more than one node takes the
+    # Chebyshev table, held within 16 eps sum_k |w_k| absolute: its roundoff
+    # measured at most 5.5 of that over the canonical rules at d = 4..64 and
+    # 200 truncated domains.  The one-node point mass is summed directly
     top = dn._lambda_top(d)
     mu = np.linspace(0.0, top, 4001)[:-1].reshape(40, 100)
     with mock.patch.object(dn, "_clenshaw", wraps=dn._clenshaw) as clenshaw:
         got = dn._planar_factor(mu, r2, w, top)
     direct = direct_planar_factor(mu, r2, w)
-    if len(r2) <= dn._TABLE_POINTS:
+    if len(r2) == 1:
         assert clenshaw.call_count == 0 and np.array_equal(got, direct)
         return
     assert clenshaw.call_count == 1
