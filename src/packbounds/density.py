@@ -51,12 +51,15 @@ read top-down is a Markov chain: one Chebyshev averaging operator per
 level, shared by every lambda, with the planar factor entering at the last
 level through a radial rule: the domain's for a wedge, the point mass at
 radius 0 for a simplex or at each radius of a profile.  The planar factor
-M(mu) depends on mu = lambda x^2 alone, so a wedge's is tabulated once per
-pass as a Chebyshev series in mu and evaluated by Clenshaw's recurrence at
-every (lambda, node); the point mass is summed directly.  The disagreement with a pass at doubled
-resolution is its error estimate.  quadrature_gap runs the same linear
-recursion on the triangle's minus the sector's planar factor, so the gap
-comes out with no cancellation between two densities.
+M(mu) depends on mu = lambda x^2 alone.  A wedge's is summed by its Taylor
+series in mu on the lambda rows where mu stays at or below 1, and elsewhere
+tabulated once per pass as a Chebyshev series in mu and evaluated by
+Clenshaw's recurrence; the point mass is summed directly.  The
+disagreement with a pass at doubled resolution is its error estimate.
+quadrature_gap runs the same linear recursion on the triangle's minus the
+sector's planar factor, so the gap comes out with no cancellation between
+two densities, and floors its error at the planar factor's roundoff as the
+recursion carries it.
 """
 
 from __future__ import annotations
@@ -330,6 +333,9 @@ def _cone_kernel(chain: ChainSpec, planar):
     dim = len(planar)
     # the chunk shrinks with the draw's width and the column count to cap memory
     chunk = max(2048, _CHUNK // max(1, (d - 1) // 8, dim // 8))
+    point_masses = None
+    if all(len(coef) == 1 and coef[0] == 1.0 for _, coef in planar):
+        point_masses = np.array([rho for rho, _ in planar], dtype=float)
 
     def integrand(rng, m):
         v = _ordered_chain(d, m, rng)
@@ -337,16 +343,22 @@ def _cone_kernel(chain: ChainSpec, planar):
         s = _chain_norm2(xi1, weights, v)
         t2 = v[:, r - 1]
         g = np.empty((dim, m))
-        for row, (rho, coef) in zip(g, planar):
-            lead_r = t2 * rho
-            c = s + lead_r
-            row[:] = coef[-1]
-            if len(coef) > 1:
-                y = np.divide(lead_r, c, out=lead_r)
-                for cm in coef[-2::-1]:
-                    row *= y
-                    row += cm
-            row *= np.power(c, -0.5 * d, out=c)
+        if point_masses is not None:
+            # every column a point mass: one pass over all of them
+            np.multiply.outer(point_masses, t2, out=g)
+            g += s
+            np.power(g, -0.5 * d, out=g)
+        else:
+            for row, (rho, coef) in zip(g, planar):
+                lead_r = t2 * rho
+                c = s + lead_r
+                row[:] = coef[-1]
+                if len(coef) > 1:
+                    y = np.divide(lead_r, c, out=lead_r)
+                    for cm in coef[-2::-1]:
+                        row *= y
+                        row += cm
+                row *= np.power(c, -0.5 * d, out=c)
         g *= xi1
         return labels, g
 
@@ -378,12 +390,19 @@ def _cone_samples(chain: ChainSpec, planar, n, seed):
         yield from _chunks(kernel, rng, size)
 
 
+# widest chunk whose Gram matrix _partial forms by an einsum loop, not a BLAS matmul:
+# einsum has no blocked kernel, and on 2 workers it kept up with matmul to 8
+# columns but took 1.6 times as long at 24
+_GRAM_EINSUM_COLUMNS = 8
+
+
 def _partial(labels, g):
     """One chunk's stratum counts, per-stratum column sums and Gram matrix."""
     sums = np.empty((_STRATA, len(g)))
     for j, row in enumerate(g):
         sums[:, j] = np.bincount(labels, weights=row, minlength=_STRATA)
-    return np.bincount(labels, minlength=_STRATA), sums, np.einsum("ik,jk->ij", g, g)
+    gram = np.einsum("ik,jk->ij", g, g) if len(g) <= _GRAM_EINSUM_COLUMNS else g @ g.T
+    return np.bincount(labels, minlength=_STRATA), sums, gram
 
 
 def _workers() -> int:
@@ -598,6 +617,8 @@ _LAPLACE_TOL = 2.0**-60
 # Chebyshev points at which _planar_factor first tabulates M; 64 resolve the
 # canonical and truncated domains at d = 4..64 to roundoff with 7 to 31 terms
 _TABLE_POINTS = 64
+# bound on the Taylor tail _planar_factor drops, relative to sum_k |w_k|
+_TAYLOR_TOL = 2.0**-54
 
 
 def _chebyshev_angles(n: int) -> np.ndarray:
@@ -670,12 +691,17 @@ def _planar_sum(mu: np.ndarray, r2: np.ndarray, w: np.ndarray, fn=np.exp) -> np.
 
 
 def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k c_k T_k(t) at every entry of t, by Clenshaw's recurrence."""
+    """sum_k c_k T_k(t) at every entry of t, by Clenshaw's recurrence.
+
+    Each step b_k = c_k - b_(k+2) + 2 t b_(k+1) takes three passes, two of
+    them in place.  The product 2 t b_(k+1) goes to a temporary that the
+    allocator recycles at every step: a third buffer held across the loop
+    raised verify's peak RSS by 0.2 MB, for no measurable gain at d = 8.
+    """
     b1, b2 = np.zeros_like(t), np.zeros_like(t)
     t2 = 2.0 * t
     for ck in c[:0:-1]:
-        b2 *= -1.0
-        b2 += ck
+        np.subtract(ck, b2, out=b2)
         b2 += t2 * b1
         b1, b2 = b2, b1
     b1 *= t
@@ -697,26 +723,13 @@ def _chebyshev_cosines(m: int) -> np.ndarray:
     return cosines
 
 
-def _planar_factor(mu: np.ndarray, r2: np.ndarray, w: np.ndarray, mu_top: float) -> np.ndarray:
-    """M(mu) = sum_k w_k exp(-mu r2_k) for every entry of mu in [0, mu_top].
+def _chebyshev_table(r2: np.ndarray, w: np.ndarray, mu_top: float):
+    """Chopped Chebyshev coefficients of M on [0, mu_top], or None if unresolved.
 
-    M is entire in mu, so its Chebyshev series on [0, mu_top] converges
-    faster than geometrically.  M is tabulated at m Chebyshev-Gauss points
-    as sum_k w_k + sum_k w_k expm1(-mu r2_k), whose error shrinks with mu r2
-    where the gap's signed weights cancel.  The coefficients come from the
-    cosine sum, each angle k (2j + 1) pi / 2m reduced mod 2 pi in integers,
-    which keeps their roundoff near eps instead of k eps.  The series is
-    chopped after its last coefficient not below tol = 4 eps max_k |c_k|
-    (after Aurentz and Trefethen, ACM TOMS 43, 2017).  m starts at
-    _TABLE_POINTS and doubles until the upper half of the coefficients lies
-    below tol, so the kept series has reached roundoff; Clenshaw's
-    recurrence then evaluates it at every entry of mu.  A rule the table
-    has not resolved once m reaches its node count is summed directly, as
-    is the one-node point mass of a simplex or a profile radius, which is
-    exact and costs one exponential per entry.
+    See _planar_factor.
     """
     m = _TABLE_POINTS
-    while len(r2) > 1:
+    while True:
         cosines = _chebyshev_cosines(m)
         nodes = 0.5 * mu_top * (1.0 + cosines[1])
         table = _planar_sum(nodes[:, None], r2, w, np.expm1)[:, 0] + w.sum()
@@ -724,12 +737,76 @@ def _planar_factor(mu: np.ndarray, r2: np.ndarray, w: np.ndarray, mu_top: float)
         c[0] *= 0.5
         tol = 4.0 * np.finfo(float).eps * np.abs(c).max()
         if np.abs(c[m // 2 :]).max() <= tol:
-            kept = np.flatnonzero(np.abs(c) >= tol)[-1] + 1
-            return _clenshaw(c[:kept], mu * (2.0 / mu_top) - 1.0)
+            return c[: np.flatnonzero(np.abs(c) >= tol)[-1] + 1]
         m *= 2
         if m >= len(r2):
-            break
-    return _planar_sum(mu, r2, w)
+            return None
+
+
+def _taylor_coefficients(r2: np.ndarray, w: np.ndarray, x: float) -> np.ndarray:
+    """a_m = (-1)^m sum_k w_k r2_k^m / m! of M(mu) = sum_m a_m mu^m, for mu r2_k <= x <= 1.
+
+    |a_m mu^m| <= sum_k |w_k| x^m / m!, so the terms from M on sum to at
+    most sum_k |w_k| x^M / M! / (1 - x/(M + 1)); M is the least count whose
+    tail bound is below _TAYLOR_TOL sum_k |w_k|.
+    """
+    n_terms, bound = 1, x
+    while bound >= _TAYLOR_TOL * (1.0 - x / (n_terms + 1)):
+        n_terms += 1
+        bound *= x / n_terms
+    # row m of the running product is w_k (-r2_k)^m / m!
+    steps = np.multiply.outer(-1.0 / np.arange(1, n_terms), r2)
+    return np.cumprod(np.vstack([w, steps]), axis=0).sum(axis=1)
+
+
+def _planar_factor(mu: np.ndarray, r2: np.ndarray, w: np.ndarray, mu_top: float) -> np.ndarray:
+    """M(mu) = sum_k w_k exp(-mu r2_k) for every entry of mu in [0, mu_top].
+
+    The one-node point mass of a simplex or a profile radius is summed
+    directly, which is exact and costs one exponential per entry.  For a
+    rule of more nodes, the rows of mu whose entries all stay at or below
+    1 / max(1, max_k r2_k) take M's Taylor series in mu, from the rule's own
+    weights (_taylor_coefficients), summed by Horner: two passes per term.
+    As every mu r2_k <= 1, the terms' sizes sum to at most e sum_k |w_k|,
+    so their roundoff stays near eps sum_k |w_k|.  For the canonical wedge
+    these are 166 of a fine pass's 231 lambda rows at d = 8, with 9 terms
+    against the table's 19, 105 of 172 at d = 12 and 8 of 83 at d = 42.
+
+    The other rows take a table.  M is entire in mu, so its Chebyshev
+    series on [0, mu_top] converges faster than geometrically.  M is
+    tabulated at m Chebyshev-Gauss points as sum_k w_k + sum_k w_k
+    expm1(-mu r2_k), whose error shrinks with mu r2 where the gap's signed
+    weights cancel.  The coefficients come from the cosine sum, each angle
+    k (2j + 1) pi / 2m reduced mod 2 pi in integers, which keeps their
+    roundoff near eps instead of k eps.  The series is chopped after its
+    last coefficient not below tol = 4 eps max_k |c_k| (after Aurentz and
+    Trefethen, ACM TOMS 43, 2017).  m starts at _TABLE_POINTS and doubles
+    until the upper half of the coefficients lies below tol, so the kept
+    series has reached roundoff; Clenshaw's recurrence (Clenshaw, 1955)
+    then evaluates it at every entry of those rows.  A rule the table has
+    not resolved once m reaches its node count is summed directly.
+    """
+    if len(r2) == 1:
+        return _planar_sum(mu, r2, w)
+    out = np.empty_like(mu)
+    row_top = mu.max(axis=1)
+    small = row_top * max(1.0, float(r2.max())) <= 1.0
+    if small.any():
+        a = _taylor_coefficients(r2, w, float(row_top[small].max() * r2.max()))
+        block = mu[small]
+        m_small = np.full_like(block, a[-1])
+        for am in a[-2::-1]:
+            m_small *= block
+            m_small += am
+        out[small] = m_small
+    if not small.all():
+        large = ~small
+        c = _chebyshev_table(r2, w, mu_top)
+        if c is None:
+            out[large] = _planar_sum(mu[large], r2, w)
+        else:
+            out[large] = _clenshaw(c, mu[large] * (2.0 / mu_top) - 1.0)
+    return out
 
 
 def _lambda_top(d: int) -> float:
@@ -858,11 +935,11 @@ def quadrature_density(
     At the defaults the refinement error of the canonical configurations
     is below 5e-14 relative at every d <= 42 and 3e-11 at d = 64, where
     roundoff, not ns, sets it.  On a 2-core Intel Xeon (OpenBLAS, 2
-    threads) a call takes 1 to 6 ms for a simplex and 2.5 to 7 ms for the
-    canonical wedge or the sector wedge at d = 8..64 once its operators are
-    cached; building them adds 0.07 s at d = 8 and 0.47 s at d = 42 to the
-    first call.  Every d >= 2 takes the same recursion, so at d = 2 and 3
-    the value is checked against, not taken from,
+    threads) a call takes 1.2 to 4.5 ms for a simplex and 1.5 to 5 ms for
+    the canonical wedge or the sector wedge at d = 8..64 once its operators
+    are cached (best of 7); building them adds 0.07 s at d = 8 and 0.47 s
+    at d = 42 to the first call.  Every d >= 2 takes the same recursion,
+    so at d = 2 and 3 the value is checked against, not taken from,
     closed_form_simplex_density.  n counts the second pass's kept lambda
     rows times its Chebyshev nodes.
     """
@@ -886,26 +963,41 @@ def quadrature_profile(chain: ChainSpec, radii) -> tuple[np.ndarray, np.ndarray]
 
 
 def quadrature_gap(d: int) -> tuple[float, float]:
-    """sigma_d - sigma_hat_d by quadrature, as (value, refinement error).
+    """sigma_d - sigma_hat_d by quadrature, as (value, error).
 
     The gap is w_sector (sigma - lambda), and the triangle wedge's cone is
     the simplex cone, so it is the canonical wedge chain's recursion with
     the planar factor M_triangle - M_sector: the recursion is linear in
     F_last, so the difference comes out directly, with no cancellation
-    between two densities.  Same passes and error as quadrature_density at
-    its default resolution.
+    between two densities.  Same passes as quadrature_density at its
+    default resolution.
+
+    The error is the larger of their disagreement and the planar factor's
+    roundoff as the recursion carries it.  _planar_factor's table and
+    series round M near eps sum_k |w_k| = 2 eps at every entry, and the
+    direct sum rounds by about as much, while M itself cancels to a few
+    percent of the weights.  The recursion is linear and positive in
+    F_last, so an error of at most e in M moves the value by at most e D0,
+    D0 the chain's pass with M = 1, the point mass at radius 0.  The floor
+    is 4 eps D0.  Replacing the table and series by the direct sum moved
+    the gap by at most 0.34 of it at every d = 4..64; the disagreement
+    alone fell short of that move at 23 of those d, by up to 740 times at
+    d = 53.  At d = 42 the move is 1.2e-12 relative and the floor 3.3e-11.
     """
     if d < 4:
         raise ValueError(f"gap quadrature needs d >= 4, got {d}")
     tri, sec = triangle_domain(d), sector_domain(d)
+    chain = canonical_chain(d, d - 2)
 
     def planar(nr):
         (r2_t, w_t), (r2_s, w_s) = _normalised_rule(tri, nr), _normalised_rule(sec, nr)
         return np.concatenate([r2_t, r2_s]), np.concatenate([w_t, -w_s])
 
-    value, err, _ = _refined(canonical_chain(d, d - 2), planar, *_RESOLUTION)
+    value, err, _ = _refined(chain, planar, *_RESOLUTION)
+    ones, _ = _laplace_pass(chain, _point_mass(1), _RESOLUTION[0], 1.0 / _RESOLUTION[1])
+    err = max(err, 4.0 * np.finfo(float).eps * ones)
     w_sec = sec.area / (tri.area + sec.area)
-    return w_sec * value, w_sec * err
+    return w_sec * value, float(w_sec * err)
 
 
 # ---------------------------------------------------------------------------

@@ -142,64 +142,68 @@ def _as_points(pts) -> np.ndarray:
     return arr
 
 
-def _fan_measure(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Angular measure at radii r of the triangle (origin, a, b).
+def _fan_edges(verts: np.ndarray):
+    """Columns (sign, span, p, delta) of a polygon's fan of edge triangles, as (edges, 1) arrays.
 
-    Signed: negative when a -> b turns clockwise about the origin, so the
-    sum over a polygon's edges measures the polygon wherever the origin
-    lies.  An edge whose line passes through the origin contributes zero.
+    Edge a -> b spans the triangle (origin, a, b).  span is its angle at
+    the origin, p the distance of the edge's line from the origin and delta
+    the angle of the perpendicular's foot, measured from a.  sign is
+    negative when a -> b turns clockwise about the origin, so the signed sum
+    over the edges measures the polygon wherever the origin lies.  An edge
+    whose line passes through the origin measures zero and is left out.
+    The scalars are Python floats; the two dot products are np.dot's, which
+    rounds differently from a plain a_x b_x + a_y b_y, and the recursion at
+    d near 64 turns a one-ulp change of the radial weights into 1e-13.
     """
-    r = np.asarray(r, dtype=float)
-    na, nb = math.hypot(*a), math.hypot(*b)
-    cross_ab = a[0] * b[1] - a[1] * b[0]
-    if na < 1e-15 or nb < 1e-15 or abs(cross_ab) < 1e-30:
-        return np.zeros_like(r)
-    span = math.atan2(cross_ab, float(np.dot(a, b)))
-    sign = 1.0
-    if span < 0:
-        a, b = b, a
-        span = -span
-        sign = -1.0
-    e = b - a
-    p = abs(cross_ab) / math.hypot(*e)
-    # angle of the foot of the perpendicular, measured from a: the foot is
-    # a - (a.e / e.e) e, so a x foot = -(a.e) |cross| / e.e and
-    # a . foot = cross^2 / e.e.  Taken from that ratio, the angle stays
-    # accurate where the line passes within rounding of the origin, where
-    # a . foot computed as |a|^2 - (a.e)^2 / e.e cancels to noise
-    delta = math.atan2(-float(np.dot(a, e)), abs(cross_ab))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c = np.where(r > p, np.arccos(np.clip(p / np.maximum(r, 1e-300), -1.0, 1.0)), 0.0)
-    lo = np.maximum(0.0, delta - c)
-    hi = np.minimum(span, delta + c)
-    removed = np.maximum(0.0, hi - lo)
-    return sign * (span - removed)
+    fan = []
+    for i in range(len(verts)):
+        a, b = verts[i], verts[(i + 1) % len(verts)]
+        cross_ab = float(a[0] * b[1] - a[1] * b[0])
+        if math.hypot(*a) < 1e-15 or math.hypot(*b) < 1e-15 or abs(cross_ab) < 1e-30:
+            continue
+        span = math.atan2(cross_ab, float(np.dot(a, b)))
+        sign = 1.0
+        if span < 0:
+            a, b = b, a
+            span = -span
+            sign = -1.0
+        e = b - a
+        # the foot is a - (a.e / e.e) e, so a x foot = -(a.e) |cross| / e.e and
+        # a . foot = cross^2 / e.e.  Taken from that ratio, the angle stays
+        # accurate where the line passes within rounding of the origin, where
+        # a . foot computed as |a|^2 - (a.e)^2 / e.e cancels to noise
+        delta = math.atan2(-float(np.dot(a, e)), abs(cross_ab))
+        fan.append((sign, span, abs(cross_ab) / math.hypot(*e), delta))
+    return tuple(np.array(col).reshape(-1, 1) for col in zip(*fan)) if fan else None
 
 
-def _segment_circle_area(a: np.ndarray, b: np.ndarray, R: float) -> float:
+def _segment_circle_area(a, b, R: float) -> float:
     """Green contribution of directed edge a -> b to area(polygon ^ disc(R)).
 
     The edge's line a + s e runs inside the open disc for s between the
     roots s0 < s1 of |a + s e|^2 = R^2.  Pieces of the edge in (s0, s1) are
     chords; every other piece is replaced by its arc, and so is a whole edge
-    whose line misses the open disc or touches it (discriminant <= 0).
+    whose line misses the open disc or touches it (discriminant <= 0).  a
+    and b are pairs of Python floats.
     """
-    e = b - a
-    ee, ae = float(np.dot(e, e)), float(np.dot(a, e))
-    disc = ae * ae - ee * (float(np.dot(a, a)) - R * R)
+    (ax, ay), (bx, by) = a, b
+    ex, ey = bx - ax, by - ay
+    ee, ae = ex * ex + ey * ey, ax * ex + ay * ey
+    disc = ae * ae - ee * ((ax * ax + ay * ay) - R * R)
     s0 = s1 = 0.0
     if ee > 0.0 and disc > 0.0:
         s0, s1 = (-ae - math.sqrt(disc)) / ee, (-ae + math.sqrt(disc)) / ee
     cuts = [s for s in (s0, s1) if 1e-14 < s < 1.0 - 1e-14]
-    params, pts = [0.0, *cuts, 1.0], [a, *(a + s * e for s in cuts), b]
+    params = [0.0, *cuts, 1.0]
+    pts = [(ax, ay), *((ax + s * ex, ay + s * ey) for s in cuts), (bx, by)]
     total = 0.0
     for k in range(len(pts) - 1):
-        p, q = pts[k], pts[k + 1]
-        cross = p[0] * q[1] - p[1] * q[0]
+        (px, py), (qx, qy) = pts[k], pts[k + 1]
+        cross = px * qy - py * qx
         if s0 < 0.5 * (params[k] + params[k + 1]) < s1:
             total += 0.5 * cross
         else:
-            total += 0.5 * R * R * math.atan2(cross, float(np.dot(p, q)))
+            total += 0.5 * R * R * math.atan2(cross, px * qx + py * qy)
     return total
 
 
@@ -215,30 +219,45 @@ def _inside_edges(p: np.ndarray, verts: np.ndarray, tol: float) -> np.ndarray:
     return ok
 
 
-def _fan_radial_mass(r, verts: np.ndarray) -> np.ndarray:
-    """Radial mass of a convex polygon, as a signed fan of edge triangles."""
+def _edges(verts) -> list:
+    """A polygon's directed edges (a, b), in vertex order, as pairs of Python floats."""
+    pts = np.asarray(verts, dtype=float).tolist()
+    return list(zip(pts, pts[1:] + pts[:1]))
+
+
+def _fan_radial_mass(r, fan) -> np.ndarray:
+    """Radial mass of a convex polygon from its _fan_edges, all edges in one pass.
+
+    At radius r an edge's triangle measures its span less the arc of
+    half-width arccos(p / r) about delta that the edge's line cuts off when
+    r > p.  The (edges x r) measures are added in vertex order.
+    """
     r = np.asarray(r, dtype=float)
-    meas = np.zeros_like(r)
-    for i in range(len(verts)):
-        meas = meas + _fan_measure(r, verts[i], verts[(i + 1) % len(verts)])
-    return r * np.maximum(meas, 0.0)
+    if fan is None:
+        return np.zeros_like(r)
+    sign, span, p, delta = fan
+    flat = r.reshape(-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = np.where(flat > p, np.arccos(np.clip(p / np.maximum(flat, 1e-300), -1.0, 1.0)), 0.0)
+    removed = np.minimum(span, delta + c) - np.maximum(0.0, delta - c)
+    meas = (sign * (span - np.maximum(0.0, removed))).sum(axis=0)
+    return (flat * np.maximum(meas, 0.0)).reshape(r.shape)
 
 
-def _polygon_breakpoints(verts: np.ndarray, max_radius: float) -> list[float]:
+def _polygon_breakpoints(verts, max_radius: float) -> list[float]:
     """Kinks of a polygon's fan radial mass up to max_radius, as Python floats.
 
     They are 0, max_radius, the vertices' radii and each edge's least
     radius, at the perpendicular foot from the origin clipped to the edge.
     """
     pts = {0.0, max_radius}
-    for i in range(len(verts)):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
-        e = b - a
-        ee = float(np.dot(e, e))
+    for (ax, ay), (bx, by) in _edges(verts):
+        ex, ey = bx - ax, by - ay
+        ee = ex * ex + ey * ey
         if ee > 0:
-            s = float(np.dot(-a, e)) / ee
-            pts.add(math.hypot(*(a + np.clip(s, 0.0, 1.0) * e)))
-        pts.add(math.hypot(*a))
+            s = min(max(-(ax * ex + ay * ey) / ee, 0.0), 1.0)
+            pts.add(math.hypot(ax + s * ex, ay + s * ey))
+        pts.add(math.hypot(ax, ay))
     return sorted(x for x in pts if x <= max_radius + 1e-15)
 
 
@@ -390,32 +409,29 @@ class DiscPolygon(PlanarDomain):
             raise ValueError("polygon needs at least 3 planar vertices")
         # orient counterclockwise
         area2 = 0.0
-        for i in range(len(verts)):
-            a, b = verts[i], verts[(i + 1) % len(verts)]
-            area2 += a[0] * b[1] - a[1] * b[0]
+        for (ax, ay), (bx, by) in _edges(verts):
+            area2 += ax * by - ay * bx
         if area2 < 0:
             verts = verts[::-1].copy()
+        edges = _edges(verts)
         self._edge_dist = []
-        for i in range(len(verts)):
-            a, b = verts[i], verts[(i + 1) % len(verts)]
-            e = b - a
-            f = verts[(i + 2) % len(verts)] - b
-            cr = float(e[0] * f[1] - e[1] * f[0])
-            ln = math.hypot(*e)
+        for ((ax, ay), (bx, by)), (_, (cx, cy)) in zip(edges, edges[1:] + edges[:1]):
+            ex, ey = bx - ax, by - ay
+            cr = ex * (cy - by) - ey * (cx - bx)
+            ln = math.hypot(ex, ey)
             if area2 == 0.0 or ln == 0.0 or cr < -1e-12:
                 raise ValueError("polygon must be convex, with distinct vertices and positive area")
             # signed distance of the edge's line, positive on the origin's side
-            self._edge_dist.append((a[0] * b[1] - a[1] * b[0]) / ln)
+            self._edge_dist.append((ax * by - ay * bx) / ln)
         # with the origin outside, the polygon's nearest point lies on an edge
         if min(self._edge_dist) < 0.0 and _polygon_breakpoints(verts, math.inf)[1] >= radius:
             raise ValueError("polygon must meet the open disc")
         self.radius = float(radius)
         self.vertices = verts
-        self.area = float(sum(
-            _segment_circle_area(verts[i], verts[(i + 1) % len(verts)], self.radius)
-            for i in range(len(verts))
-        ))
-        self.max_radius = min(self.radius, max(math.hypot(*v) for v in verts))
+        self.area = float(sum(_segment_circle_area(a, b, self.radius) for a, b in edges))
+        self.max_radius = min(self.radius, max(math.hypot(*a) for a, _ in edges))
+        self._breakpoints = _polygon_breakpoints(verts, self.max_radius)
+        self._fan = _fan_edges(verts)
 
     def contains(self, pts, tol: float = EDGE_TOL):
         p = _as_points(pts)
@@ -439,10 +455,10 @@ class DiscPolygon(PlanarDomain):
 
     def radial_mass(self, r):
         r = np.asarray(r, dtype=float)
-        return np.where(r <= self.radius, _fan_radial_mass(r, self.vertices), 0.0)
+        return np.where(r <= self.radius, _fan_radial_mass(r, self._fan), 0.0)
 
     def radial_breakpoints(self):
-        return _polygon_breakpoints(self.vertices, self.max_radius)
+        return list(self._breakpoints)
 
 
 def _corner(d: int) -> tuple[float, float, float]:

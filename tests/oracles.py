@@ -433,3 +433,39 @@ def direct_planar_factor(mu: np.ndarray, r2: np.ndarray, w: np.ndarray) -> np.nd
         np.exp(e, out=e)
         np.matmul(e, w, out=out[lo : lo + len(block)])
     return out
+
+
+def _fan_measure(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Signed angular measure at radii r of the triangle (origin, a, b), one edge at a time."""
+    na, nb = math.hypot(*a), math.hypot(*b)
+    cross_ab = a[0] * b[1] - a[1] * b[0]
+    if na < 1e-15 or nb < 1e-15 or abs(cross_ab) < 1e-30:
+        return np.zeros_like(r)
+    span = math.atan2(cross_ab, float(np.dot(a, b)))
+    sign = 1.0
+    if span < 0:
+        a, b = b, a
+        span = -span
+        sign = -1.0
+    e = b - a
+    p = abs(cross_ab) / math.hypot(*e)
+    delta = math.atan2(-float(np.dot(a, e)), abs(cross_ab))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = np.where(r > p, np.arccos(np.clip(p / np.maximum(r, 1e-300), -1.0, 1.0)), 0.0)
+    lo = np.maximum(0.0, delta - c)
+    hi = np.minimum(span, delta + c)
+    removed = np.maximum(0.0, hi - lo)
+    return sign * (span - removed)
+
+
+def fan_radial_mass_loop(r, verts) -> np.ndarray:
+    """Radial mass of a convex polygon, its signed fan of edge triangles summed edge by edge.
+
+    The per-edge loop that geometry._fan_radial_mass replaced with one
+    (edges x r) array pass, kept as its reference.
+    """
+    r = np.asarray(r, dtype=float)
+    meas = np.zeros_like(r)
+    for i in range(len(verts)):
+        meas = meas + _fan_measure(r, verts[i], verts[(i + 1) % len(verts)])
+    return r * np.maximum(meas, 0.0)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     disc_square_area,
     disc_square_radial_mass,
+    fan_radial_mass_loop,
     grid_centroid,
     membership_oracle,
     mixed_directions,
@@ -17,6 +19,7 @@ from oracles import (
 )
 from packbounds import formulas as fm
 from packbounds import geometry as geo
+from packbounds import verify as vf
 from packbounds.density import quadrature_density, surface_density
 
 
@@ -253,6 +256,45 @@ def test_sampler_draws_from_the_angles_the_polygon_subtends(dom, span):
     pts = dom.sample(4000, np.random.default_rng(17))
     turn = np.mod(np.arctan2(pts[:, 1], pts[:, 0]) - span[0] + 1e-12, 2.0 * math.pi)
     assert turn.max() <= span[1] - span[0] + 2e-12
+
+
+def _fan_polygons():
+    """The canonical disc-capped triangles and random admissible truncated polygons."""
+    doms = [make(d) for d in range(4, 65)
+            for make in (geo.triangle_domain, geo.sector_domain, geo.wedge_domain)]
+    lo, mid, _ = fm.height_breakpoints(8)
+    rng = np.random.default_rng(2021)
+    for h in lo + (mid - lo) * rng.random(40):
+        doms.append(geo.truncation_domain(8, h, "disc_cap_square"))
+        quad = vf._random_admissible_quadrilateral(8, h, rng)
+        if quad is not None:
+            doms.append(geo.truncation_domain(8, h, "disc_cap_polygon", vertices=quad))
+    return doms
+
+
+def test_fan_radial_mass_matches_per_edge_loop():
+    # all edges in one array pass give the per-edge loop's radial mass bit
+    # for bit: the same per-edge scalars, and the edges added in vertex order
+    doms = _fan_polygons()
+    assert sum(dom.kind == "disc_cap_polygon" and len(dom.vertices) == 4 for dom in doms) > 60
+    for dom in doms:
+        r = np.concatenate([np.linspace(0.0, 1.2 * dom.radius, 401), dom.radial_breakpoints()])
+        expected = fan_radial_mass_loop(r, dom.vertices)
+        assert np.array_equal(geo._fan_radial_mass(r, dom._fan), expected)
+        assert np.array_equal(dom.radial_mass(r), np.where(r <= dom.radius, expected, 0.0))
+    # a polygon whose every edge line passes through the origin measures zero
+    assert geo._fan_edges(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])) is None
+    assert np.array_equal(geo._fan_radial_mass(np.ones(3), None), np.zeros(3))
+
+
+def test_radial_breakpoints_computed_once():
+    dom = geo.truncation_domain(8, fm.chain_floor(6), "disc_cap_square")
+    brk = dom.radial_breakpoints()
+    assert brk == geo._polygon_breakpoints(dom.vertices, dom.max_radius)
+    brk.append(9.0)  # a caller's copy
+    with mock.patch.object(geo, "_polygon_breakpoints", side_effect=AssertionError):
+        r, _ = dom.radial_rule(16)
+    assert len(r) == 16 * (len(brk) - 2)
 
 
 def test_disc_polygon_validation():
