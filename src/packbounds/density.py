@@ -333,9 +333,6 @@ def _cone_kernel(chain: ChainSpec, planar):
     dim = len(planar)
     # the chunk shrinks with the draw's width and the column count to cap memory
     chunk = max(2048, _CHUNK // max(1, (d - 1) // 8, dim // 8))
-    point_masses = None
-    if all(len(coef) == 1 and coef[0] == 1.0 for _, coef in planar):
-        point_masses = np.array([rho for rho, _ in planar], dtype=float)
 
     def integrand(rng, m):
         v = _ordered_chain(d, m, rng)
@@ -343,22 +340,20 @@ def _cone_kernel(chain: ChainSpec, planar):
         s = _chain_norm2(xi1, weights, v)
         t2 = v[:, r - 1]
         g = np.empty((dim, m))
-        if point_masses is not None:
-            # every column a point mass: one pass over all of them
-            np.multiply.outer(point_masses, t2, out=g)
-            g += s
-            np.power(g, -0.5 * d, out=g)
-        else:
-            for row, (rho, coef) in zip(g, planar):
-                lead_r = t2 * rho
-                c = s + lead_r
-                row[:] = coef[-1]
-                if len(coef) > 1:
-                    y = np.divide(lead_r, c, out=lead_r)
-                    for cm in coef[-2::-1]:
-                        row *= y
-                        row += cm
-                row *= np.power(c, -0.5 * d, out=c)
+        for row, (rho, coef) in zip(g, planar):
+            lead_r = np.multiply(t2, rho, out=row)
+            c = s + lead_r
+            poly = coef[0]
+            if len(coef) > 1:
+                y = np.divide(lead_r, c, out=lead_r)
+                poly = np.full(m, coef[-1])
+                for cm in coef[-2::-1]:
+                    poly *= y
+                    poly += cm
+            np.power(c, -0.5 * d, out=row)
+            # a point mass, coef = [1.0], skips the product
+            if len(coef) > 1 or poly != 1.0:
+                row *= poly
         g *= xi1
         return labels, g
 
@@ -972,17 +967,20 @@ def quadrature_gap(d: int) -> tuple[float, float]:
     between two densities.  Same passes as quadrature_density at its
     default resolution.
 
-    The error is the larger of their disagreement and the planar factor's
-    roundoff as the recursion carries it.  _planar_factor's table and
-    series round M near eps sum_k |w_k| = 2 eps at every entry, and the
-    direct sum rounds by about as much, while M itself cancels to a few
-    percent of the weights.  The recursion is linear and positive in
-    F_last, so an error of at most e in M moves the value by at most e D0,
-    D0 the chain's pass with M = 1, the point mass at radius 0.  The floor
-    is 4 eps D0.  Replacing the table and series by the direct sum moved
-    the gap by at most 0.34 of it at every d = 4..64; the disagreement
-    alone fell short of that move at 23 of those d, by up to 740 times at
-    d = 53.  At d = 42 the move is 1.2e-12 relative and the floor 3.3e-11.
+    The error is the larger of their disagreement and a floor for the
+    planar factor's roundoff as the recursion carries it.  The recursion is
+    linear and positive in F_last, so an error of at most e in M moves the
+    value by at most e D0, D0 the chain's pass with M = 1, the point mass
+    at radius 0.  The floor is 4 eps D0, e = 2 eps sum_k |w_k| with
+    sum_k |w_k| = 2, while M itself cancels to a few percent of the
+    weights.  The floor is empirical, not a bound: the table and series are
+    held to the direct sum within 16 eps sum_k |w_k| per entry (5.5 at
+    most measured), which would give 32 eps D0.  Replacing the table and
+    series by the direct sum moved the gap by at most 0.34 of the floor at
+    every d = 4..64 (test_quadrature_gap_error_covers_planar_roundoff); the
+    disagreement alone fell short of that move at 23 of those d, by up to
+    740 times at d = 53.  At d = 42 the move is 1.2e-12 relative and the
+    floor 3.3e-11.
     """
     if d < 4:
         raise ValueError(f"gap quadrature needs d >= 4, got {d}")
