@@ -22,13 +22,16 @@ its own PCG64 substream keyed by (seed, block) (streams.substream).  One
 estimator, _cone_estimate, serves sigma, sigma_hat and lambda, and runs the
 blocks on one thread per usable core, at most 16, the calling thread among
 them.  The caller opens every substream; each thread draws its blocks chunk
-by chunk and keeps only per-chunk partial sums, which the caller adds in
-(block, chunk) order.  A block's draws depend on its stream alone and the
-sums on that one order, so results are reproducible bit for bit and the
-same at any worker count, core layout or scheduling.  The kernel makes no
-BLAS call, so no BLAS thread pool spins against the workers: the chain
-coordinates are never formed, and _chain_norm2 contracts the squared draw
-with the levels' coefficients in one einsum loop per chunk.
+by chunk and forms only per-chunk partial sums, which are added in (block,
+chunk) order as soon as every earlier one is.  A block's draws depend on
+its stream alone and the sums on that one order, so results are
+reproducible bit for bit and the same at any worker count, core layout or
+scheduling.  Up to 8 columns the kernel makes no BLAS call, so no BLAS
+thread pool spins against the workers: the chain coordinates are never
+formed, and _chain_norm2 contracts the squared draw with the levels'
+coefficients in one einsum loop per chunk.  A wider profile forms its Gram
+matrix by a BLAS matmul, and above 64 columns runs on one worker, leaving
+the cores to BLAS's threads.
 
 The samples are post-stratified into 16 equal-probability strata of the
 lead coordinate (the join parameter t of a wedge, the leading ordered
@@ -389,6 +392,12 @@ def _cone_samples(chain: ChainSpec, planar, n, seed):
 # einsum has no blocked kernel, and on 2 workers it kept up with matmul to 8
 # columns but took 1.6 times as long at 24
 _GRAM_EINSUM_COLUMNS = 8
+# widest chunk whose blocks run on more than one worker: above it the BLAS
+# matmul of the Gram matrix takes most of the time and BLAS threads it
+# itself, so a second worker only contends with BLAS's threads (on 2 cores one
+# worker took 0.79-0.92 of two workers' time from 100 to 667 columns, and
+# 1.29 times as long at 64)
+_SERIAL_COLUMNS = 64
 
 
 def _partial(labels, g):
@@ -400,8 +409,14 @@ def _partial(labels, g):
     return np.bincount(labels, minlength=_STRATA), sums, gram
 
 
-def _workers() -> int:
-    """Threads for one estimate: the cores this process may run on, at most _STRATA."""
+def _workers(columns: int) -> int:
+    """Threads for one estimate of this many columns.
+
+    The cores this process may run on, at most _STRATA, or one above
+    _SERIAL_COLUMNS columns.
+    """
+    if columns > _SERIAL_COLUMNS:
+        return 1
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -450,36 +465,60 @@ def _cone_estimate(chain: ChainSpec, planar, n, seed):
     With fewer than 16 samples per stratum on average (n < 256), or an
     empty stratum, it is the plain mean with the (n - 1) covariance instead.
 
-    The _STRATA blocks run on W = _workers() threads: the calling thread
-    opens every block's substream in block order, then worker w draws the
-    blocks k = w mod W, the calling thread being worker 0.  Each chunk
-    leaves only its _partial (counts, per-stratum column sums, Gram
-    matrix) in its block's slot, and the caller adds them in (block,
-    chunk) order.  A block's draws depend on its stream alone and every sum
-    is taken in that one order, so the result is bitwise the same for
-    every W and every scheduling.  The kernel makes no BLAS call: its
-    contractions are einsum loops, as fast as BLAS at these shapes, and a
-    threaded BLAS would hold a core spinning against the workers.
+    The _STRATA blocks run on W = _workers(dim) threads: the calling
+    thread opens every block's substream in block order, then worker w
+    draws the blocks k = w mod W, the calling thread being worker 0.  Each
+    chunk leaves only its _partial (counts, per-stratum column sums, Gram
+    matrix), which is added to the totals, in (block, chunk) order, as
+    soon as every partial before it is: a partial waits only while an
+    earlier block is still being drawn, so at most the later blocks'
+    partials of the other workers are held, not all of them.  A block's
+    draws depend on its stream alone and every sum is taken in that one
+    order, so the result is bitwise the same for every W and every
+    scheduling.  The kernel makes no BLAS call up to _GRAM_EINSUM_COLUMNS
+    columns: its contractions are einsum loops, as fast as BLAS at these
+    shapes, and a threaded BLAS would hold a core spinning against the
+    workers.  Wider chunks form the Gram matrix by a BLAS matmul, and above
+    _SERIAL_COLUMNS they run on one worker, BLAS threading the matmul.
     """
     kernel = _cone_kernel(chain, planar)
     blocks = _blocks(n, seed)
-    workers = _workers()
-    partials = [None] * _STRATA
+    dim = len(planar)
+    workers = _workers(dim)
+    counts = np.zeros(_STRATA)
+    sums = np.zeros((_STRATA, dim))
+    gram = np.zeros((dim, dim))
+    # partials drawn but not yet added, per block, and the blocks fully drawn
+    pending = [[] for _ in range(_STRATA)]
+    drawn = [False] * _STRATA
+    lock = threading.Lock()
+    added = 0  # every block before this one is added
+
+    def add(k, partial=None):
+        """Take a chunk's partial of block k (or the end of block k) and add
+        every partial whose predecessors in (block, chunk) order are added."""
+        nonlocal added
+        with lock:
+            if partial is None:
+                drawn[k] = True
+            else:
+                pending[k].append(partial)
+            while added < _STRATA:
+                for part in pending[added]:
+                    for total, term in zip((counts, sums, gram), part):
+                        total += term
+                pending[added].clear()
+                if not drawn[added]:
+                    break
+                added += 1
 
     def task(w):
         for k in range(w, _STRATA, workers):
-            partials[k] = [_partial(*chunk) for chunk in _chunks(kernel, *blocks[k])]
+            for chunk in _chunks(kernel, *blocks[k]):
+                add(k, _partial(*chunk))
+            add(k)
 
     _on_workers(task, workers)
-    dim = len(planar)
-    sums = np.zeros((_STRATA, dim))
-    counts = np.zeros(_STRATA)
-    gram = np.zeros((dim, dim))
-    for block in partials:
-        for chunk_counts, chunk_sums, chunk_gram in block:
-            counts += chunk_counts
-            sums += chunk_sums
-            gram += chunk_gram
     if n >= 16 * _STRATA and counts.all():
         means = sums / counts[:, None]
         value = means.mean(axis=0)

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import threading
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -237,9 +238,37 @@ def test_gap42_worker_case_takes_two_chunks_per_block():
     assert chunk < 600_001 // 16 <= 2 * chunk
 
 
+def test_partials_are_added_as_they_come_in_order():
+    # a 200-radius profile at n = 5e4 has one chunk per block; on one worker
+    # each chunk's partial is added before the next is drawn, so no more than
+    # two Gram matrices are ever alive, not one per chunk
+    alive, most = [0], [0]
+    partial = dn._partial
+
+    def counted(labels, g):
+        out = partial(labels, g)
+        alive[0] += 1
+        most[0] = max(most[0], alive[0])
+        weakref.finalize(out[2], lambda: alive.__setitem__(0, alive[0] - 1))
+        return out
+
+    chain = geo.canonical_chain(8, 6)
+    with mock.patch.object(dn, "_workers", return_value=1), \
+            mock.patch.object(dn, "_partial", counted):
+        dn.limiting_density_profile(chain, np.linspace(0.0, 0.3, 200), 50_000, SEED)
+    assert alive[0] == 0
+    assert most[0] <= 2
+
+
+def test_wide_profiles_run_on_one_worker():
+    assert dn._workers(dn._SERIAL_COLUMNS + 1) == 1
+    assert dn._workers(dn._SERIAL_COLUMNS) == dn._workers(2) >= 1
+
+
 def test_more_workers_than_cores_under_fast_switching():
-    # each block's partials go to a slot of their own, so sixteen threads
-    # switching every microsecond still give the one-worker result bit for bit
+    # the partials are added in (block, chunk) order whichever thread drew
+    # them, so sixteen threads switching every microsecond still give the
+    # one-worker result bit for bit
     with mock.patch.object(dn, "_workers", return_value=1):
         expected = dn.improvement_gap(24, 40_000, SEED)
     interval = sys.getswitchinterval()
