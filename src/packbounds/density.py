@@ -54,10 +54,9 @@ read top-down is a Markov chain: one Chebyshev averaging operator per
 level, shared by every lambda, with the planar factor entering at the last
 level through a radial rule: the domain's for a wedge, the point mass at
 radius 0 for a simplex or at each radius of a profile.  The planar factor
-M(mu) depends on mu = lambda x^2 alone.  A wedge's is summed by its Taylor
-series in mu on the lambda rows where mu stays at or below 1, and elsewhere
-tabulated once per pass as a Chebyshev series in mu and evaluated by
-Clenshaw's recurrence; the point mass is summed directly.  The
+M(mu) depends on mu = lambda x^2 alone.  A wedge's is tabulated once per
+pass as a Chebyshev series in mu and evaluated by Clenshaw's recurrence
+on every lambda row; the point mass is summed directly.  The
 disagreement with a pass at doubled resolution is its error estimate.
 quadrature_gap runs the same linear recursion on the triangle's minus the
 sector's planar factor, so the gap comes out with no cancellation between
@@ -162,7 +161,12 @@ class ProfileEstimate:
     def mean_functional(self, weights) -> tuple[float, float]:
         """Weighted average of the profile and its standard error."""
         w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
+        if w.shape != np.shape(self.radii):
+            raise ValueError(f"weights must match the {len(self.radii)} radii, got shape {w.shape}")
+        total = w.sum()
+        if not (np.isfinite(w).all() and 0.0 < total < math.inf):
+            raise ValueError("weights must be finite with a positive sum")
+        w = w / total
         return float(w @ self.values), float(math.sqrt(max(w @ self.cov @ w, 0.0)))
 
 
@@ -651,8 +655,6 @@ _LAPLACE_TOL = 2.0**-60
 # Chebyshev points at which _planar_factor first tabulates M; 64 resolve the
 # canonical and truncated domains at d = 4..64 to roundoff with 7 to 31 terms
 _TABLE_POINTS = 64
-# bound on the Taylor tail _planar_factor drops, relative to sum_k |w_k|
-_TAYLOR_TOL = 2.0**-54
 
 
 def _chebyshev_angles(n: int) -> np.ndarray:
@@ -777,70 +779,29 @@ def _chebyshev_table(r2: np.ndarray, w: np.ndarray, mu_top: float):
             return None
 
 
-def _taylor_coefficients(r2: np.ndarray, w: np.ndarray, x: float) -> np.ndarray:
-    """a_m = (-1)^m sum_k w_k r2_k^m / m! of M(mu) = sum_m a_m mu^m, for mu r2_k <= x <= 1.
-
-    |a_m mu^m| <= sum_k |w_k| x^m / m!, so the terms from M on sum to at
-    most sum_k |w_k| x^M / M! / (1 - x/(M + 1)); M is the least count whose
-    tail bound is below _TAYLOR_TOL sum_k |w_k|.
-    """
-    n_terms, bound = 1, x
-    while bound >= _TAYLOR_TOL * (1.0 - x / (n_terms + 1)):
-        n_terms += 1
-        bound *= x / n_terms
-    # row m of the running product is w_k (-r2_k)^m / m!
-    steps = np.multiply.outer(-1.0 / np.arange(1, n_terms), r2)
-    return np.cumprod(np.vstack([w, steps]), axis=0).sum(axis=1)
-
-
 def _planar_factor(mu: np.ndarray, r2: np.ndarray, w: np.ndarray, mu_top: float) -> np.ndarray:
     """M(mu) = sum_k w_k exp(-mu r2_k) for every entry of mu in [0, mu_top].
 
-    The one-node point mass of a simplex or a profile radius is summed
-    directly, which is exact and costs one exponential per entry.  For a
-    rule of more nodes, the rows of mu whose entries all stay at or below
-    1 / max(1, max_k r2_k) take M's Taylor series in mu, from the rule's own
-    weights (_taylor_coefficients), summed by Horner: two passes per term.
-    As every mu r2_k <= 1, the terms' sizes sum to at most e sum_k |w_k|,
-    so their roundoff stays near eps sum_k |w_k|.  For the canonical wedge
-    these are 166 of a fine pass's 231 lambda rows at d = 8, with 9 terms
-    against the table's 19, 105 of 172 at d = 12 and 8 of 83 at d = 42.
-
-    The other rows take a table.  M is entire in mu, so its Chebyshev
-    series on [0, mu_top] converges faster than geometrically.  M is
-    tabulated at m Chebyshev-Gauss points as sum_k w_k + sum_k w_k
-    expm1(-mu r2_k), whose error shrinks with mu r2 where the gap's signed
-    weights cancel.  The coefficients come from the cosine sum, each angle
-    k (2j + 1) pi / 2m reduced mod 2 pi in integers, which keeps their
-    roundoff near eps instead of k eps.  The series is chopped after its
-    last coefficient not below tol = 4 eps max_k |c_k| (after Aurentz and
-    Trefethen, ACM TOMS 43, 2017).  m starts at _TABLE_POINTS and doubles
-    until the upper half of the coefficients lies below tol, so the kept
-    series has reached roundoff; Clenshaw's recurrence (Clenshaw, 1955)
-    then evaluates it at every entry of those rows.  A rule the table has
-    not resolved once m reaches its node count is summed directly.
+    M is entire in mu, so its Chebyshev series on [0, mu_top] converges
+    faster than geometrically.  M is tabulated at m Chebyshev-Gauss points
+    as sum_k w_k + sum_k w_k expm1(-mu r2_k), whose error shrinks with mu r2
+    where the gap's signed weights cancel.  The coefficients come from the
+    cosine sum, each angle k (2j + 1) pi / 2m reduced mod 2 pi in integers,
+    which keeps their roundoff near eps instead of k eps.  The series is
+    chopped after its last coefficient not below tol = 4 eps max_k |c_k|
+    (after Aurentz and Trefethen, ACM TOMS 43, 2017).  m starts at
+    _TABLE_POINTS and doubles until the upper half of the coefficients lies
+    below tol, so the kept series has reached roundoff; Clenshaw's
+    recurrence (Clenshaw, 1955) then evaluates it at every entry of mu.  A
+    rule the table has not resolved once m reaches its node count is summed
+    directly, as is the one-node point mass of a simplex or a profile
+    radius, which is exact and costs one exponential per entry.
     """
-    if len(r2) == 1:
-        return _planar_sum(mu, r2, w)
-    out = np.empty_like(mu)
-    row_top = mu.max(axis=1)
-    small = row_top * max(1.0, float(r2.max())) <= 1.0
-    if small.any():
-        a = _taylor_coefficients(r2, w, float(row_top[small].max() * r2.max()))
-        block = mu[small]
-        m_small = np.full_like(block, a[-1])
-        for am in a[-2::-1]:
-            m_small *= block
-            m_small += am
-        out[small] = m_small
-    if not small.all():
-        large = ~small
+    if len(r2) > 1:
         c = _chebyshev_table(r2, w, mu_top)
-        if c is None:
-            out[large] = _planar_sum(mu[large], r2, w)
-        else:
-            out[large] = _clenshaw(c, mu[large] * (2.0 / mu_top) - 1.0)
-    return out
+        if c is not None:
+            return _clenshaw(c, mu * (2.0 / mu_top) - 1.0)
+    return _planar_sum(mu, r2, w)
 
 
 def _lambda_top(d: int) -> float:
@@ -1012,14 +973,13 @@ def quadrature_gap(d: int) -> tuple[float, float]:
     value by at most e D0, D0 the chain's pass with M = 1, the point mass
     at radius 0.  The floor is 4 eps D0, e = 2 eps sum_k |w_k| with
     sum_k |w_k| = 2, while M itself cancels to a few percent of the
-    weights.  The floor is empirical, not a bound: the table and series are
-    held to the direct sum within 16 eps sum_k |w_k| per entry (5.5 at
-    most measured), which would give 32 eps D0.  Replacing the table and
-    series by the direct sum moved the gap by at most 0.34 of the floor at
-    every d = 4..64 (test_quadrature_gap_error_covers_planar_roundoff); the
-    disagreement alone fell short of that move at 23 of those d, by up to
-    740 times at d = 53.  At d = 42 the move is 1.2e-12 relative and the
-    floor 3.3e-11.
+    weights.  The floor is empirical, not a bound: the table is held to the
+    direct sum within 16 eps sum_k |w_k| per entry (7.5 at most measured),
+    which would give 32 eps D0.  Replacing the table by the direct sum
+    moved the gap by at most 0.34 of the floor at every d = 4..64
+    (test_quadrature_gap_error_covers_planar_roundoff); the disagreement
+    alone fell short of that move at 23 of those d, by up to 740 times at
+    d = 53.  At d = 42 the move is 1.2e-12 relative and the floor 3.3e-11.
     """
     if d < 4:
         raise ValueError(f"gap quadrature needs d >= 4, got {d}")

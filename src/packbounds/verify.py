@@ -172,6 +172,8 @@ def check_pair_separation(d: int = 8, grid: int = 200) -> CheckResult:
     corner value exceeding 4 is the expected out-of-domain behavior.
     Finite-difference partial slopes must be nonnegative for every d >= 4.
     """
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     tilt_max = math.acos(fm.max_tilt_cosine(d))
     angles = np.linspace(0.0, tilt_max, grid)
     values = fm.pair_gap_bound(d, angles[:, None], angles[None, :])
@@ -232,6 +234,8 @@ def check_reach_bound(d_max: int = 1000) -> CheckResult:
 
 def check_radius_ratio(d: int = 8, grid: int = 1000) -> CheckResult:
     """Trace/clearance radius ratio decreases strictly across the lower heights."""
+    if grid < 3:
+        raise ValueError("grid must be >= 3")
     lo, mid, _ = fm.height_breakpoints(d)
     hs = np.linspace(lo, mid, grid, endpoint=False)
     ratio = np.array([np.divide(*fm.truncation_scalars(d, float(h))) for h in hs])

@@ -102,6 +102,15 @@ def test_verify_threshold_semantics(capsys):
     assert "expected-outside-domain" in check["witness"]["notes"]
 
 
+@pytest.mark.parametrize("name,grid,least", [("pair-separation", "1", 2), ("pair-separation", "0", 2),
+                                             ("radius-ratio", "2", 3)])
+def test_verify_rejects_small_grid(capsys, name, grid, least):
+    code, out, err = run_cli(capsys, "verify", name, "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: grid must be >= {least}\n"
+
+
 def test_verify_unknown_name(capsys):
     code, _, err = run_cli(capsys, "verify", "bogus-name")
     assert code == 2

@@ -682,6 +682,18 @@ def test_profile_mean_reproduces_wedge_density():
     assert abs(mean - hat.value) <= 3.0 * math.hypot(se, hat.stderr) + 1e-5
 
 
+def test_profile_mean_rejects_bad_weights():
+    # weights summing to 0 gave (nan, nan); a wrong length, a non-finite
+    # weight or a negative sum has no mean either
+    prof = dn.ProfileEstimate(radii=np.array([0.0, 0.1, 0.2]), values=np.array([0.3, 0.2, 0.1]),
+                              cov=np.eye(3) * 1e-6, n=10, seed=0)
+    for weights in ([1, -1, 0], [-1, 0, 0], [1, 1], [[1, 1, 1]], [1, math.nan, 1], [1, math.inf, 1]):
+        with pytest.raises(ValueError, match="^weights must"):
+            prof.mean_functional(weights)
+    mean, se = prof.mean_functional([1, 0, 1])
+    assert mean == pytest.approx(0.2) and se == pytest.approx(math.sqrt(0.5e-6))
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -714,47 +726,28 @@ def test_quadrature_cross_oracle(cfg_make, d):
 
 
 def assert_table_matches_direct(r2, w, d):
-    # M at 4000 points of the pass's whole interval [0, lambda_top] against
-    # the direct exponential sum.  A rule of more than one node takes the
-    # Chebyshev table, held within 16 eps sum_k |w_k| absolute: its roundoff
-    # measured at most 5.5 of that over the canonical rules at d = 4..64 and
-    # 200 truncated domains.  The one-node point mass is summed directly.
-    # Every row of this 40 x 100 grid reaches past mu = 1, so none takes the
-    # Taylor series of the small-mu rows (assert_series_matches_direct)
+    # M against the direct exponential sum on two grids: 4000 points of the
+    # pass's whole interval [0, lambda_top], and a grid shaped like a pass's,
+    # mu = lambda x^2 on the fine pass's Chebyshev nodes with lambda rows
+    # from 1e-3 to lambda_top.  A rule of more than one node takes the
+    # Chebyshev table on every row, held within 16 eps sum_k |w_k| absolute:
+    # its roundoff measured at most 7.5 of that over the canonical rules at
+    # d = 4..64 and 120 truncated rules.  The one-node point mass is summed
+    # directly
     top = dn._lambda_top(d)
-    mu = np.linspace(0.0, top, 4001)[:-1].reshape(40, 100)
-    assert mu.max(axis=1).min() > 1.0
-    with mock.patch.object(dn, "_clenshaw", wraps=dn._clenshaw) as clenshaw:
-        got = dn._planar_factor(mu, r2, w, top)
-    direct = direct_planar_factor(mu, r2, w)
-    if len(r2) == 1:
-        assert clenshaw.call_count == 0 and np.array_equal(got, direct)
-        return
-    assert clenshaw.call_count == 1
-    err = np.abs(got - direct).max()
-    assert err <= 16 * np.finfo(float).eps * np.abs(w).sum()
-
-
-def assert_series_matches_direct(r2, w, d):
-    # M on a grid shaped like a pass's, mu = lambda x^2 on the fine pass's
-    # Chebyshev nodes, with lambda rows from 1e-3 to lambda_top that straddle
-    # the split: the rows that stay at or below mu = 1 take the Taylor
-    # series, the others the table, and both are held to the direct sum
-    # within the table's 16 eps sum_k |w_k|
-    top = dn._lambda_top(d)
-    lam = np.geomspace(1e-3, top, 160)
     x = 0.5 * (1.0 + np.cos(dn._chebyshev_angles(96)))
-    mu = np.outer(lam, x * x)
-    small = mu.max(axis=1) * max(1.0, r2.max()) <= 1.0
-    assert small.any() and not small.all()
-    with mock.patch.object(dn, "_taylor_coefficients", wraps=dn._taylor_coefficients) as series, \
-            mock.patch.object(dn, "_clenshaw", wraps=dn._clenshaw) as clenshaw:
-        got = dn._planar_factor(mu, r2, w, top)
-    assert series.call_count == 1 and clenshaw.call_count == 1
-    assert clenshaw.call_args.args[1].shape == ((~small).sum(), len(x))
-    err = np.abs(got - direct_planar_factor(mu, r2, w)).max(axis=1)
-    bound = 16 * np.finfo(float).eps * np.abs(w).sum()
-    assert err[small].max() <= bound and err[~small].max() <= bound
+    grids = (np.linspace(0.0, top, 4001)[:-1].reshape(40, 100),
+             np.outer(np.geomspace(1e-3, top, 160), x * x))
+    for mu in grids:
+        with mock.patch.object(dn, "_clenshaw", wraps=dn._clenshaw) as clenshaw:
+            got = dn._planar_factor(mu, r2, w, top)
+        direct = direct_planar_factor(mu, r2, w)
+        if len(r2) == 1:
+            assert clenshaw.call_count == 0 and np.array_equal(got, direct)
+            continue
+        assert clenshaw.call_count == 1 and clenshaw.call_args.args[1].shape == mu.shape
+        err = np.abs(got - direct).max()
+        assert err <= 16 * np.finfo(float).eps * np.abs(w).sum()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -773,7 +766,6 @@ def test_planar_table_matches_direct_sum_truncated(shape, frac, seed, nr):
         else:
             dom = geo.truncation_domain(d, h, shape, vertices=quad)
     assert_table_matches_direct(*dn._normalised_rule(dom, nr), d)
-    assert_series_matches_direct(*dn._normalised_rule(dom, nr), d)
 
 
 @pytest.mark.parametrize("d", range(4, 65))
@@ -781,46 +773,22 @@ def test_planar_table_matches_direct_sum_canonical(d):
     tri, sec = geo.triangle_domain(d), geo.sector_domain(d)
     for nr in (64, 128):
         (r2_t, w_t), (r2_s, w_s) = dn._normalised_rule(tri, nr), dn._normalised_rule(sec, nr)
-        if d in (8, 24, 42, 64):
-            assert_table_matches_direct(r2_t, w_t, d)
-            assert_table_matches_direct(r2_s, w_s, d)
+        assert_table_matches_direct(r2_t, w_t, d)
+        assert_table_matches_direct(r2_s, w_s, d)
         # the gap's signed rule, whose values cancel to a few percent of its weights
-        signed = np.concatenate([r2_t, r2_s]), np.concatenate([w_t, -w_s])
-        assert_table_matches_direct(*signed, d)
-        assert_series_matches_direct(*signed, d)
-        assert_series_matches_direct(r2_t, w_t, d)
-        assert_series_matches_direct(r2_s, w_s, d)
-
-
-@pytest.mark.parametrize("x", [0.0, 1e-3, 4 / 63, 4 / 15, 1.0])
-def test_planar_series_term_count_bounds_tail(x):
-    # the one-node rule at mu r2 = x, where every term of e^(-x) has its
-    # largest size: the dropped terms, summed exactly far past roundoff,
-    # stay below _TAYLOR_TOL, and one term fewer would not
-    coef = dn._taylor_coefficients(np.array([x]), np.ones(1), x)
-    q, n_terms = Fraction(x), len(coef)
-
-    def tail(start):
-        return abs(sum(Fraction((-1) ** m) * q**m / math.factorial(m) for m in range(start, 80)))
-
-    assert tail(n_terms) < Fraction(dn._TAYLOR_TOL)
-    assert n_terms == 1 or tail(n_terms - 1) > Fraction(dn._TAYLOR_TOL) / 4
-    exact = [float(Fraction((-1) ** m) * q**m / math.factorial(m)) for m in range(n_terms)]
-    np.testing.assert_allclose(coef, exact, rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert_table_matches_direct(np.concatenate([r2_t, r2_s]), np.concatenate([w_t, -w_s]), d)
 
 
 def test_point_mass_planar_factor_is_the_direct_sum():
-    # the point mass takes the direct sum, bit for bit, on rows below and
-    # above the Taylor series' split: M = 1 for the simplex, and
-    # e^(-mu r^2) at a profile radius
+    # the point mass takes the direct sum, bit for bit, and no table: M = 1
+    # for the simplex, and e^(-mu r^2) at a profile radius
     top = dn._lambda_top(8)
     mu = np.outer(np.geomspace(0.01, top, 300), np.linspace(0.0, 1.0, 96) ** 2)
-    assert (mu.max(axis=1) <= 1.0).any() and (mu.max(axis=1) > 1.0).any()
     for r2, w in (dn._point_mass(64), dn._point_mass(64, r2=0.09)):
-        with mock.patch.object(dn, "_taylor_coefficients") as series, \
+        with mock.patch.object(dn, "_chebyshev_table") as table, \
                 mock.patch.object(dn, "_clenshaw") as clenshaw:
             got = dn._planar_factor(mu, r2, w, top)
-        assert series.call_count == 0 and clenshaw.call_count == 0
+        assert table.call_count == 0 and clenshaw.call_count == 0
         assert np.array_equal(got, direct_planar_factor(mu, r2, w))
     assert np.array_equal(dn._planar_factor(mu, *dn._point_mass(64), top), np.ones_like(mu))
 
@@ -1006,9 +974,9 @@ def test_quadrature_gap_positive_and_resolved():
 
 
 def test_quadrature_gap_error_covers_planar_roundoff(monkeypatch):
-    # the direct exponential sum in place of the planar factor's table and
-    # series moves the gap by roundoff that the recursion amplifies; the
-    # stated error covers that move at every d
+    # the direct exponential sum in place of the planar factor's table
+    # moves the gap by roundoff that the recursion amplifies; the stated
+    # error covers that move at every d
     gaps = {d: dn.quadrature_gap(d) for d in range(4, 65)}
     monkeypatch.setattr(dn, "_planar_factor",
                         lambda mu, r2, w, top: direct_planar_factor(mu, r2, w))

@@ -73,6 +73,17 @@ def test_profile_monotone_check():
     assert len(vals) == 5
 
 
+@pytest.mark.parametrize("name,grid,least", [("pair-separation", 1, 2), ("pair-separation", 0, 2),
+                                             ("radius-ratio", 2, 3)])
+def test_grid_checks_reject_too_few_points(name, grid, least):
+    # pair-separation's one-point grid is tilt 0 alone, which passed without
+    # reaching the corner; radius-ratio's two points leave no slope at all
+    with pytest.raises(ValueError, match=f"^grid must be >= {least}$"):
+        vf.run_check(name, grid=grid)
+    r = vf.run_check(name, grid=least)
+    assert r.passed and r.witness["grid"] == least
+
+
 def test_truncation_gain_check():
     r = vf.check_truncation_gain(d=8)
     assert r.passed
