@@ -74,8 +74,10 @@ def _dims_ok(what: str, lo: int, **dims: int) -> bool:
     """Whether lo <= the named dimensions <= D_MAX, in the given order; if not,
     print the usage error.
 
-    lo is 2 where only the simplex is built and 4 where a wedge is.  Above
-    D_MAX the binomial coefficients of the stratum edges overflow a double.
+    lo is 2 where only the simplex is built and 4 where a wedge is.  D_MAX
+    is the range the tests cover and the quadrature oracle's stated errors
+    stay small over (2.6e-11 relative for sigma at 64, 2.3e-8 at 80); the
+    Monte-Carlo estimators' stratum edges build to d = 1030.
     """
     values = list(dims.values())
     if all(a <= b for a, b in zip([lo, *values], [*values, D_MAX])):

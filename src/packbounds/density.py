@@ -22,16 +22,16 @@ its own PCG64 substream keyed by (seed, block) (streams.substream).  One
 estimator, _cone_estimate, serves sigma, sigma_hat and lambda, and runs the
 blocks on one thread per usable core, at most 16, the calling thread among
 them.  The caller opens every substream; each thread draws its blocks chunk
-by chunk and forms only per-chunk partial sums, which are added in (block,
-chunk) order as soon as every earlier one is.  A block's draws depend on
-its stream alone and the sums on that one order, so results are
-reproducible bit for bit and the same at any worker count, core layout or
-scheduling.  Up to 8 columns the kernel makes no BLAS call, so no BLAS
-thread pool spins against the workers: the chain coordinates are never
-formed, and _chain_norm2 contracts the squared draw with the levels'
-coefficients in one einsum loop per chunk.  A wider profile forms its Gram
-matrix by a BLAS matmul, and above 64 columns runs on one worker, leaving
-the cores to BLAS's threads.
+by chunk and forms only per-chunk partial sums, and the caller alone adds
+them, in (block, chunk) order: its own as it draws them, the helpers' from
+one queue per block.  A block's draws depend on its stream alone and the
+sums on that one order, so results are reproducible bit for bit and the
+same at any worker count, core layout or scheduling.  Up to 8 columns the
+kernel makes no BLAS call, so no BLAS thread pool spins against the
+workers: the chain coordinates are never formed, and _chain_norm2 contracts
+the squared draw with the levels' coefficients in one einsum loop per
+chunk.  A wider profile forms its Gram matrix by a BLAS matmul, and above
+64 columns runs on one worker, leaving the cores to BLAS's threads.
 
 The samples are post-stratified into 16 equal-probability strata of the
 lead coordinate (the join parameter t of a wedge, the leading ordered
@@ -69,6 +69,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import queue
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -428,34 +429,6 @@ def _workers(columns: int) -> int:
     return min(_STRATA, cores)
 
 
-def _on_workers(task, workers: int) -> None:
-    """Run task(w) for w = 0..workers-1 and return when every one has.
-
-    task(0) runs on the calling thread and the others on threads started
-    here and joined before returning, even when something raises, so no
-    thread outlives the call.  A helper's exception is re-raised here.
-    """
-    errors = []
-
-    def helper(w):
-        try:
-            task(w)
-        except BaseException as exc:  # handed to the caller, which re-raises it
-            errors.append(exc)
-
-    threads = []
-    try:
-        for w in range(1, workers):
-            threads.append(threading.Thread(target=helper, args=(w,)))
-            threads[-1].start()
-        task(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _cone_estimate(chain: ChainSpec, planar, n, seed):
     """Post-stratified mean of the _cone_kernel columns and its covariance.
 
@@ -473,17 +446,17 @@ def _cone_estimate(chain: ChainSpec, planar, n, seed):
     thread opens every block's substream in block order, then worker w
     draws the blocks k = w mod W, the calling thread being worker 0.  Each
     chunk leaves only its _partial (counts, per-stratum column sums, Gram
-    matrix), which is added to the totals, in (block, chunk) order, as
-    soon as every partial before it is: a partial waits only while an
-    earlier block is still being drawn, so at most the later blocks'
-    partials of the other workers are held, not all of them.  A block's
-    draws depend on its stream alone and every sum is taken in that one
-    order, so the result is bitwise the same for every W and every
-    scheduling.  The kernel makes no BLAS call up to _GRAM_EINSUM_COLUMNS
-    columns: its contractions are einsum loops, as fast as BLAS at these
-    shapes, and a threaded BLAS would hold a core spinning against the
-    workers.  Wider chunks form the Gram matrix by a BLAS matmul, and above
-    _SERIAL_COLUMNS they run on one worker, BLAS threading the matmul.
+    matrix).  The calling thread alone adds them to the totals, walking the
+    blocks in order: its own blocks' partials as it draws them, and each
+    other block's from a queue that its helper fills and ends with None (or
+    with the exception it raised, re-raised here).  A block's draws depend
+    on its stream alone and every sum is taken in (block, chunk) order, so
+    the result is bitwise the same for every W and every scheduling.  The
+    kernel makes no BLAS call up to _GRAM_EINSUM_COLUMNS columns: its
+    contractions are einsum loops, as fast as BLAS at these shapes, and a
+    threaded BLAS would hold a core spinning against the workers.  Wider
+    chunks form the Gram matrix by a BLAS matmul, and above _SERIAL_COLUMNS
+    they run on one worker, BLAS threading the matmul.
     """
     kernel = _cone_kernel(chain, planar)
     blocks = _blocks(n, seed)
@@ -492,37 +465,36 @@ def _cone_estimate(chain: ChainSpec, planar, n, seed):
     counts = np.zeros(_STRATA)
     sums = np.zeros((_STRATA, dim))
     gram = np.zeros((dim, dim))
-    # partials drawn but not yet added, per block, and the blocks fully drawn
-    pending = [[] for _ in range(_STRATA)]
-    drawn = [False] * _STRATA
-    lock = threading.Lock()
-    added = 0  # every block before this one is added
+    queues = [queue.SimpleQueue() for _ in range(_STRATA)]
 
-    def add(k, partial=None):
-        """Take a chunk's partial of block k (or the end of block k) and add
-        every partial whose predecessors in (block, chunk) order are added."""
-        nonlocal added
-        with lock:
-            if partial is None:
-                drawn[k] = True
-            else:
-                pending[k].append(partial)
-            while added < _STRATA:
-                for part in pending[added]:
-                    for total, term in zip((counts, sums, gram), part):
-                        total += term
-                pending[added].clear()
-                if not drawn[added]:
-                    break
-                added += 1
+    def partials(k):
+        return (_partial(*chunk) for chunk in _chunks(kernel, *blocks[k]))
 
-    def task(w):
+    def helper(w):
         for k in range(w, _STRATA, workers):
-            for chunk in _chunks(kernel, *blocks[k]):
-                add(k, _partial(*chunk))
-            add(k)
+            try:
+                for part in partials(k):
+                    queues[k].put(part)
+            except BaseException as exc:  # re-raised by the calling thread at block k
+                queues[k].put(exc)
+                return
+            queues[k].put(None)
 
-    _on_workers(task, workers)
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=helper, args=(w,))
+            thread.start()
+            threads.append(thread)
+        for k in range(_STRATA):
+            for part in partials(k) if k % workers == 0 else iter(queues[k].get, None):
+                if isinstance(part, BaseException):
+                    raise part
+                for total, term in zip((counts, sums, gram), part):
+                    total += term
+    finally:
+        for thread in threads:
+            thread.join()
     if n >= 16 * _STRATA and counts.all():
         means = sums / counts[:, None]
         value = means.mean(axis=0)

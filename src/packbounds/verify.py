@@ -267,6 +267,8 @@ def check_radius_ratio(d: int = 8, grid: int = 1000) -> CheckResult:
 
 def check_profile_monotone(d: int = 8, n_points: int = 6) -> CheckResult:
     """Limiting density profile is nonincreasing in the local radius."""
+    if n_points < 2:
+        raise ValueError("n_points must be >= 2")
     chain = geo.canonical_chain(d, d - 2)
     rmax = 2.0 * fm.sector_geometry(d).radius
     radii = np.linspace(0.0, rmax, n_points)
@@ -453,6 +455,8 @@ def check_square_cap(d: int = 8, h_grid: int = 5) -> CheckResult:
     """
     if d < MIN_D["square-cap-monotone"]:
         raise ValueError("the capped-square sweep is stated for d >= 8")
+    if h_grid < 2:
+        raise ValueError("h_grid must be >= 2")
     lo, mid, _ = fm.height_breakpoints(d)
     hs = np.linspace(lo, mid, h_grid, endpoint=False)
     ests = [quadrature_density(geo.truncated_wedge(d, float(h), "disc_cap_square")) for h in hs]

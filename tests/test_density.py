@@ -344,6 +344,44 @@ def test_worker_exception_propagates_and_no_thread_outlives_it(where):
     assert threading.active_count() == before
 
 
+def test_helper_exception_after_a_finished_block_reaches_the_caller():
+    # on 3 workers each helper hands over its first block, ends that block's
+    # queue, then fails drawing its second (one chunk per block); the calling
+    # thread must re-raise when it reaches that block, not wait on it, so the
+    # estimate runs on a daemon thread joined with a timeout
+    config = geo.canonical_wedge(8)
+    _, chunk = dn._cone_kernel(config.chain, [dn._planar_series(config.domain, config.chain)])
+    assert chunk >= -(-10_000 // 16)
+    draw = dn._ordered_chain
+    draws, outcome = {}, []
+
+    def failing(d, m, rng):
+        # keyed by Thread object, since a finished helper's ident may be reused
+        me = threading.current_thread()
+        if me is not runner:
+            draws[me] = draws.get(me, 0) + 1
+            if draws[me] == 2:
+                raise RuntimeError("second block failed")
+        return draw(d, m, rng)
+
+    def run():
+        try:
+            dn.wedge_density(8, 10_000, SEED)
+        except RuntimeError as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    before = threading.active_count()
+    with mock.patch.object(dn, "_workers", return_value=3), \
+            mock.patch.object(dn, "_ordered_chain", failing):
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "the helper's exception never reached the calling thread"
+    assert [str(exc) for exc in outcome] == ["second block failed"]
+    assert sorted(draws.values()) == [2, 2]
+    assert threading.active_count() == before
+
+
 def _pinned_paths():
     """Fixed-seed Monte-Carlo paths, each returning a flat list of floats."""
     lo, mid, _ = fm.height_breakpoints(8)

@@ -84,6 +84,17 @@ def test_grid_checks_reject_too_few_points(name, grid, least):
     assert r.passed and r.witness["grid"] == least
 
 
+@pytest.mark.parametrize("name,key,least", [("profile-monotone", "n_points", 2),
+                                            ("square-cap-monotone", "h_grid", 2)])
+@pytest.mark.parametrize("size", [0, 1])
+def test_sweep_checks_reject_too_few_points(name, key, least, size):
+    # one point compares no pair, so it passed having decided nothing, and
+    # square-cap-monotone's empty sweep raised IndexError
+    with pytest.raises(ValueError, match=f"^{key} must be >= {least}$"):
+        vf.run_check(name, **{key: size})
+    assert vf.run_check(name, **{key: least}).passed
+
+
 def test_truncation_gain_check():
     r = vf.check_truncation_gain(d=8)
     assert r.passed
