@@ -21,17 +21,20 @@ the chain levels' coordinates.  The n samples come in 16 blocks, each from
 its own PCG64 substream keyed by (seed, block) (streams.substream).  One
 estimator, _cone_estimate, serves sigma, sigma_hat and lambda, and runs the
 blocks on one thread per usable core, at most 16, the calling thread among
-them.  The caller opens every substream; each thread draws its blocks chunk
-by chunk and forms only per-chunk partial sums, and the caller alone adds
-them, in (block, chunk) order: its own as it draws them, the helpers' from
-one queue per block.  A block's draws depend on its stream alone and the
-sums on that one order, so results are reproducible bit for bit and the
-same at any worker count, core layout or scheduling.  Up to 8 columns the
-kernel makes no BLAS call, so no BLAS thread pool spins against the
-workers: the chain coordinates are never formed, and _chain_norm2 contracts
-the squared draw with the levels' coefficients in one einsum loop per
-chunk.  A wider profile forms its Gram matrix by a BLAS matmul, and above
-64 columns runs on one worker, leaving the cores to BLAS's threads.
+them.  The caller opens every substream and draws the first run of blocks
+itself, so it waits on no helper before the run is done; the helpers take
+the other blocks in turn.  Each thread draws its blocks chunk by chunk and
+forms only per-chunk partial sums, and the caller alone adds them, in
+(block, chunk) order: its own as it draws them, the helpers' from one queue
+per block.  If the estimate fails, every helper stops after its current
+chunk.  A block's draws depend on its stream alone and the sums on that one
+order, so results are reproducible bit for bit and the same at any worker
+count, core layout or scheduling.  Up to 8 columns the kernel makes no BLAS
+call, so no BLAS thread pool spins against the workers: the chain
+coordinates are never formed, and _chain_norm2 contracts the squared draw
+with the levels' coefficients in one einsum loop per chunk.  A wider
+profile forms its Gram matrix by a BLAS matmul, and above 64 columns runs
+on one worker, leaving the cores to BLAS's threads.
 
 The samples are post-stratified into 16 equal-probability strata of the
 lead coordinate (the join parameter t of a wedge, the leading ordered
@@ -443,15 +446,21 @@ def _cone_estimate(chain: ChainSpec, planar, n, seed):
     empty stratum, it is the plain mean with the (n - 1) covariance instead.
 
     The _STRATA blocks run on W = _workers(dim) threads: the calling
-    thread opens every block's substream in block order, then worker w
-    draws the blocks k = w mod W, the calling thread being worker 0.  Each
+    thread opens every block's substream in block order and draws the first
+    run of blocks, k < own = ceil(_STRATA / W), and helper w = 1 .. W - 1
+    draws the blocks own + w - 1, own + w - 1 + (W - 1), and so on.  Each
     chunk leaves only its _partial (counts, per-stratum column sums, Gram
     matrix).  The calling thread alone adds them to the totals, walking the
-    blocks in order: its own blocks' partials as it draws them, and each
-    other block's from a queue that its helper fills and ends with None (or
-    with the exception it raised, re-raised here).  A block's draws depend
-    on its stream alone and every sum is taken in (block, chunk) order, so
-    the result is bitwise the same for every W and every scheduling.  The
+    blocks in order: its own blocks' partials as it draws them, so it draws
+    its whole run before its first wait, and each other block's from a
+    queue that its helper fills and ends with None (or with the exception
+    it raised, re-raised here once the caller reaches that block).  A
+    helper's queues may thus hold its whole run's partials.  When the
+    estimate ends, a stop event is set before the helpers are joined; a
+    helper that sees it after drawing a chunk returns, so a failed estimate
+    draws at most one more chunk per helper.  A block's draws depend on its
+    stream alone and every sum is taken in (block, chunk) order, so the
+    result is bitwise the same for every W and every scheduling.  The
     kernel makes no BLAS call up to _GRAM_EINSUM_COLUMNS columns: its
     contractions are einsum loops, as fast as BLAS at these shapes, and a
     threaded BLAS would hold a core spinning against the workers.  Wider
@@ -466,14 +475,18 @@ def _cone_estimate(chain: ChainSpec, planar, n, seed):
     sums = np.zeros((_STRATA, dim))
     gram = np.zeros((dim, dim))
     queues = [queue.SimpleQueue() for _ in range(_STRATA)]
+    own = -(-_STRATA // workers)
+    stop = threading.Event()
 
     def partials(k):
         return (_partial(*chunk) for chunk in _chunks(kernel, *blocks[k]))
 
     def helper(w):
-        for k in range(w, _STRATA, workers):
+        for k in range(own + w - 1, _STRATA, workers - 1):
             try:
                 for part in partials(k):
+                    if stop.is_set():  # the estimate has failed: draw no further
+                        return
                     queues[k].put(part)
             except BaseException as exc:  # re-raised by the calling thread at block k
                 queues[k].put(exc)
@@ -487,12 +500,13 @@ def _cone_estimate(chain: ChainSpec, planar, n, seed):
             thread.start()
             threads.append(thread)
         for k in range(_STRATA):
-            for part in partials(k) if k % workers == 0 else iter(queues[k].get, None):
+            for part in partials(k) if k < own else iter(queues[k].get, None):
                 if isinstance(part, BaseException):
                     raise part
                 for total, term in zip((counts, sums, gram), part):
                     total += term
     finally:
+        stop.set()
         for thread in threads:
             thread.join()
     if n >= 16 * _STRATA and counts.all():

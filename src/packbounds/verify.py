@@ -28,7 +28,6 @@ __all__ = [
     "CheckResult",
     "REGISTRY",
     "MIN_D",
-    "out_of_range",
     "run_check",
     "run_checks",
     "check_floor_recursion",
@@ -538,14 +537,13 @@ REGISTRY = {
 }
 
 
-def out_of_range(names, d: int | None) -> list[str]:
-    """The named checks whose d range excludes d, each as 'name (d >= MIN_D)'."""
-    return [f"{n} (d >= {MIN_D[n]})" for n in names if d is not None and d < MIN_D.get(n, d)]
+def _unknown(name: str) -> ValueError:
+    return ValueError(f"unknown check {name!r}; known checks: {', '.join(sorted(REGISTRY))}")
 
 
 def run_check(name: str, **overrides) -> CheckResult:
     if name not in REGISTRY:
-        raise KeyError(f"unknown check {name!r}; known: {', '.join(sorted(REGISTRY))}")
+        raise _unknown(name)
     fn = REGISTRY[name]
     import inspect
 
@@ -555,8 +553,13 @@ def run_check(name: str, **overrides) -> CheckResult:
 
 
 def run_checks(names=None, **overrides) -> list[CheckResult]:
-    """Run the named checks, all by default; none if d is out of any one's range."""
-    selected = list(REGISTRY) if not names else list(names)
-    if rejecting := out_of_range(selected, overrides.get("d")):
-        raise ValueError(f"d = {overrides['d']} is outside the range of {', '.join(rejecting)}")
+    """Run the named checks, all by default; none if a name is unknown or d is
+    out of any one's range (MIN_D)."""
+    selected = list(names or REGISTRY)
+    if unknown := [n for n in selected if n not in REGISTRY]:
+        raise _unknown(unknown[0])
+    d = overrides.get("d")
+    if rejecting := [f"{n} (d >= {MIN_D[n]})" for n in selected
+                     if d is not None and d < MIN_D.get(n, d)]:
+        raise ValueError(f"d = {d} is outside the range of {', '.join(rejecting)}")
     return [run_check(name, **overrides) for name in selected]

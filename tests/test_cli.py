@@ -114,7 +114,7 @@ def test_verify_rejects_small_grid(capsys, name, grid, least):
 def test_verify_unknown_name(capsys):
     code, _, err = run_cli(capsys, "verify", "bogus-name")
     assert code == 2
-    assert "unknown check" in err
+    assert err.startswith("error: unknown check 'bogus-name'; known checks: chain-inflation, ")
 
 
 def test_verify_all_defaults_pass(capsys):
@@ -149,12 +149,13 @@ def test_verify_checks_every_d_range_before_running(capsys, tmp_path, monkeypatc
     # two of the ten checks are stated for d >= 8 only: --d 6 names them and
     # runs no check at all, so no partial report is written
     ran = []
-    monkeypatch.setattr(cli, "run_checks", lambda names, **kw: ran.append(names))
+    for name in verify.REGISTRY:
+        monkeypatch.setitem(verify.REGISTRY, name, lambda name=name, **kw: ran.append(name))
     out = tmp_path / "verify.json"
     code, stdout, err = run_cli(capsys, "verify", "--d", "6", "--out", str(out))
     assert code == 2
     assert ran == [] and stdout == "" and not out.exists()
-    assert err == ("verify --d 6 is outside the range of truncated-max (d >= 8), "
+    assert err == ("error: d = 6 is outside the range of truncated-max (d >= 8), "
                    "square-cap-monotone (d >= 8)\n")
     monkeypatch.undo()
     code, stdout, _ = run_cli(capsys, "verify", "tilt-extremum", "--d", "6")

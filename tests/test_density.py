@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import queue
 import subprocess
 import sys
 import threading
+import types
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -380,6 +382,58 @@ def test_helper_exception_after_a_finished_block_reaches_the_caller():
     assert [str(exc) for exc in outcome] == ["second block failed"]
     assert sorted(draws.values()) == [2, 2]
     assert threading.active_count() == before
+
+
+def test_calling_thread_draws_its_run_before_waiting_on_a_helper():
+    # on 2 workers the calling thread owns blocks 0..7, one chunk each at
+    # n = 2e4, and draws all eight before its first queue get, so a helper
+    # still drawing cannot stall it in the middle of its run
+    caller = threading.get_ident()
+    draw = dn._ordered_chain
+    events = []
+
+    def logged(d, m, rng):
+        if threading.get_ident() == caller:
+            events.append("draw")
+        return draw(d, m, rng)
+
+    class Queue(queue.SimpleQueue):
+        def get(self, *args, **kwargs):
+            if threading.get_ident() == caller:
+                events.append("get")
+            return super().get(*args, **kwargs)
+
+    with mock.patch.object(dn, "_workers", return_value=2), \
+            mock.patch.object(dn, "_ordered_chain", logged), \
+            mock.patch.object(dn, "queue", types.SimpleNamespace(SimpleQueue=Queue)):
+        dn.simplex_density(8, 20_000, SEED)
+    assert events.count("draw") == events.index("get") == 8
+
+
+def test_helper_stops_drawing_once_the_estimate_has_failed():
+    # the calling thread fails on its first chunk; the helper, with 8 blocks
+    # of 2 chunks to draw, must see the stop event after a chunk and return,
+    # not draw all 16 before it is joined
+    config = geo.canonical_simplex(8)
+    _, chunk = dn._cone_kernel(config.chain, [(0.0, [1.0])])
+    assert chunk < 4_000_000 // 16 <= 2 * chunk
+    caller = threading.get_ident()
+    draw = dn._ordered_chain
+    helper_draws = []
+
+    def failing(d, m, rng):
+        if threading.get_ident() == caller:
+            raise RuntimeError("draw failed on the caller")
+        helper_draws.append(m)
+        return draw(d, m, rng)
+
+    before = threading.active_count()
+    with mock.patch.object(dn, "_workers", return_value=2), \
+            mock.patch.object(dn, "_ordered_chain", failing):
+        with pytest.raises(RuntimeError, match="on the caller"):
+            dn.simplex_density(8, 4_000_000, 1)
+    assert threading.active_count() == before
+    assert 1 <= len(helper_draws) <= 4
 
 
 def _pinned_paths():

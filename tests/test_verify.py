@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def test_registry_complete():
 
 
 def test_unknown_check_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown check 'bogus-name'"):
         vf.run_check("bogus-name")
 
 
@@ -200,6 +201,17 @@ def test_run_checks_rejects_d_before_running(monkeypatch):
     assert ran == []
     (r,) = vf.run_checks(["tilt-extremum"], d=6, grid=1000)
     assert ran == ["tilt-extremum"] and r.passed and r.witness["d"] == 6
+
+
+def test_run_checks_rejects_an_unknown_name_before_running():
+    # a bad name late in the list stops the run before the good ones ahead of it
+    ran = []
+    spies = {name: lambda name=name, **kw: ran.append(name) for name in vf.REGISTRY}
+    with mock.patch.dict(vf.REGISTRY, spies):
+        with pytest.raises(ValueError, match=r"^unknown check 'nope'; known checks: "
+                           r"chain-inflation, floor-recursion, "):
+            vf.run_checks(["floor-recursion", "reach-bound", "nope"])
+    assert ran == []
 
 
 @pytest.mark.parametrize(
