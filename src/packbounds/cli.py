@@ -70,9 +70,9 @@ def _md(cols, rows) -> list[str]:
     return lines + ["| " + " | ".join(row) + " |" for row in rows]
 
 
-def _dims_ok(what: str, lo: int, **dims: int) -> bool:
-    """Whether lo <= the named dimensions <= D_MAX, in the given order; if not,
-    print the usage error.
+def _check_dims(what: str, lo: int, **dims: int) -> None:
+    """Raise ValueError unless lo <= the named dimensions <= D_MAX, in the
+    given order.
 
     lo is 2 where only the simplex is built and 4 where a wedge is.  D_MAX
     is the range the tests cover and the quadrature oracle's stated errors
@@ -80,12 +80,9 @@ def _dims_ok(what: str, lo: int, **dims: int) -> bool:
     Monte-Carlo estimators' stratum edges build to d = 1030.
     """
     values = list(dims.values())
-    if all(a <= b for a, b in zip([lo, *values], [*values, D_MAX])):
-        return True
-    got = ", ".join(f"{k} = {v}" for k, v in dims.items())
-    print(f"{what} requires d >= {lo} and {' <= '.join(dims)} <= {D_MAX}; got {got}",
-          file=sys.stderr)
-    return False
+    if not all(a <= b for a, b in zip([lo, *values], [*values, D_MAX])):
+        got = ", ".join(f"{k} = {v}" for k, v in dims.items())
+        raise ValueError(f"{what} requires d >= {lo} and {' <= '.join(dims)} <= {D_MAX}; got {got}")
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +142,9 @@ def _bounds_flat(row):
 
 
 def cmd_bounds(args) -> int:
-    if not _dims_ok("bounds", 4, dmin=args.dmin, dmax=args.dmax):
-        return 2
+    _check_dims("bounds", 4, dmin=args.dmin, dmax=args.dmax)
     if args.samples < 10**4:
-        print("bounds requires at least 1e4 samples", file=sys.stderr)
-        return 2
+        raise ValueError("bounds requires at least 1e4 samples")
     rows = _bounds_rows(args.dmin, args.dmax, args.samples, args.seed)
     meta = {"seed": args.seed, "n": args.samples, "version": __version__}
     flat = [_bounds_flat(r) for r in rows]
@@ -178,8 +173,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.d is not None and not _dims_ok("verify", 4, d=args.d):
-        return 2
+    if args.d is not None:
+        _check_dims("verify", 4, d=args.d)
     overrides = {
         "d": args.d,
         "grid": args.grid,
@@ -251,17 +246,14 @@ def _parse_records(path):
 
 
 def cmd_records(args) -> int:
-    if not _dims_ok("records", 2, dmin=args.dmin, dmax=args.dmax):
-        return 2
+    _check_dims("records", 2, dmin=args.dmin, dmax=args.dmax)
     path = args.file or bundled_records_path()
     try:
         records = _parse_records(path)
     except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
-        print(f"malformed records file: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"malformed records file: {exc}") from None
     bounds = {}
     for d in sorted({r["d"] for r in records}):
         if not (args.dmin <= d <= args.dmax):
@@ -313,11 +305,9 @@ def cmd_plot_data(args) -> int:
     kind = args.kind
     d = 8 if args.d is None else args.d
     if kind in ("sigma_vs_d", "gap_vs_d"):
-        ok = _dims_ok(kind, 2 if kind == "sigma_vs_d" else 4, dmin=args.dmin, dmax=args.dmax)
+        _check_dims(kind, 2 if kind == "sigma_vs_d" else 4, dmin=args.dmin, dmax=args.dmax)
     else:
-        ok = _dims_ok(kind, 4, d=d)
-    if not ok:
-        return 2
+        _check_dims(kind, 4, d=d)
     if kind == "sigma_vs_d":
         rows = []
         for d in range(args.dmin, args.dmax + 1):
@@ -359,8 +349,7 @@ def cmd_plot_data(args) -> int:
             rows.append([_fmt(h), _fmt(g0), _fmt(g), _fmt(g0 / g)])
         text = _tsv(["h", "g0", "g", "ratio"], rows)
     else:
-        print(f"unknown plot kind {kind!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown plot kind {kind!r}")
     _emit(text, args.out)
     return 0
 

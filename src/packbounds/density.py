@@ -21,20 +21,22 @@ the chain levels' coordinates.  The n samples come in 16 blocks, each from
 its own PCG64 substream keyed by (seed, block) (streams.substream).  One
 estimator, _cone_estimate, serves sigma, sigma_hat and lambda, and runs the
 blocks on one thread per usable core, at most 16, the calling thread among
-them.  The caller opens every substream and draws the first run of blocks
-itself, so it waits on no helper before the run is done; the helpers take
-the other blocks in turn.  Each thread draws its blocks chunk by chunk and
-forms only per-chunk partial sums, and the caller alone adds them, in
-(block, chunk) order: its own as it draws them, the helpers' from one queue
-per block.  If the estimate fails, every helper stops after its current
-chunk.  A block's draws depend on its stream alone and the sums on that one
-order, so results are reproducible bit for bit and the same at any worker
-count, core layout or scheduling.  Up to 8 columns the kernel makes no BLAS
-call, so no BLAS thread pool spins against the workers: the chain
-coordinates are never formed, and _chain_norm2 contracts the squared draw
-with the levels' coefficients in one einsum loop per chunk.  A wider
-profile forms its Gram matrix by a BLAS matmul, and above 64 columns runs
-on one worker, leaving the cores to BLAS's threads.
+them.  The caller opens every substream; then every thread runs the same
+loop: it sums its block's per-chunk partial sums in chunk order, hands the
+block's total in and claims the next undrawn block, and whoever hands in
+the lowest block not yet added adds every ready block, in block order.
+Thread w starts on block w, so the caller draws one whichever thread the
+scheduler runs first.  No thread waits on another's draws, and a
+stalled thread holds only the block it is drawing.  If the estimate fails,
+every thread stops before its next chunk.  A block's draws depend on its
+stream alone and the sums on that one (chunk, then block) order, so results
+are reproducible bit for bit and the same at any worker count, core layout
+or scheduling.  Up to 8 columns the kernel makes no BLAS call, so no BLAS
+thread pool spins against the workers: the chain coordinates are never
+formed, and _chain_norm2 contracts the squared draw with the levels'
+coefficients in one einsum loop per chunk.  A wider profile forms its Gram
+matrix by a BLAS matmul, and above 64 columns runs on one worker, leaving
+the cores to BLAS's threads.
 
 The samples are post-stratified into 16 equal-probability strata of the
 lead coordinate (the join parameter t of a wedge, the leading ordered
@@ -72,7 +74,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import queue
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -386,16 +387,6 @@ def _chunks(kernel, rng, size: int):
         yield integrand(rng, min(chunk, size - lo))
 
 
-def _cone_samples(chain: ChainSpec, planar, n, seed):
-    """Every chunk (labels, g) that _cone_estimate reduces, in (block, chunk) order.
-
-    The same kernel and blocks, drawn serially on the calling thread.
-    """
-    kernel = _cone_kernel(chain, planar)
-    for rng, size in _blocks(n, seed):
-        yield from _chunks(kernel, rng, size)
-
-
 # widest chunk whose Gram matrix _partial forms by an einsum loop, not a BLAS matmul:
 # einsum has no blocked kernel, and on 2 workers it kept up with matmul to 8
 # columns but took 1.6 times as long at 24
@@ -415,6 +406,12 @@ def _partial(labels, g):
         sums[:, j] = np.bincount(labels, weights=row, minlength=_STRATA)
     gram = np.einsum("ik,jk->ij", g, g) if len(g) <= _GRAM_EINSUM_COLUMNS else g @ g.T
     return np.bincount(labels, minlength=_STRATA), sums, gram
+
+
+def _add(totals, part):
+    """Add a _partial (counts, per-stratum column sums, Gram matrix) into totals, in place."""
+    for acc, term in zip(totals, part):
+        acc += term
 
 
 def _workers(columns: int) -> int:
@@ -445,70 +442,75 @@ def _cone_estimate(chain: ChainSpec, planar, n, seed):
     With fewer than 16 samples per stratum on average (n < 256), or an
     empty stratum, it is the plain mean with the (n - 1) covariance instead.
 
-    The _STRATA blocks run on W = _workers(dim) threads: the calling
-    thread opens every block's substream in block order and draws the first
-    run of blocks, k < own = ceil(_STRATA / W), and helper w = 1 .. W - 1
-    draws the blocks own + w - 1, own + w - 1 + (W - 1), and so on.  Each
-    chunk leaves only its _partial (counts, per-stratum column sums, Gram
-    matrix).  The calling thread alone adds them to the totals, walking the
-    blocks in order: its own blocks' partials as it draws them, so it draws
-    its whole run before its first wait, and each other block's from a
-    queue that its helper fills and ends with None (or with the exception
-    it raised, re-raised here once the caller reaches that block).  A
-    helper's queues may thus hold its whole run's partials.  When the
-    estimate ends, a stop event is set before the helpers are joined; a
-    helper that sees it after drawing a chunk returns, so a failed estimate
-    draws at most one more chunk per helper.  A block's draws depend on its
-    stream alone and every sum is taken in (block, chunk) order, so the
-    result is bitwise the same for every W and every scheduling.  The
-    kernel makes no BLAS call up to _GRAM_EINSUM_COLUMNS columns: its
-    contractions are einsum loops, as fast as BLAS at these shapes, and a
-    threaded BLAS would hold a core spinning against the workers.  Wider
-    chunks form the Gram matrix by a BLAS matmul, and above _SERIAL_COLUMNS
-    they run on one worker, BLAS threading the matmul.
+    The calling thread opens every block's substream in block order, then
+    it and W - 1 helpers, W = _workers(dim), run one loop.  Thread w starts
+    on block w, so every thread draws a block whichever runs first.  A pass
+    adds its block's chunk _partials (counts, per-stratum column sums, Gram
+    matrix) in chunk order into the block's own zeroed arrays, hands the
+    block's total in and claims the next unclaimed block.  Whoever hands in
+    the lowest block not yet added to the totals adds it and every ready
+    block after it, in block order.  One lock guards the next block, the
+    handed-in totals and the count added, and is held only to hand in, add
+    and claim, so no thread waits on another's draws, and a thread that
+    stalls holds only the block it is drawing.  An exception on any thread
+    goes in a list that also stops the others before their next chunk, so a
+    failed estimate draws at most one more chunk per thread; the calling
+    thread joins every helper it started and raises the first.  A block's
+    draws depend on its stream alone and every sum is taken in (chunk, then
+    block) order, so the result is bitwise the same for every W and every
+    scheduling.  The kernel makes no BLAS call up to _GRAM_EINSUM_COLUMNS
+    columns: its contractions are einsum loops, as fast as BLAS at these
+    shapes, and a threaded BLAS would hold a core spinning against the
+    workers.  Wider chunks form the Gram matrix by a BLAS matmul, and above
+    _SERIAL_COLUMNS they run on one worker, BLAS threading the matmul.
     """
     kernel = _cone_kernel(chain, planar)
     blocks = _blocks(n, seed)
     dim = len(planar)
     workers = _workers(dim)
-    counts = np.zeros(_STRATA)
-    sums = np.zeros((_STRATA, dim))
-    gram = np.zeros((dim, dim))
-    queues = [queue.SimpleQueue() for _ in range(_STRATA)]
-    own = -(-_STRATA // workers)
-    stop = threading.Event()
 
-    def partials(k):
-        return (_partial(*chunk) for chunk in _chunks(kernel, *blocks[k]))
+    def zeros():
+        return np.zeros(_STRATA), np.zeros((_STRATA, dim)), np.zeros((dim, dim))
 
-    def helper(w):
-        for k in range(own + w - 1, _STRATA, workers - 1):
-            try:
-                for part in partials(k):
-                    if stop.is_set():  # the estimate has failed: draw no further
+    counts, sums, gram = totals = zeros()
+    lock = threading.Lock()
+    claimed, added = workers, 0
+    ready = {}  # block -> its total, handed in but not yet added
+    failed = []  # exceptions raised on any thread; nonempty stops every thread
+
+    def work(k):
+        nonlocal claimed, added
+        try:
+            while k < _STRATA and not failed:
+                total = zeros()
+                for chunk in _chunks(kernel, *blocks[k]):
+                    _add(total, _partial(*chunk))
+                    del chunk  # so two chunks' draws are never alive on one thread
+                    if failed:  # the estimate has failed: draw no further chunk
                         return
-                    queues[k].put(part)
-            except BaseException as exc:  # re-raised by the calling thread at block k
-                queues[k].put(exc)
-                return
-            queues[k].put(None)
+                with lock:
+                    ready[k] = total
+                    while added in ready:
+                        _add(totals, ready.pop(added))
+                        added += 1
+                    k = claimed
+                    claimed += 1
+        except BaseException as exc:  # raised by the calling thread once all are joined
+            failed.append(exc)
 
     threads = []
     try:
         for w in range(1, workers):
-            thread = threading.Thread(target=helper, args=(w,))
+            thread = threading.Thread(target=work, args=(w,))
             thread.start()
             threads.append(thread)
-        for k in range(_STRATA):
-            for part in partials(k) if k < own else iter(queues[k].get, None):
-                if isinstance(part, BaseException):
-                    raise part
-                for total, term in zip((counts, sums, gram), part):
-                    total += term
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join()
+        work(0)
+    except BaseException as exc:  # a helper failed to start, so its block is not drawn
+        failed.append(exc)
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
     if n >= 16 * _STRATA and counts.all():
         means = sums / counts[:, None]
         value = means.mean(axis=0)

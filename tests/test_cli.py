@@ -59,14 +59,19 @@ def test_bounds_csv_and_flag(capsys):
 
 
 def test_bounds_rejects_bad_range(capsys):
+    # each usage error is one "error: ..." line on stderr
     code, _, err = run_cli(capsys, "bounds", "--dmin", "2", "--dmax", "8")
     assert code == 2
+    assert err == (
+        "error: bounds requires d >= 4 and dmin <= dmax <= 64; got dmin = 2, dmax = 8\n"
+    )
     code, _, _ = run_cli(capsys, "bounds", "--dmin", "8", "--dmax", "7")
     assert code == 2
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         capsys, "bounds", "--dmin", "8", "--dmax", "8", "--samples", "100"
     )
     assert code == 2
+    assert err == "error: bounds requires at least 1e4 samples\n"
 
 
 def test_bounds_deterministic(capsys):
@@ -142,7 +147,7 @@ def test_verify_rejects_large_d(capsys):
     code, out, err = run_cli(capsys, "verify", "profile-monotone", "--d", "1100")
     assert code == 2
     assert out == ""
-    assert err.strip() == "verify requires d >= 4 and d <= 64; got d = 1100"
+    assert err == "error: verify requires d >= 4 and d <= 64; got d = 1100\n"
 
 
 def test_verify_checks_every_d_range_before_running(capsys, tmp_path, monkeypatch):
@@ -202,7 +207,14 @@ def test_records_malformed_density(capsys, tmp_path):
     f.write_text("d,density,name,source\n3,abc,thing,src\n")
     code, _, err = run_cli(capsys, "records", str(f))
     assert code == 2
-    assert "line 2" in err
+    assert err == "error: malformed records file: line 2: bad density 'abc'\n"
+
+
+def test_records_unreadable_file(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "records", str(tmp_path / "missing.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {tmp_path / 'missing.csv'}: ")
 
 
 def test_records_bad_header(capsys, tmp_path):
@@ -237,8 +249,8 @@ def test_records_rejects_large_dmax(capsys, tmp_path):
     code, out, err = run_cli(capsys, "records", str(f), "--dmax", "2000")
     assert code == 2
     assert out == ""
-    assert err.strip() == (
-        "records requires d >= 2 and dmin <= dmax <= 64; got dmin = 2, dmax = 2000"
+    assert err == (
+        "error: records requires d >= 2 and dmin <= dmax <= 64; got dmin = 2, dmax = 2000\n"
     )
 
 
@@ -331,15 +343,15 @@ def test_plot_rejects_small_d(capsys, kind, d):
     code, out, err = run_cli(capsys, "plot-data", kind, "--d", d, "--samples", "2000")
     assert code == 2
     assert out == ""
-    assert f"{kind} requires d >= 4" in err
+    assert err.startswith(f"error: {kind} requires d >= 4")
 
 
 def test_plot_gap_vs_d_rejects_large_d(capsys):
     code, out, err = run_cli(capsys, "plot-data", "gap_vs_d", "--dmin", "1100", "--dmax", "1100")
     assert code == 2
     assert out == ""
-    assert err.strip() == (
-        "gap_vs_d requires d >= 4 and dmin <= dmax <= 64; got dmin = 1100, dmax = 1100"
+    assert err == (
+        "error: gap_vs_d requires d >= 4 and dmin <= dmax <= 64; got dmin = 1100, dmax = 1100\n"
     )
 
 

@@ -1,10 +1,9 @@
 import dataclasses
 import math
-import queue
 import subprocess
 import sys
 import threading
-import types
+import time
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +36,14 @@ SEED = 97531
 
 def combined(a, b):
     return math.hypot(a.stderr, b.stderr)
+
+
+def _serial_chunks(chain, planar, n, seed):
+    """Every chunk (labels, g) that _cone_estimate reduces, drawn serially, in
+    (block, chunk) order."""
+    kernel = dn._cone_kernel(chain, planar)
+    for rng, size in dn._blocks(n, seed):
+        yield from dn._chunks(kernel, rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +164,7 @@ def test_post_stratum_counts_are_uniform(d, kind):
     planar = [(0.0, [1.0]) if cfg.is_simplex else dn._planar_series(cfg.domain, cfg.chain)]
     n = 400_000
     counts = np.zeros(16)
-    for labels, _ in dn._cone_samples(cfg.chain, planar, n, SEED + d):
+    for labels, _ in _serial_chunks(cfg.chain, planar, n, SEED + d):
         counts += np.bincount(labels, minlength=16)
     assert counts.sum() == n
     stat = float(np.sum((counts - n / 16) ** 2 / (n / 16)))
@@ -171,7 +178,7 @@ def test_small_n_takes_the_plain_mean(n):
     # wedge share the estimator, the simplex as the point mass at radius 0
     for cfg in (geo.canonical_simplex(8), geo.canonical_wedge(8)):
         planar = [(0.0, [1.0]) if cfg.is_simplex else dn._planar_series(cfg.domain, cfg.chain)]
-        rows = np.concatenate([g[0] for _, g in dn._cone_samples(cfg.chain, planar, n, SEED)])
+        rows = np.concatenate([g[0] for _, g in _serial_chunks(cfg.chain, planar, n, SEED)])
         assert len(rows) == n
         est = dn.surface_density(cfg, n, SEED)
         assert est.value == pytest.approx(rows.mean(), rel=1e-14)
@@ -347,9 +354,10 @@ def test_worker_exception_propagates_and_no_thread_outlives_it(where):
 
 
 def test_helper_exception_after_a_finished_block_reaches_the_caller():
-    # on 3 workers each helper hands over its first block, ends that block's
-    # queue, then fails drawing its second (one chunk per block); the calling
-    # thread must re-raise when it reaches that block, not wait on it, so the
+    # on 3 workers each helper hands in its first block, then fails drawing
+    # its second (one chunk per block); the calling thread sleeps on each
+    # draw, so the helpers claim second blocks before it can take them all.
+    # It must re-raise the failure, not wait on the failed block, so the
     # estimate runs on a daemon thread joined with a timeout
     config = geo.canonical_wedge(8)
     _, chunk = dn._cone_kernel(config.chain, [dn._planar_series(config.domain, config.chain)])
@@ -364,6 +372,8 @@ def test_helper_exception_after_a_finished_block_reaches_the_caller():
             draws[me] = draws.get(me, 0) + 1
             if draws[me] == 2:
                 raise RuntimeError("second block failed")
+        else:
+            time.sleep(0.01)
         return draw(d, m, rng)
 
     def run():
@@ -380,34 +390,8 @@ def test_helper_exception_after_a_finished_block_reaches_the_caller():
         runner.join(timeout=60)
         assert not runner.is_alive(), "the helper's exception never reached the calling thread"
     assert [str(exc) for exc in outcome] == ["second block failed"]
-    assert sorted(draws.values()) == [2, 2]
+    assert max(draws.values()) <= 2
     assert threading.active_count() == before
-
-
-def test_calling_thread_draws_its_run_before_waiting_on_a_helper():
-    # on 2 workers the calling thread owns blocks 0..7, one chunk each at
-    # n = 2e4, and draws all eight before its first queue get, so a helper
-    # still drawing cannot stall it in the middle of its run
-    caller = threading.get_ident()
-    draw = dn._ordered_chain
-    events = []
-
-    def logged(d, m, rng):
-        if threading.get_ident() == caller:
-            events.append("draw")
-        return draw(d, m, rng)
-
-    class Queue(queue.SimpleQueue):
-        def get(self, *args, **kwargs):
-            if threading.get_ident() == caller:
-                events.append("get")
-            return super().get(*args, **kwargs)
-
-    with mock.patch.object(dn, "_workers", return_value=2), \
-            mock.patch.object(dn, "_ordered_chain", logged), \
-            mock.patch.object(dn, "queue", types.SimpleNamespace(SimpleQueue=Queue)):
-        dn.simplex_density(8, 20_000, SEED)
-    assert events.count("draw") == events.index("get") == 8
 
 
 def test_helper_stops_drawing_once_the_estimate_has_failed():
@@ -434,6 +418,60 @@ def test_helper_stops_drawing_once_the_estimate_has_failed():
             dn.simplex_density(8, 4_000_000, 1)
     assert threading.active_count() == before
     assert 1 <= len(helper_draws) <= 4
+
+
+def test_a_stalled_thread_does_not_hold_its_blocks():
+    # on 2 workers a helper that sleeps on every draw keeps only the block it
+    # is drawing: the calling thread claims the others (one chunk each at
+    # n = 2e4), and the result is still the one-worker result bit for bit
+    caller = threading.get_ident()
+    draw = dn._ordered_chain
+    caller_draws = []
+
+    def stalling(d, m, rng):
+        if threading.get_ident() == caller:
+            caller_draws.append(m)
+        else:
+            time.sleep(0.2)
+        return draw(d, m, rng)
+
+    with mock.patch.object(dn, "_workers", return_value=1):
+        expected = dn.simplex_density(8, 20_000, SEED)
+    with mock.patch.object(dn, "_workers", return_value=2), \
+            mock.patch.object(dn, "_ordered_chain", stalling):
+        got = dn.simplex_density(8, 20_000, SEED)
+    assert len(caller_draws) >= 12
+    assert got == expected
+
+
+def test_keyboard_interrupt_on_the_calling_thread_stops_every_helper():
+    # an interrupt raised in the calling thread's first draw propagates once
+    # the helpers are joined, and each helper, with 2 chunks in every block,
+    # begins at most one draw after it
+    config = geo.canonical_simplex(8)
+    _, chunk = dn._cone_kernel(config.chain, [(0.0, [1.0])])
+    assert chunk < 4_000_000 // 16 <= 2 * chunk
+    caller = threading.get_ident()
+    draw = dn._ordered_chain
+    interrupted = threading.Event()
+    further = {}
+
+    def interrupting(d, m, rng):
+        me = threading.current_thread()
+        if threading.get_ident() == caller:
+            interrupted.set()
+            raise KeyboardInterrupt
+        if interrupted.is_set():
+            further[me] = further.get(me, 0) + 1
+        return draw(d, m, rng)
+
+    before = threading.active_count()
+    with mock.patch.object(dn, "_workers", return_value=3), \
+            mock.patch.object(dn, "_ordered_chain", interrupting):
+        with pytest.raises(KeyboardInterrupt):
+            dn.simplex_density(8, 4_000_000, 1)
+    assert threading.active_count() == before
+    assert all(count <= 1 for count in further.values())
 
 
 def _pinned_paths():
@@ -612,7 +650,7 @@ def test_gap_stderr_matches_two_pass_variance_d64():
     chain = geo.canonical_chain(d, d - 2)
     tri, sec = geo.triangle_domain(d), geo.sector_domain(d)
     planar = [dn._planar_series(tri, chain), dn._planar_series(sec, chain)]
-    chunks = list(dn._cone_samples(chain, planar, n, seed))
+    chunks = list(_serial_chunks(chain, planar, n, seed))
     labels = np.concatenate([lab for lab, _ in chunks])
     diff = np.concatenate([rows[0] - rows[1] for _, rows in chunks])
     within = 0.0
