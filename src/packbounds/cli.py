@@ -334,11 +334,11 @@ def cmd_plot_data(args) -> int:
         rows = []
         ok = True
         prev = math.inf
-        for j, r in enumerate(radii):
+        for j, (r, se) in enumerate(zip(radii, prof.stderr())):
             v = float(prof.values[j])
             ok = ok and (v <= prev + 3.0 * (prof.diff_stderr(j - 1, j) if j else 0.0))
             prev = v
-            rows.append([_fmt(r), _fmt(v), _fmt(float(prof.stderr()[j])), "1" if ok else "0"])
+            rows.append([_fmt(r), _fmt(v), _fmt(float(se)), "1" if ok else "0"])
         text = _tsv(["r", "estimate", "stderr", "nonincreasing"], rows)
     elif kind == "g_ratio":
         lo, mid, _ = height_breakpoints(d)

@@ -19,24 +19,14 @@ Each Monte-Carlo sample is one draw of the ordered chain from the shared
 kernel geometry._ordered_chain: d - 1 uniforms sorted, whose columns are
 the chain levels' coordinates.  The n samples come in 16 blocks, each from
 its own PCG64 substream keyed by (seed, block) (streams.substream).  One
-estimator, _cone_estimate, serves sigma, sigma_hat and lambda, and runs the
-blocks on one thread per usable core, at most 16, the calling thread among
-them.  The caller opens every substream; then every thread runs the same
-loop: it sums its block's per-chunk partial sums in chunk order, hands the
-block's total in and claims the next undrawn block, and whoever hands in
-the lowest block not yet added adds every ready block, in block order.
-Thread w starts on block w, so the caller draws one whichever thread the
-scheduler runs first.  No thread waits on another's draws, and a
-stalled thread holds only the block it is drawing.  If the estimate fails,
-every thread stops before its next chunk.  A block's draws depend on its
-stream alone and the sums on that one (chunk, then block) order, so results
-are reproducible bit for bit and the same at any worker count, core layout
-or scheduling.  Up to 8 columns the kernel makes no BLAS call, so no BLAS
-thread pool spins against the workers: the chain coordinates are never
-formed, and _chain_norm2 contracts the squared draw with the levels'
-coefficients in one einsum loop per chunk.  A wider profile forms its Gram
-matrix by a BLAS matmul, and above 64 columns runs on one worker, leaving
-the cores to BLAS's threads.
+estimator, _cone_estimate, serves sigma, sigma_hat and lambda.  It runs the
+blocks on one thread per usable core, at most 16, and adds their sums in one
+fixed (chunk, then block) order, so results are reproducible bit for bit
+and the same at any worker count, core layout or scheduling.  The kernel
+makes no BLAS call at any width, so no BLAS thread pool spins against the
+workers: the chain coordinates are never formed, and its contractions, the
+squared chain norm (_chain_norm2), each chunk's sums of squares and adjacent
+products (_partial) and a profile's weighted mean, are einsum loops.
 
 The samples are post-stratified into 16 equal-probability strata of the
 lead coordinate (the join parameter t of a wedge, the leading ordered
@@ -117,6 +107,8 @@ _CHUNK = 1 << 17
 _STRATA = 16
 # cells of [0, 1) in a stratum lookup table (_stratum_table), at the least
 _CELLS = 4096
+# rows of g formed at once (_cone_kernel), so a thread holds two blocks, not every column
+_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -145,34 +137,34 @@ class DensityEstimate:
 class ProfileEstimate:
     """Joint estimates of the limiting density at several radii.
 
-    values[j] estimates the limiting density at radii[j]; cov is the
-    covariance matrix of the estimate vector (shared samples correlate the
-    entries, which sharpens differences between nearby radii).
+    values[j] estimates the limiting density at radii[j], var[j] is its
+    variance and adjacent_cov[j] its covariance with values[j + 1];
+    functional is the declared weighted mean's (value, stderr), or None.
     """
 
     radii: np.ndarray
     values: np.ndarray
-    cov: np.ndarray
+    var: np.ndarray
+    adjacent_cov: np.ndarray
     n: int
     seed: int
+    functional: tuple[float, float] | None = None
 
     def stderr(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov))
+        return np.sqrt(self.var)
 
     def diff_stderr(self, i: int, j: int) -> float:
-        v = self.cov[i, i] + self.cov[j, j] - 2.0 * self.cov[i, j]
+        """Standard error of values[i] - values[j], for adjacent radii i and j."""
+        if abs(i - j) != 1 or min(i, j) < 0 or max(i, j) >= len(self.radii):
+            raise ValueError(f"diff_stderr needs adjacent indices of the radii, got ({i}, {j})")
+        v = self.var[i] + self.var[j] - 2.0 * self.adjacent_cov[min(i, j)]
         return math.sqrt(max(v, 0.0))
 
-    def mean_functional(self, weights) -> tuple[float, float]:
-        """Weighted average of the profile and its standard error."""
-        w = np.asarray(weights, dtype=float)
-        if w.shape != np.shape(self.radii):
-            raise ValueError(f"weights must match the {len(self.radii)} radii, got shape {w.shape}")
-        total = w.sum()
-        if not (np.isfinite(w).all() and 0.0 < total < math.inf):
-            raise ValueError("weights must be finite with a positive sum")
-        w = w / total
-        return float(w @ self.values), float(math.sqrt(max(w @ self.cov @ w, 0.0)))
+    def mean_functional(self) -> tuple[float, float]:
+        """The declared weighted average of the profile and its standard error."""
+        if self.functional is None:
+            raise ValueError("no weights were declared to limiting_density_profile")
+        return self.functional
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +297,7 @@ def _chain_norm2(xi1, weights, v):
     """Squared norm s = xi_1^2 + sum_i eta_i^2 (y_i/eta_i)^2 of chain draws v.
 
     One contraction of the squared draw with _chain_weights, an einsum loop
-    rather than a BLAS call (see _cone_estimate); every term is
+    rather than a BLAS call (see the module docstring); every term is
     nonnegative, so nothing cancels.  v is squared in place.
     """
     v *= v
@@ -314,10 +306,10 @@ def _chain_norm2(xi1, weights, v):
     return s
 
 
-def _cone_kernel(chain: ChainSpec, planar):
+def _cone_kernel(chain: ChainSpec, planar, weights=None):
     """(integrand, chunk): the per-chunk kernel of _cone_estimate and its chunk size.
 
-    integrand(rng, m) draws m samples from rng and returns (labels, g).
+    integrand(rng, m) draws m samples from rng and returns (labels, columns).
     Every sample is one chain draw (geometry._ordered_chain), and planar
     holds one (rho, coef) pair per column.  Column j of a sample is the
     planar factor integrated out exactly given the draw's chain part s and
@@ -331,15 +323,16 @@ def _cone_kernel(chain: ChainSpec, planar):
     r = 0, xi_1 s^(-d/2).  labels holds the stratum of each sample's lead t
     (the r-th smallest uniform, r = d - 1 for a simplex chain, k = d, and
     3, the join, for a wedge chain) among the _STRATA equal-probability
-    strata of its law (_strata), and g of shape (dim, m) one
-    contiguous row per column.  The chunk size is a pure function of d and
-    the column count, so results stay deterministic in (seed, n).  The
-    kernel reads only what is bound here and calls nothing public, so it
+    strata of its law (_strata).  columns yields g, one contiguous row per
+    column, in blocks of at most _ROWS rows, and given weights one more row,
+    the columns' weighted sum.  The chunk size is a pure function of d and
+    the planar column count, so results stay deterministic in (seed, n).
+    The kernel reads only what is bound here and calls nothing public, so it
     may run on any thread.
     """
     d = chain.d
     xi1 = chain.xi[0]
-    weights = _chain_weights(chain)
+    levels = _chain_weights(chain)
     r = d - 1 if chain.k == d else 3
     table = _stratum_table(d, r)
     dim = len(planar)
@@ -349,25 +342,33 @@ def _cone_kernel(chain: ChainSpec, planar):
     def integrand(rng, m):
         v = _ordered_chain(d, m, rng)
         labels = _strata(table, v[:, r - 1])
-        s = _chain_norm2(xi1, weights, v)
-        t2 = v[:, r - 1]
-        g = np.empty((dim, m))
-        for row, (rho, coef) in zip(g, planar):
-            lead_r = np.multiply(t2, rho, out=row)
-            c = s + lead_r
-            poly = coef[0]
-            if len(coef) > 1:
-                y = np.divide(lead_r, c, out=lead_r)
-                poly = np.full(m, coef[-1])
-                for cm in coef[-2::-1]:
-                    poly *= y
-                    poly += cm
-            np.power(c, -0.5 * d, out=row)
-            # a point mass, coef = [1.0], skips the product
-            if len(coef) > 1 or poly != 1.0:
-                row *= poly
-        g *= xi1
-        return labels, g
+        s = _chain_norm2(xi1, levels, v)
+        return labels, columns(s, v[:, r - 1], m)
+
+    def columns(s, t2, m):
+        mean = None if weights is None else np.zeros(m)
+        for lo in range(0, dim, _ROWS):
+            g = np.empty((min(_ROWS, dim - lo), m))
+            for row, (rho, coef) in zip(g, planar[lo:]):
+                lead_r = np.multiply(t2, rho, out=row)
+                c = s + lead_r
+                poly = coef[0]
+                if len(coef) > 1:
+                    y = np.divide(lead_r, c, out=lead_r)
+                    poly = np.full(m, coef[-1])
+                    for cm in coef[-2::-1]:
+                        poly *= y
+                        poly += cm
+                np.power(c, -0.5 * d, out=row)
+                # a point mass, coef = [1.0], skips the product
+                if len(coef) > 1 or poly != 1.0:
+                    row *= poly
+            g *= xi1
+            if weights is not None:
+                mean += np.einsum("j,jk->k", weights[lo : lo + len(g)], g)
+            yield g
+        if weights is not None:
+            yield mean[None]
 
     return integrand, chunk
 
@@ -381,47 +382,36 @@ def _blocks(n: int, seed: int):
 
 
 def _chunks(kernel, rng, size: int):
-    """One block's chunks (labels, g) from kernel = (integrand, chunk), in draw order."""
+    """One block's chunks (labels, columns) from kernel = (integrand, chunk), in draw order."""
     integrand, chunk = kernel
     for lo in range(0, size, chunk):
         yield integrand(rng, min(chunk, size - lo))
 
 
-# widest chunk whose Gram matrix _partial forms by an einsum loop, not a BLAS matmul:
-# einsum has no blocked kernel, and on 2 workers it kept up with matmul to 8
-# columns but took 1.6 times as long at 24
-_GRAM_EINSUM_COLUMNS = 8
-# widest chunk whose blocks run on more than one worker: above it the BLAS
-# matmul of the Gram matrix takes most of the time and BLAS threads it
-# itself, so a second worker only contends with BLAS's threads (on 2 cores one
-# worker took 0.79-0.92 of two workers' time from 100 to 667 columns, and
-# 1.29 times as long at 64)
-_SERIAL_COLUMNS = 64
-
-
-def _partial(labels, g):
-    """One chunk's stratum counts, per-stratum column sums and Gram matrix."""
-    sums = np.empty((_STRATA, len(g)))
-    for j, row in enumerate(g):
-        sums[:, j] = np.bincount(labels, weights=row, minlength=_STRATA)
-    gram = np.einsum("ik,jk->ij", g, g) if len(g) <= _GRAM_EINSUM_COLUMNS else g @ g.T
-    return np.bincount(labels, minlength=_STRATA), sums, gram
+def _partial(labels, columns):
+    """One chunk's stratum counts, per-stratum column sums and band, from its g
+    in blocks of rows: each column's sum of g_j^2, then each adjacent pair's
+    sum of g_j g_(j+1) and a 0."""
+    sums, band, last = [], [], None
+    for g in columns:
+        if band:  # the product across the boundary with the previous block
+            band[-1][1, -1] = np.einsum("k,k->", last, g[0])
+        sums += [np.bincount(labels, weights=row, minlength=_STRATA) for row in g]
+        band.append(np.zeros((2, len(g))))
+        np.einsum("ik,ik->i", g, g, out=band[-1][0])
+        np.einsum("ik,ik->i", g[:-1], g[1:], out=band[-1][1, :-1])
+        last = g[-1]
+    return np.bincount(labels, minlength=_STRATA), np.array(sums).T, np.concatenate(band, axis=1)
 
 
 def _add(totals, part):
-    """Add a _partial (counts, per-stratum column sums, Gram matrix) into totals, in place."""
+    """Add a _partial (counts, per-stratum column sums, band) into totals, in place."""
     for acc, term in zip(totals, part):
         acc += term
 
 
-def _workers(columns: int) -> int:
-    """Threads for one estimate of this many columns.
-
-    The cores this process may run on, at most _STRATA, or one above
-    _SERIAL_COLUMNS columns.
-    """
-    if columns > _SERIAL_COLUMNS:
-        return 1
+def _workers() -> int:
+    """Threads for one estimate: the cores this process may run on, at most _STRATA."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -429,50 +419,48 @@ def _workers(columns: int) -> int:
     return min(_STRATA, cores)
 
 
-def _cone_estimate(chain: ChainSpec, planar, n, seed):
-    """Post-stratified mean of the _cone_kernel columns and its covariance.
+def _cone_estimate(chain: ChainSpec, planar, n, seed, weights=None):
+    """Post-stratified mean of the _cone_kernel columns, with their variances
+    and adjacent covariances, as (value, var, adjacent_cov).
 
     Each sample falls in one of _STRATA equal-probability strata of its
     lead (post-stratification; Holt and Smith, JRSS A 142, 1979).  The value
-    is the mean of the strata's means, and its covariance the pooled
-    within-stratum covariance over n,
+    is the mean of the strata's means, and var_j and adjacent_cov_j are the
+    entries (j, j) and (j, j + 1) of the pooled within-stratum covariance
+    over n, the only entries any reader needs,
 
-        (G - sum_k n_k mu_k mu_k^T) / ((n - _STRATA) n),   G = sum_i g_i g_i^T.
+        (sum_i g_ij g_il - sum_k n_k mu_kj mu_kl) / ((n - _STRATA) n).
 
     With fewer than 16 samples per stratum on average (n < 256), or an
     empty stratum, it is the plain mean with the (n - 1) covariance instead.
+    weights adds the columns' weighted sum as one more column.
 
-    The calling thread opens every block's substream in block order, then
-    it and W - 1 helpers, W = _workers(dim), run one loop.  Thread w starts
-    on block w, so every thread draws a block whichever runs first.  A pass
-    adds its block's chunk _partials (counts, per-stratum column sums, Gram
-    matrix) in chunk order into the block's own zeroed arrays, hands the
-    block's total in and claims the next unclaimed block.  Whoever hands in
-    the lowest block not yet added to the totals adds it and every ready
-    block after it, in block order.  One lock guards the next block, the
-    handed-in totals and the count added, and is held only to hand in, add
-    and claim, so no thread waits on another's draws, and a thread that
-    stalls holds only the block it is drawing.  An exception on any thread
-    goes in a list that also stops the others before their next chunk, so a
-    failed estimate draws at most one more chunk per thread; the calling
-    thread joins every helper it started and raises the first.  A block's
-    draws depend on its stream alone and every sum is taken in (chunk, then
-    block) order, so the result is bitwise the same for every W and every
-    scheduling.  The kernel makes no BLAS call up to _GRAM_EINSUM_COLUMNS
-    columns: its contractions are einsum loops, as fast as BLAS at these
-    shapes, and a threaded BLAS would hold a core spinning against the
-    workers.  Wider chunks form the Gram matrix by a BLAS matmul, and above
-    _SERIAL_COLUMNS they run on one worker, BLAS threading the matmul.
+    The calling thread opens every block's substream in block order, then it
+    and W - 1 helpers, W = _workers(), run one loop.  Thread w starts on
+    block w, so every thread draws a block whichever runs first.  A pass
+    adds its block's chunk _partials in chunk order into the block's own
+    zeroed arrays, hands the block's total in and claims the next unclaimed
+    block.  Whoever hands in the lowest block not yet added to the totals
+    adds it and every ready block after it, in block order.  One lock guards
+    the next block, the handed-in totals and the count added, and is held
+    only to hand in, add and claim, so no thread waits on another's draws,
+    and a thread that stalls holds only the block it is drawing.  An
+    exception on any thread goes in a list that also stops the others before
+    their next chunk, so a failed estimate draws at most one more chunk per
+    thread; the calling thread joins every helper it started and raises the
+    first.  A block's draws depend on its stream alone and every sum is
+    taken in (chunk, then block) order, so the result is bitwise the same
+    for every W and every scheduling.
     """
-    kernel = _cone_kernel(chain, planar)
+    kernel = _cone_kernel(chain, planar, weights)
     blocks = _blocks(n, seed)
-    dim = len(planar)
-    workers = _workers(dim)
+    dim = len(planar) + (weights is not None)
+    workers = _workers()
 
     def zeros():
-        return np.zeros(_STRATA), np.zeros((_STRATA, dim)), np.zeros((dim, dim))
+        return np.zeros(_STRATA), np.zeros((_STRATA, dim)), np.zeros((2, dim))
 
-    counts, sums, gram = totals = zeros()
+    counts, sums, band = totals = zeros()
     lock = threading.Lock()
     claimed, added = workers, 0
     ready = {}  # block -> its total, handed in but not yet added
@@ -514,11 +502,13 @@ def _cone_estimate(chain: ChainSpec, planar, n, seed):
     if n >= 16 * _STRATA and counts.all():
         means = sums / counts[:, None]
         value = means.mean(axis=0)
-        cov = (gram - (means.T * counts) @ means) / ((n - _STRATA) * n)
+        scaled, scale = means * counts[:, None], (n - _STRATA) * n
     else:
         value = sums.sum(axis=0) / n
-        cov = (gram - n * np.outer(value, value)) / ((n - 1) * n)
-    return value, cov
+        means, scaled, scale = value[None], n * value[None], (n - 1) * n
+    var = (band[0] - np.einsum("kj,kj->j", scaled, means)) / scale
+    adjacent_cov = (band[1, :-1] - np.einsum("kj,kj->j", scaled[:, :-1], means[:, 1:])) / scale
+    return value, var, adjacent_cov
 
 
 def surface_density(config: WedgeConfig, n: int, seed: int) -> DensityEstimate:
@@ -528,10 +518,10 @@ def surface_density(config: WedgeConfig, n: int, seed: int) -> DensityEstimate:
     substreams keyed by (seed, block), at any worker count.
     """
     planar = (0.0, [1.0]) if config.is_simplex else _planar_series(config.domain, config.chain)
-    value, cov = _cone_estimate(config.chain, [planar], n, seed)
+    value, var, _ = _cone_estimate(config.chain, [planar], n, seed)
     return DensityEstimate(
         value=float(value[0]),
-        stderr=float(math.sqrt(max(cov[0, 0], 0.0))),
+        stderr=float(math.sqrt(max(var[0], 0.0))),
         n=n,
         seed=seed,
         method="monte_carlo",
@@ -591,21 +581,31 @@ def _profile_radii(chain: ChainSpec, radii) -> np.ndarray:
     return r
 
 
-def limiting_density_profile(
-    chain: ChainSpec, radii, n: int, seed: int
-) -> ProfileEstimate:
+def limiting_density_profile(chain: ChainSpec, radii, n: int, seed: int,
+                             weights=None) -> ProfileEstimate:
     """Limiting densities at several radii from shared samples.
 
     The limiting density at a terminal-plane point depends on the point
     through its local radius only, because the join collapses the planar
     factor onto the point and the chain part is orthogonal to the plane.
-    Sharing samples across radii gives a full covariance matrix, so
-    differences along the profile carry honest (and small) error bars.
+    Sharing samples across radii correlates the estimates, so differences
+    between adjacent radii carry honest (and small) error bars.  weights,
+    one per radius, declare a weighted mean of the profile, which the
+    kernel carries as one more column for ProfileEstimate.mean_functional.
     """
     r = _profile_radii(chain, radii)
     planar = [(float(x * x), [1.0]) for x in r]
-    values, cov = _cone_estimate(chain, planar, n, seed)
-    return ProfileEstimate(radii=r, values=values, cov=cov, n=n, seed=seed)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != r.shape:
+            raise ValueError(f"weights must match the {len(r)} radii, got shape {weights.shape}")
+        if not (np.isfinite(weights).all() and 0.0 < weights.sum() < math.inf):
+            raise ValueError("weights must be finite with a positive sum")
+        weights = weights / weights.sum()
+    values, var, cov = _cone_estimate(chain, planar, n, seed, weights)
+    functional = None if weights is None else (float(values[-1]), math.sqrt(max(var[-1], 0.0)))
+    return ProfileEstimate(radii=r, values=values[: len(r)], var=var[: len(r)],
+                           adjacent_cov=cov[: len(r) - 1], n=n, seed=seed, functional=functional)
 
 
 def limiting_surface_density(chain: ChainSpec, x, n: int, seed: int) -> DensityEstimate:
@@ -1029,14 +1029,14 @@ def improvement_gap(d: int, n: int, seed: int) -> ImprovementGap:
     w_tri = tri.area / (tri.area + sec.area)
     w_sec = 1.0 - w_tri
     planar = [_planar_series(tri, chain), _planar_series(sec, chain)]
-    values, cov = _cone_estimate(chain, planar, n, seed)
+    values, var, cov = _cone_estimate(chain, planar, n, seed)
     t_val, s_val = float(values[0]), float(values[1])
-    se_t = math.sqrt(max(cov[0, 0], 0.0))
-    se_s = math.sqrt(max(cov[1, 1], 0.0))
-    var_diff = max(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1], 0.0)
+    se_t = math.sqrt(max(var[0], 0.0))
+    se_s = math.sqrt(max(var[1], 0.0))
+    var_diff = max(var[0] + var[1] - 2.0 * cov[0], 0.0)
     combo = w_tri * t_val + w_sec * s_val
     se_combo = math.sqrt(
-        max(w_tri**2 * cov[0, 0] + w_sec**2 * cov[1, 1] + 2 * w_tri * w_sec * cov[0, 1], 0.0)
+        max(w_tri**2 * var[0] + w_sec**2 * var[1] + 2 * w_tri * w_sec * cov[0], 0.0)
     )
     return ImprovementGap(
         d=d,

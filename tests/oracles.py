@@ -362,6 +362,24 @@ def sampled_planar_estimate(chain, domains, n, seed):
     return means.mean(axis=0), dev.T @ dev / ((n - 16) * n)
 
 
+def full_covariance(chunks, n, dim):
+    """(mean vector, covariance matrix of the mean) from a Monte-Carlo
+    estimate's chunks (labels, g), by the full Gram matrix.
+
+    The post-stratified formula over 16 strata, (G - sum_k n_k mu_k mu_k^T)
+    / ((n - 16) n) with G = sum_i g_i g_i^T, each chunk's Gram matrix
+    formed whole, for n >= 256 with no stratum empty.
+    """
+    counts, sums, gram = np.zeros(16), np.zeros((16, dim)), np.zeros((dim, dim))
+    for labels, g in chunks:
+        counts += np.bincount(labels, minlength=16)
+        for j, row in enumerate(g):
+            sums[:, j] += np.bincount(labels, weights=row, minlength=16)
+        gram += np.einsum("ik,jk->ij", g, g)
+    means = sums / counts[:, None]
+    return means.mean(axis=0), (gram - (means.T * counts) @ means) / ((n - 16) * n)
+
+
 def sector_moments(sector, n_terms):
     """Radial moments of a sector about rho = R^2 / 2, in closed form.
 

@@ -206,8 +206,9 @@ def test_12_profile_representation():
             if frac > 0.0:
                 centers.append(math.hypot(cx + 0.5 * dx, cy + 0.5 * dy))
                 weights.append(frac)
-    prof = dn.limiting_density_profile(chain, centers, 4 * 10**5, spawn_key(SEED, 12))
-    mean, se_mean = prof.mean_functional(weights)
+    prof = dn.limiting_density_profile(chain, centers, 4 * 10**5, spawn_key(SEED, 12),
+                                       weights=weights)
+    mean, se_mean = prof.mean_functional()
     hat = dn.wedge_density(d, 10**6, spawn_key(SEED, 12, 1))
     sep = abs(mean - hat.value) / math.hypot(se_mean, hat.stderr)
     assert sep <= 3.0, f"grid mean {mean} vs sigma_hat {hat.value}"

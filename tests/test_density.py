@@ -19,6 +19,7 @@ from oracles import (
     direct_chain_mass_grid,
     direct_chain_moment,
     direct_planar_factor,
+    full_covariance,
     low_dim_quad,
     planar_corner_density,
     sampled_planar_estimate,
@@ -40,10 +41,11 @@ def combined(a, b):
 
 def _serial_chunks(chain, planar, n, seed):
     """Every chunk (labels, g) that _cone_estimate reduces, drawn serially, in
-    (block, chunk) order."""
+    (block, chunk) order, with g's blocks of rows joined."""
     kernel = dn._cone_kernel(chain, planar)
     for rng, size in dn._blocks(n, seed):
-        yield from dn._chunks(kernel, rng, size)
+        for labels, columns in dn._chunks(kernel, rng, size):
+            yield labels, np.concatenate(list(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +217,8 @@ def _worker_cases():
 
     def profile(radii):
         p = dn.limiting_density_profile(geo.canonical_chain(8, 6), np.linspace(0.0, 0.3, radii),
-                                        50_000, SEED)
-        return p.values.tobytes(), p.cov.tobytes()
+                                        50_000, SEED, weights=np.arange(1.0, radii + 1))
+        return p.values.tobytes(), p.var.tobytes(), p.adjacent_cov.tobytes(), p.mean_functional()
 
     return {
         # n % 16 != 0 and two chunks in every block
@@ -224,7 +226,7 @@ def _worker_cases():
         "simplex": lambda: dn.simplex_density(24, 100_003, SEED),
         "wedge": lambda: dn.wedge_density(24, 100_003, SEED),
         "profile": lambda: profile(24),
-        # wider than _GRAM_EINSUM_COLUMNS, so its Gram matrices are BLAS matmuls
+        # wider than _ROWS, so each chunk's band spans two blocks of rows
         "profile200": lambda: profile(200),
         "small_n": lambda: (dn.wedge_density(8, 200, SEED), dn.simplex_density(8, 17, SEED)),
     }
@@ -250,7 +252,7 @@ def test_gap42_worker_case_takes_two_chunks_per_block():
 def test_partials_are_added_as_they_come_in_order():
     # a 200-radius profile at n = 5e4 has one chunk per block; on one worker
     # each chunk's partial is added before the next is drawn, so no more than
-    # two Gram matrices are ever alive, not one per chunk
+    # two of its bands are ever alive, not one per chunk
     alive, most = [0], [0]
     partial = dn._partial
 
@@ -267,11 +269,6 @@ def test_partials_are_added_as_they_come_in_order():
         dn.limiting_density_profile(chain, np.linspace(0.0, 0.3, 200), 50_000, SEED)
     assert alive[0] == 0
     assert most[0] <= 2
-
-
-def test_wide_profiles_run_on_one_worker():
-    assert dn._workers(dn._SERIAL_COLUMNS + 1) == 1
-    assert dn._workers(dn._SERIAL_COLUMNS) == dn._workers(2) >= 1
 
 
 def test_more_workers_than_cores_under_fast_switching():
@@ -493,7 +490,7 @@ def _pinned_paths():
 
     def profile():
         p = dn.limiting_density_profile(geo.canonical_chain(8, 6), [0.0, 0.05, 0.2], 4000, 204)
-        return [*p.values, *p.stderr(), p.diff_stderr(0, 2)]
+        return [*p.values, *p.stderr(), p.diff_stderr(1, 2)]
 
     def base_digest(cfg):
         pts = geo.sample_base(cfg, np.random.default_rng(205), 1000)
@@ -520,8 +517,10 @@ def _pinned_paths():
 # rule (CHANGES.md lists the old and new values, within 3 se).  Three
 # cancelling combinations, the profile's difference stderr, gap5's gap
 # stderr and gap24's gap, were re-recorded at roundoff when the estimator's
-# contractions left BLAS for einsum.  1e-12 relative leaves room for the
-# summation order only
+# contractions left BLAS for einsum; the profile's difference stderr, now of
+# an adjacent pair, and the gap stderrs were re-recorded again when the
+# reducer kept only the band of variances and adjacent covariances.  1e-12
+# relative leaves room for the summation order only
 _PINNED = {
     "simplex": [0.25699775792204577, 0.0006465580072702997],
     "wedge": [0.2561857691528328, 0.0012711948168404618],
@@ -531,17 +530,17 @@ _PINNED = {
     "profile": [
         0.2568289551221934, 0.25656764279105426, 0.2527111280683544,
         0.0012373231000118985, 0.001236261510691739, 0.001220632366092142,
-        2.214998043302496e-05,
+        2.0739813376509763e-05,
     ],
     "gap5": [
         0.5248035181245055, 0.001205380421153057,
         0.5173789387700986, 0.0011925041754320981,
-        0.0012657097144211412, 2.838789556528479e-06,
+        0.0012657097144211412, 2.8387895566758942e-06,
     ],
     "gap24": [
         0.00249019196519094, 2.7602419278148663e-05,
         0.0024898393015789183, 2.759900207827904e-05,
-        1.4122239493329769e-08, 1.8940008252626833e-10,
+        1.4122239493329769e-08, 1.8940008515252572e-10,
     ],
     "base_simplex": [
         1000.0, 506.2728085006854, 305.52237162146173, 196.74456749514385,
@@ -806,8 +805,8 @@ def test_profile_mean_reproduces_wedge_density():
     nodes = np.linspace(0.0, dom.max_radius, 200)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     weights = dom.radial_mass(mids) * np.diff(nodes)
-    prof = dn.limiting_density_profile(chain, mids, 300_000, SEED + 63)
-    mean, se = prof.mean_functional(weights)
+    prof = dn.limiting_density_profile(chain, mids, 300_000, SEED + 63, weights=weights)
+    mean, se = prof.mean_functional()
     hat = dn.wedge_density(d, 300_000, SEED + 64)
     assert abs(mean - hat.value) <= 3.0 * math.hypot(se, hat.stderr) + 1e-5
 
@@ -815,13 +814,46 @@ def test_profile_mean_reproduces_wedge_density():
 def test_profile_mean_rejects_bad_weights():
     # weights summing to 0 gave (nan, nan); a wrong length, a non-finite
     # weight or a negative sum has no mean either
-    prof = dn.ProfileEstimate(radii=np.array([0.0, 0.1, 0.2]), values=np.array([0.3, 0.2, 0.1]),
-                              cov=np.eye(3) * 1e-6, n=10, seed=0)
+    chain = geo.canonical_chain(8, 6)
+    radii = [0.0, 0.1, 0.2]
     for weights in ([1, -1, 0], [-1, 0, 0], [1, 1], [[1, 1, 1]], [1, math.nan, 1], [1, math.inf, 1]):
         with pytest.raises(ValueError, match="^weights must"):
-            prof.mean_functional(weights)
-    mean, se = prof.mean_functional([1, 0, 1])
-    assert mean == pytest.approx(0.2) and se == pytest.approx(math.sqrt(0.5e-6))
+            dn.limiting_density_profile(chain, radii, 1000, 1, weights=weights)
+    with pytest.raises(ValueError, match="no weights"):
+        dn.limiting_density_profile(chain, radii, 1000, 1).mean_functional()
+    prof = dn.limiting_density_profile(chain, radii, 1000, 1, weights=[1, 0, 1])
+    mean, se = prof.mean_functional()
+    assert mean == pytest.approx(0.5 * (prof.values[0] + prof.values[2]), rel=1e-12)
+    assert 0.0 < se < prof.stderr().max()
+
+
+@pytest.mark.parametrize("width", [5, 2 * dn._ROWS + 3])
+def test_profile_band_matches_the_full_covariance(width):
+    # the band and the declared functional's variance are the diagonal, the
+    # first superdiagonal and w^T C w of the pooled covariance C formed from
+    # every chunk's full Gram matrix; the wide case spans three blocks of rows
+    chain = geo.canonical_chain(8, 6)
+    radii = np.linspace(0.0, 0.3, width)
+    weights = np.random.default_rng(width).random(width)
+    n = 40_003
+    prof = dn.limiting_density_profile(chain, radii, n, SEED, weights=weights)
+    planar = [(float(x * x), [1.0]) for x in radii]
+    values, cov = full_covariance(_serial_chunks(chain, planar, n, SEED), n, len(radii))
+    np.testing.assert_allclose(prof.values, values, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(prof.var, np.diag(cov), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(prof.adjacent_cov, np.diag(cov, 1), rtol=1e-12, atol=0.0)
+    w = weights / weights.sum()
+    mean, se = prof.mean_functional()
+    assert mean == pytest.approx(w @ values, rel=1e-12)
+    assert se**2 == pytest.approx(w @ cov @ w, rel=1e-12)
+
+
+def test_profile_diff_stderr_takes_adjacent_radii_only():
+    prof = dn.limiting_density_profile(geo.canonical_chain(8, 6), [0.0, 0.1, 0.2], 1000, 1)
+    assert prof.diff_stderr(1, 0) == prof.diff_stderr(0, 1) > 0.0
+    for i, j in ((-1, 0), (0, -1), (2, 3), (3, 2), (0, 2), (1, 1)):
+        with pytest.raises(ValueError, match="adjacent"):
+            prof.diff_stderr(i, j)
 
 
 # ---------------------------------------------------------------------------
