@@ -50,8 +50,11 @@ def _round9(obj):
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -23,11 +23,11 @@ y in the base hyperplane {x_1 = xi_1} belongs to the simplex base iff
 and to the wedge base iff the inequalities hold through level d-2 with
 a = y_{d-2}/eta_{d-2}, and (y_{d-1}/a, y_d/a) lies in the domain.
 
-Planar domains: the trace Disc, and DiscPolygon, a disc centred at the
-origin cut by a convex polygon.  The wedge's triangle, its sector and their
-union are each the disc of radius 2/sqrt(d^2 - 1) cut by a triangle
-cornered at the origin; truncation_domain's capped square and polygons are
-cut by polygons around it.
+Every planar domain is a DiscPolygon, a disc centred at the origin cut by
+a convex polygon.  The wedge's triangle, its sector and their union are
+each the disc of radius 2/sqrt(d^2 - 1) cut by a triangle cornered at the
+origin; truncation_domain's capped square and polygons are cut by polygons
+around it, and its bare trace disc by a square whose sides lie outside it.
 
 Uniform sampling sorts d - 1 uniforms: their order statistics are the
 simplex levels, and for the wedge the join parameter t = y_{d-2}/eta_{d-2},
@@ -54,7 +54,6 @@ __all__ = [
     "ChainSpec",
     "canonical_chain",
     "PlanarDomain",
-    "Disc",
     "DiscPolygon",
     "wedge_domain",
     "sector_domain",
@@ -317,29 +316,17 @@ def _cosine_gauss_legendre(n: int):
 
 
 class PlanarDomain:
-    """Common surface for the 2D base regions.
+    """The radial quadrature shared by the 2D base regions.
 
-    Concrete kinds provide: ``kind``, ``area``, ``max_radius``, vectorized
-    ``contains``, uniform ``sample``, the radial mass density ``radial_mass``
-    (so that integral of radial_mass over [0, max_radius] equals the area)
-    and ``radial_breakpoints`` where that density has kinks.
+    A subclass provides ``kind``, ``area``, ``max_radius``, the radial mass
+    density ``radial_mass`` (so that integral of radial_mass over [0,
+    max_radius] equals the area) and ``radial_breakpoints`` where that
+    density has kinks.  DiscPolygon is the one subclass.
     """
 
-    kind: str = "abstract"
+    kind: str
     area: float
     max_radius: float
-
-    def contains(self, pts, tol: float = EDGE_TOL):
-        raise NotImplementedError
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-    def radial_mass(self, r) -> np.ndarray:
-        raise NotImplementedError
-
-    def radial_breakpoints(self) -> list[float]:
-        return [0.0, self.max_radius]
 
     def radial_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes r and weights w with sum w f(r) ~ integral of radial_mass(r) f(r) dr.
@@ -369,28 +356,6 @@ class PlanarDomain:
             nu[m] = w.sum()
             w = w * z
         return nu
-
-
-class Disc(PlanarDomain):
-    kind = "disc"
-
-    def __init__(self, radius):
-        if radius <= 0:
-            raise ValueError("disc radius must be positive")
-        self.radius = float(radius)
-        self.area = math.pi * radius * radius
-        self.max_radius = float(radius)
-
-    def contains(self, pts, tol: float = EDGE_TOL):
-        p = _as_points(pts)
-        return np.hypot(p[:, 0], p[:, 1]) <= self.radius + tol
-
-    def sample(self, n, rng):
-        return _polar_points(self.radius, 0.0, 2.0 * math.pi, n, rng)
-
-    def radial_mass(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= self.radius, 2.0 * math.pi * r, 0.0)
 
 
 class DiscPolygon(PlanarDomain):
@@ -508,17 +473,18 @@ def _square(half_width: float) -> list[tuple[float, float]]:
     return [(g, g), (-g, g), (-g, -g), (g, -g)]
 
 
-def truncation_domain(d: int, h: float, shape: str = "disc", vertices=None) -> PlanarDomain:
+def truncation_domain(d: int, h: float, shape: str = "disc", vertices=None) -> DiscPolygon:
     """Trace disc of radius g0(h), optionally capped by a square or polygon.
 
-    The square, of half-width g(h), is the DiscPolygon of its corners, so a
-    "disc_cap_square" domain reports kind "disc_cap_polygon".  A polygon
+    Every shape is a DiscPolygon and reports kind "disc_cap_polygon".  The
+    bare disc is cut by the square of half-width 2 g0, whose sides never
+    meet it; the cap square, of half-width g(h), by its corners.  A polygon
     given by its vertices must be admissible: every vertex outside the open
     trace disc and every side line at distance at least g(h) from the center.
     """
     g0, g = truncation_scalars(d, h)
     if shape == "disc":
-        return Disc(g0)
+        return DiscPolygon(g0, _square(2.0 * g0))
     if shape == "disc_cap_square":
         return DiscPolygon(g0, _square(g))
     if shape == "disc_cap_polygon":

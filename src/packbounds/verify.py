@@ -296,12 +296,13 @@ def check_profile_monotone(d: int = 8, n_points: int = 6) -> CheckResult:
 
 def check_truncation_gain(d: int = 8, seed: int = DEFAULT_SEED) -> CheckResult:
     """Cutting the base at the trace disc never lowers the surface density."""
-    g0, _ = fm.truncation_scalars(d, fm.height_breakpoints(d)[0])
+    lo = fm.height_breakpoints(d)[0]
+    g0, _ = fm.truncation_scalars(d, lo)
     # (label, dimension, full domain, truncated domain)
     pairs = [
         # square of half-width 2 g0: sticks out of the disc, truncates to the disc
         ("square-2g0", d, geo.DiscPolygon(2.0 * g0 * math.sqrt(2.0) * 1.01, geo._square(2.0 * g0)),
-         geo.Disc(g0)),
+         geo.truncation_domain(d, lo, "disc")),
     ]
     # a wider quadrilateral at d+2, same construction idea
     d2 = d + 2

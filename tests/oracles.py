@@ -112,6 +112,12 @@ def mixed_directions(config, n, rng, jitter=0.05):
     return np.vstack([gauss, aimed])
 
 
+def disc_radial_mass(r, R):
+    """Radial mass 2 pi r of the disc of radius R, zero beyond R."""
+    r = np.asarray(r, dtype=float)
+    return np.where(r <= R, 2.0 * math.pi * r, 0.0)
+
+
 def disc_square_area(R, g):
     """Area of the disc of radius R cut by the square [-g, g]^2, in closed form.
 

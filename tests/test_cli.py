@@ -368,3 +368,27 @@ def test_plot_unknown_kind():
     with pytest.raises(SystemExit) as exc:
         main(["plot-data", "histogram"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--dmin", "8", "--dmax", "8", "--samples", "10000"],
+        ["verify", "floor-recursion"],
+        ["records", "--dmax", "3", "--samples", "10000"],
+        ["plot-data", "g_ratio"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {path}: ")
+    assert err.endswith("\n") and "Traceback" not in err

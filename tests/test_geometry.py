@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    disc_radial_mass,
     disc_square_area,
     disc_square_radial_mass,
     fan_radial_mass_loop,
@@ -109,7 +110,8 @@ def test_wedge_domain_membership_examples():
         lambda: geo.wedge_domain(8),
         lambda: geo.triangle_domain(6),
         lambda: geo.sector_domain(8),
-        lambda: geo.Disc(0.25),
+        # the bare disc, capped by a square whose sides lie outside it
+        lambda: geo.DiscPolygon(0.25, geo._square(0.5)),
         lambda: geo.DiscPolygon(0.25, geo._square(0.19)),
         lambda: geo.DiscPolygon(0.25, [(0.2, 0.21), (-0.23, 0.2), (-0.2, -0.22), (0.24, -0.2)]),
         # the origin at a vertex, with the disc cutting the far side
@@ -327,6 +329,24 @@ def test_disc_square_matches_polygon_route():
 def test_truncation_domain_disc_area():
     dom = geo.truncation_domain(8, fm.chain_floor(6), "disc")
     assert dom.area == pytest.approx(math.pi * 4.0 / 63.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [8, 12, 42])
+@pytest.mark.parametrize("frac", [0.0, 0.5, 0.999])
+def test_truncation_domain_disc_is_the_bare_disc(d, frac):
+    # the capping square's sides lie at 2 g0, so the fan measures 2 pi at
+    # every radius and the rule is the closed-form disc's, bit for bit
+    _, mid, hi = fm.height_breakpoints(d)
+    h = mid + frac * (hi - mid)
+    g0, _ = fm.truncation_scalars(d, h)
+    dom = geo.truncation_domain(d, h, "disc")
+    assert dom.radial_breakpoints() == [0.0, g0]
+    assert dom.area == pytest.approx(math.pi * g0 * g0, rel=1e-15, abs=0.0)
+    for n in (64, 128):
+        u, gl_w = geo._cosine_gauss_legendre(n)
+        r, w = dom.radial_rule(n)
+        assert np.array_equal(r, g0 * u)
+        assert np.array_equal(w, g0 * gl_w * disc_radial_mass(r, g0))
 
 
 def test_truncation_domain_square_between_inclusion_bounds():
