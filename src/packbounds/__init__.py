@@ -32,12 +32,10 @@ from .geometry import (
     ChainSpec,
     PlanarDomain,
     WedgeConfig,
-    base_volume,
     canonical_chain,
     canonical_simplex,
     canonical_wedge,
     cone_contains,
-    sample_base,
     sector_wedge,
     truncated_wedge,
     truncation_domain,
@@ -50,7 +48,6 @@ from .density import (
     closed_form_simplex_density,
     improvement_gap,
     limiting_density_profile,
-    limiting_surface_density,
     quadrature_density,
     quadrature_gap,
     sector_density,

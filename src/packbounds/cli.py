@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from importlib import resources
 
@@ -412,6 +413,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # one stat before the work, so that output with nowhere to go fails at once;
+        # _emit, the only writer, reports any other error
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"cannot write {args.out}: no such directory")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -95,7 +95,6 @@ __all__ = [
     "wedge_density",
     "sector_density",
     "closed_form_simplex_density",
-    "limiting_surface_density",
     "limiting_density_profile",
     "quadrature_density",
     "quadrature_profile",
@@ -606,21 +605,6 @@ def limiting_density_profile(chain: ChainSpec, radii, n: int, seed: int,
     functional = None if weights is None else (float(values[-1]), math.sqrt(max(var[-1], 0.0)))
     return ProfileEstimate(radii=r, values=values[: len(r)], var=var[: len(r)],
                            adjacent_cov=cov[: len(r) - 1], n=n, seed=seed, functional=functional)
-
-
-def limiting_surface_density(chain: ChainSpec, x, n: int, seed: int) -> DensityEstimate:
-    """Limiting surface density at a terminal-plane point x (local 2D coords)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (2,) or not np.all(np.isfinite(x)):
-        raise ValueError("x must be a finite 2D point of the terminal plane")
-    prof = limiting_density_profile(chain, [float(np.hypot(x[0], x[1]))], n, seed)
-    return DensityEstimate(
-        value=float(prof.values[0]),
-        stderr=float(prof.stderr()[0]),
-        n=n,
-        seed=seed,
-        method="monte_carlo",
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,6 @@ __all__ = [
     "truncated_wedge",
     "cone_contains",
     "cone_contains_many",
-    "sample_base",
-    "base_volume",
 ]
 
 
@@ -118,9 +116,6 @@ class ChainSpec:
         for j in range(self.k):
             out[j, : j + 1] = self.eta[: j + 1]
         return out
-
-    def is_canonical(self, tol: float = EDGE_TOL) -> bool:
-        return all(abs(x - chain_floor(i + 1)) <= tol for i, x in enumerate(self.xi))
 
 
 def canonical_chain(d: int, k: int) -> ChainSpec:
@@ -547,24 +542,10 @@ def sector_wedge(d: int) -> WedgeConfig:
     return WedgeConfig(chain=canonical_chain(d, d - 2), domain=sector_domain(d))
 
 
-def truncated_wedge(
-    d: int,
-    h: float,
-    shape: str = "disc",
-    vertices=None,
-    chain: ChainSpec | None = None,
-) -> WedgeConfig:
-    """Truncated wedge at face height h over a canonical (or given) chain.
-
-    The chain's terminal norm must equal h; by default the chain is
-    (m_1, ..., m_{d-3}, h).
-    """
-    if chain is None:
-        xi = tuple(chain_floor(i) for i in range(1, d - 2)) + (float(h),)
-        chain = ChainSpec(d=d, k=d - 2, xi=xi)
-    else:
-        if abs(chain.xi[-1] - h) > 1e-9:
-            raise ValueError("chain terminal norm must equal the face height h")
+def truncated_wedge(d: int, h: float, shape: str = "disc", vertices=None) -> WedgeConfig:
+    """Truncated wedge at face height h over the chain (m_1, ..., m_{d-3}, h)."""
+    xi = tuple(chain_floor(i) for i in range(1, d - 2)) + (float(h),)
+    chain = ChainSpec(d=d, k=d - 2, xi=xi)
     return WedgeConfig(chain=chain, domain=truncation_domain(d, h, shape, vertices))
 
 
@@ -619,13 +600,13 @@ def cone_contains(config: WedgeConfig, u, tol: float = EDGE_TOL) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sampling and volume
+# chain draw
 
 
 def _ordered_chain(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """One chain draw per row: d - 1 uniforms from rng, sorted ascending in place.
 
-    The one chain draw behind sample_base and every Monte-Carlo estimator.
+    The one chain draw behind every Monte-Carlo estimator.
     Column j holds the level d - j coordinate y_(d-j)/eta_(d-j), so the
     columns run from the last level up to level 2 (order statistics of
     uniforms; David and Nagaraja, Order Statistics, 2003).  For a simplex
@@ -633,32 +614,8 @@ def _ordered_chain(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
     For a wedge the join parameter t = y_(d-2)/eta_(d-2), a Beta(3, d-3)
     variable, is the third smallest (column 2), the top d - 4 columns are
     the free levels d-3..2, and the two columns below t stand for the
-    planar part, which the estimators integrate out and sample_base draws
-    from the domain instead.
+    planar part, which the estimators integrate out.
     """
     v = rng.random((m, d - 1))
     v.sort(axis=1)
     return v
-
-
-def sample_base(config: WedgeConfig, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """n points uniformly distributed on the (d-1)-dimensional base."""
-    k = config.chain.k
-    v = _ordered_chain(config.d, n, rng)
-    pts = np.empty((n, config.d))
-    pts[:, 0] = config.chain.xi[0]
-    # v[:, ::-1] holds levels 2, 3, ... in chain order
-    pts[:, 1:k] = v[:, ::-1][:, : k - 1] * config.chain.eta_array[1:]
-    if not config.is_simplex:
-        pts[:, -2:] = v[:, 2:3] * config.domain.sample(n, rng)
-    return pts
-
-
-def base_volume(config: WedgeConfig) -> float:
-    """(d-1)-volume of the base.
-
-    Simplex variant: prod(eta_2..eta_d)/(d-1)!.  Wedge variant:
-    (2/(d-1)!) prod(eta_2..eta_{d-2}) * area(domain).
-    """
-    factor = 1.0 if config.is_simplex else 2.0 * config.domain.area
-    return factor * math.prod(config.chain.eta[1:]) / math.factorial(config.d - 1)

@@ -213,21 +213,22 @@ def check_pair_separation(d: int = 8, grid: int = 200) -> CheckResult:
 
 def check_reach_bound(d_max: int = 1000) -> CheckResult:
     """Neighbor reach stays below 2 and decreases with dimension."""
-    if d_max < 3:
-        raise ValueError("d_max must be >= 3")
+    # d = 3 alone compares no pair
+    if d_max < 4:
+        raise ValueError("d_max must be >= 4")
     ds = np.arange(3, d_max + 1)
     vals = np.array([fm.reach_bound(int(d)) for d in ds])
+    top = int(np.argmax(vals))
     failures = []
-    if np.any(vals > 2.0 + 1e-12):
-        k = int(np.argmax(vals))
-        failures.append(f"reach bound {vals[k]:.9f} > 2 at d={ds[k]}")
+    if vals[top] > 2.0 + 1e-12:
+        failures.append(f"reach bound {vals[top]:.9f} > 2 at d={ds[top]}")
     if np.any(np.diff(vals) >= 0.0):
         k = int(np.argmax(np.diff(vals)))
         failures.append(f"reach bound not decreasing at d={ds[k]}")
     return _result(
         "reach-bound", failures, [],
-        f"bound <= 2 and decreasing for 3 <= d <= {d_max} (max {vals.max():.7f} at d=3)",
-        {"d_max": d_max, "max_value": float(vals.max()), "at_d": 3},
+        f"bound <= 2 and decreasing for 3 <= d <= {d_max} (max {vals[top]:.7f} at d={ds[top]})",
+        {"d_max": d_max, "max_value": float(vals[top]), "at_d": int(ds[top])},
     )
 
 

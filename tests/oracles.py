@@ -95,6 +95,21 @@ def rejection_area(domain, n, rng):
     return p * box, box * math.sqrt(p * (1.0 - p) / n)
 
 
+def sample_base(config, rng, n=1):
+    """n points uniformly distributed on the (d-1)-dimensional base."""
+    from packbounds.geometry import _ordered_chain
+
+    k = config.chain.k
+    v = _ordered_chain(config.d, n, rng)
+    pts = np.empty((n, config.d))
+    pts[:, 0] = config.chain.xi[0]
+    # v[:, ::-1] holds levels 2, 3, ... in chain order
+    pts[:, 1:k] = v[:, ::-1][:, : k - 1] * config.chain.eta_array[1:]
+    if not config.is_simplex:
+        pts[:, -2:] = v[:, 2:3] * config.domain.sample(n, rng)
+    return pts
+
+
 def mixed_directions(config, n, rng, jitter=0.05):
     """Random test rays, half Gaussian, half aimed near the base.
 
@@ -102,8 +117,6 @@ def mixed_directions(config, n, rng, jitter=0.05):
     so half the rays point at perturbed base points to exercise both sides
     of the membership predicate.
     """
-    from packbounds.geometry import sample_base
-
     d = config.d
     half = n // 2
     gauss = rng.standard_normal((n - half, d))

@@ -116,6 +116,14 @@ def test_verify_rejects_small_grid(capsys, name, grid, least):
     assert err == f"error: grid must be >= {least}\n"
 
 
+def test_verify_rejects_small_d_max(capsys):
+    # d = 3 alone compares no pair, so the reach bound's "decreasing" decided nothing
+    code, out, err = run_cli(capsys, "verify", "reach-bound", "--d-max", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: d_max must be >= 4\n"
+
+
 def test_verify_unknown_name(capsys):
     code, _, err = run_cli(capsys, "verify", "bogus-name")
     assert code == 2
@@ -384,11 +392,24 @@ def test_plot_unknown_kind():
     ],
     ids=lambda argv: argv[0],
 )
-def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # a missing directory is found before any work: no estimate or check runs
+    def never(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    for name in ("improvement_gap", "run_checks", "simplex_density"):
+        monkeypatch.setattr(cli, name, never)
     path = tmp_path / "missing" / "out.txt"
     code, out, err = run_cli(capsys, *argv, "--out", str(path))
     assert code == 2
     assert out == ""
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {path}: ")
-    assert err.endswith("\n") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_out_that_cannot_be_opened_is_a_usage_error(capsys, tmp_path):
+    # the directory exists, so the write itself fails and _emit reports it
+    code, out, err = run_cli(capsys, "plot-data", "g_ratio", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {tmp_path}: ")

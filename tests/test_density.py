@@ -22,6 +22,7 @@ from oracles import (
     full_covariance,
     low_dim_quad,
     planar_corner_density,
+    sample_base,
     sampled_planar_estimate,
     tetrahedron_corner_density,
 )
@@ -232,6 +233,7 @@ def _worker_cases():
     }
 
 
+@pytest.mark.threading
 @pytest.mark.parametrize("case", list(_worker_cases()))
 def test_estimates_are_bitwise_the_same_for_every_worker_count(case):
     results = []
@@ -242,6 +244,7 @@ def test_estimates_are_bitwise_the_same_for_every_worker_count(case):
     assert results[2] == results[0]
 
 
+@pytest.mark.threading
 def test_gap42_worker_case_takes_two_chunks_per_block():
     chain = geo.canonical_chain(42, 40)
     _, chunk = dn._cone_kernel(chain, [dn._planar_series(geo.triangle_domain(42), chain)] * 2)
@@ -249,6 +252,7 @@ def test_gap42_worker_case_takes_two_chunks_per_block():
     assert chunk < 600_001 // 16 <= 2 * chunk
 
 
+@pytest.mark.threading
 def test_partials_are_added_as_they_come_in_order():
     # a 200-radius profile at n = 5e4 has one chunk per block; on one worker
     # each chunk's partial is added before the next is drawn, so no more than
@@ -271,6 +275,7 @@ def test_partials_are_added_as_they_come_in_order():
     assert most[0] <= 2
 
 
+@pytest.mark.threading
 def test_more_workers_than_cores_under_fast_switching():
     # the partials are added in (block, chunk) order whichever thread drew
     # them, so sixteen threads switching every microsecond still give the
@@ -302,6 +307,7 @@ def _public_code():
     return code
 
 
+@pytest.mark.threading
 def test_helper_threads_call_nothing_public():
     # the benchmark's spans wrap public functions around one shared call
     # stack, so the helper threads may run the private kernel only, and the
@@ -332,6 +338,7 @@ def test_helper_threads_call_nothing_public():
     assert not on_helpers & _public_code()
 
 
+@pytest.mark.threading
 @pytest.mark.parametrize("where", ["helper", "caller"])
 def test_worker_exception_propagates_and_no_thread_outlives_it(where):
     caller = threading.get_ident()
@@ -350,6 +357,7 @@ def test_worker_exception_propagates_and_no_thread_outlives_it(where):
     assert threading.active_count() == before
 
 
+@pytest.mark.threading
 def test_helper_exception_after_a_finished_block_reaches_the_caller():
     # on 3 workers each helper hands in its first block, then fails drawing
     # its second (one chunk per block); the calling thread sleeps on each
@@ -391,10 +399,11 @@ def test_helper_exception_after_a_finished_block_reaches_the_caller():
     assert threading.active_count() == before
 
 
+@pytest.mark.threading
 def test_helper_stops_drawing_once_the_estimate_has_failed():
-    # the calling thread fails on its first chunk; the helper, with 8 blocks
-    # of 2 chunks to draw, must see the stop event after a chunk and return,
-    # not draw all 16 before it is joined
+    # the calling thread fails on its first chunk; the helper must find the
+    # failure in the estimate's failure list before its next chunk and
+    # return, not draw the 16 blocks of 2 chunks before it is joined
     config = geo.canonical_simplex(8)
     _, chunk = dn._cone_kernel(config.chain, [(0.0, [1.0])])
     assert chunk < 4_000_000 // 16 <= 2 * chunk
@@ -417,6 +426,7 @@ def test_helper_stops_drawing_once_the_estimate_has_failed():
     assert 1 <= len(helper_draws) <= 4
 
 
+@pytest.mark.threading
 def test_a_stalled_thread_does_not_hold_its_blocks():
     # on 2 workers a helper that sleeps on every draw keeps only the block it
     # is drawing: the calling thread claims the others (one chunk each at
@@ -441,6 +451,7 @@ def test_a_stalled_thread_does_not_hold_its_blocks():
     assert got == expected
 
 
+@pytest.mark.threading
 def test_keyboard_interrupt_on_the_calling_thread_stops_every_helper():
     # an interrupt raised in the calling thread's first draw propagates once
     # the helpers are joined, and each helper, with 2 chunks in every block,
@@ -493,7 +504,7 @@ def _pinned_paths():
         return [*p.values, *p.stderr(), p.diff_stderr(1, 2)]
 
     def base_digest(cfg):
-        pts = geo.sample_base(cfg, np.random.default_rng(205), 1000)
+        pts = sample_base(cfg, np.random.default_rng(205), 1000)
         return [*pts.sum(axis=0), float((pts * pts).sum())]
 
     return {
@@ -721,19 +732,6 @@ def test_ordering_below_threshold_recorded_not_asserted():
 # limiting density
 
 
-def test_limiting_density_norm_dependence_only():
-    chain = geo.canonical_chain(8, 6)
-    x1 = (0.1, 0.05)
-    r = math.hypot(*x1)
-    x2 = (r * math.cos(1.1), r * math.sin(1.1))
-    a = dn.limiting_surface_density(chain, x1, 100_000, SEED + 60)
-    b = dn.limiting_surface_density(chain, x2, 100_000, SEED + 61)
-    assert abs(a.value - b.value) <= 3.0 * combined(a, b)
-    # identical inputs and seed: identical value
-    c = dn.limiting_surface_density(chain, x1, 100_000, SEED + 60)
-    assert c.value == a.value
-
-
 def test_limiting_density_profile_monotone_and_bounded():
     chain = geo.canonical_chain(8, 6)
     radii = np.linspace(0.0, 0.5, 6)
@@ -749,8 +747,6 @@ def test_limiting_density_profile_monotone_and_bounded():
 
 def test_limiting_density_validation():
     chain = geo.canonical_chain(8, 6)
-    with pytest.raises(ValueError):
-        dn.limiting_surface_density(chain, (0.0, 0.0, 0.0), 1000, 1)
     with pytest.raises(ValueError):
         dn.limiting_density_profile(geo.canonical_chain(8, 8), [0.1], 1000, 1)
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from oracles import (
     membership_oracle,
     mixed_directions,
     rejection_area,
+    sample_base,
     sector_moments,
     vertex_triangle_moments,
 )
@@ -60,8 +61,6 @@ def test_inflated_chain_heights():
     ch = geo.ChainSpec(d=4, k=4, xi=(1.1, 1.3, 1.4, 1.5))
     assert ch.eta[0] == pytest.approx(1.1)
     assert ch.eta[1] == pytest.approx(math.sqrt(1.3**2 - 1.1**2), abs=1e-14)
-    assert not ch.is_canonical()
-    assert geo.canonical_chain(6, 4).is_canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +453,15 @@ def test_cone_contains_many_matches_oracle(cfg, seed):
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# sampling: oracles.sample_base, through geometry._ordered_chain and
+# DiscPolygon.sample
 
 
 def test_sampled_points_lie_in_cone():
     rng = np.random.default_rng(23)
     for cfg in (geo.canonical_simplex(7), geo.canonical_wedge(8),
                 geo.sector_wedge(5), geo.truncated_wedge(9, fm.chain_floor(7), "disc")):
-        pts = geo.sample_base(cfg, rng, 100_000)
+        pts = sample_base(cfg, rng, 100_000)
         assert geo.cone_contains_many(cfg, pts).all()
         # base plane: first coordinate equals the apex distance
         assert np.allclose(pts[:, 0], cfg.chain.xi[0], atol=1e-12)
@@ -470,7 +470,7 @@ def test_sampled_points_lie_in_cone():
 def test_canonical_wedge_norm_range():
     rng = np.random.default_rng(29)
     d = 8
-    pts = geo.sample_base(geo.canonical_wedge(d), rng, 200_000)
+    pts = sample_base(geo.canonical_wedge(d), rng, 200_000)
     nrm = np.linalg.norm(pts, axis=1)
     assert nrm.min() >= 1.0
     assert nrm.max() <= math.sqrt(2.0 * d / (d + 1)) + 1e-12
@@ -482,7 +482,7 @@ def test_sampler_mean_matches_join_moment():
     cfg = geo.canonical_wedge(d)
     rng = np.random.default_rng(31)
     n = 400_000
-    pts = geo.sample_base(cfg, rng, n)
+    pts = sample_base(cfg, rng, n)
     simplex_centroid = cfg.chain.vertices()[: d - 3].mean(axis=0)
     dom_c2 = grid_centroid(cfg.domain, cells=1200)
     lifted = np.zeros(d)
@@ -498,7 +498,7 @@ def test_join_parameter_law_d4():
     cfg = geo.canonical_wedge(4)
     rng = np.random.default_rng(37)
     n = 400_000
-    pts = geo.sample_base(cfg, rng, n)
+    pts = sample_base(cfg, rng, n)
     t = pts[:, 1] / cfg.chain.eta[1]
     assert t.mean() == pytest.approx(0.75, abs=4.0 * t.std() / math.sqrt(n))
 
@@ -511,7 +511,7 @@ def test_join_parameter_quartile_masses():
     cfg = geo.canonical_wedge(d)
     rng = np.random.default_rng(41)
     n = 200_000
-    pts = geo.sample_base(cfg, rng, n)
+    pts = sample_base(cfg, rng, n)
     t = pts[:, d - 3] / cfg.chain.eta[d - 3]
     edges = betaincinv(3.0, float(d - 3), [0.25, 0.5, 0.75])
     counts = np.histogram(t, bins=[0.0, *edges, 1.0])[0]
@@ -552,42 +552,9 @@ def test_lead_transform_matches_beta_quantile(d):
 
 def test_sampler_determinism():
     cfg = geo.canonical_wedge(6)
-    a = geo.sample_base(cfg, np.random.default_rng(5), 1000)
-    b = geo.sample_base(cfg, np.random.default_rng(5), 1000)
+    a = sample_base(cfg, np.random.default_rng(5), 1000)
+    b = sample_base(cfg, np.random.default_rng(5), 1000)
     assert np.array_equal(a, b)
-
-
-# ---------------------------------------------------------------------------
-# base volume
-
-
-def test_base_volume_closed_forms():
-    d = 8
-    cfg = geo.canonical_wedge(d)
-    prod = float(np.prod(cfg.chain.eta_array[1:]))
-    expected = 2.0 / math.factorial(d - 1) * prod * cfg.domain.area
-    assert geo.base_volume(cfg) == pytest.approx(expected, rel=1e-12)
-    seg = geo.base_volume(geo.canonical_simplex(2))
-    assert seg == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
-
-
-def test_base_volume_rejection_oracle_d5():
-    # rejection inside the bounding box of the base, membership by cone test
-    d = 5
-    cfg = geo.canonical_simplex(d)
-    eta = cfg.chain.eta_array
-    rng = np.random.default_rng(43)
-    n = 300_000
-    y = np.empty((n, d))
-    y[:, 0] = cfg.chain.xi[0]
-    for j in range(1, d):
-        y[:, j] = rng.uniform(0.0, eta[j], size=n)
-    hits = geo.cone_contains_many(cfg, y)
-    p = hits.mean()
-    box = float(np.prod(eta[1:]))
-    est = p * box
-    se = box * math.sqrt(p * (1.0 - p) / n)
-    assert abs(est - geo.base_volume(cfg)) <= 3.0 * se
 
 
 def test_wedge_config_validation():
@@ -595,6 +562,3 @@ def test_wedge_config_validation():
         geo.WedgeConfig(geo.canonical_chain(8, 7))  # simplex needs k = d
     with pytest.raises(ValueError):
         geo.WedgeConfig(geo.canonical_chain(8, 8), geo.wedge_domain(8))  # wedge needs k = d-2
-    with pytest.raises(ValueError):
-        # chain terminal norm disagrees with the requested face height
-        geo.truncated_wedge(8, fm.chain_floor(6) * 1.05, chain=geo.canonical_chain(8, 6))

@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from packbounds import formulas as fm
 from packbounds import verify as vf
 
 
@@ -57,6 +58,12 @@ def test_pair_separation_check_threshold():
 def test_reach_bound_check():
     r = vf.check_reach_bound(d_max=500)
     assert r.passed
+    # the witness and the summary name the largest value's d, read from the values
+    assert r.witness["at_d"] == 3 and r.witness["max_value"] == fm.reach_bound(3)
+    assert r.summary.endswith(f"(max {fm.reach_bound(3):.7f} at d=3)")
+    # d = 3 alone compares no pair, so "decreasing" passed having decided nothing
+    with pytest.raises(ValueError, match="^d_max must be >= 4$"):
+        vf.check_reach_bound(d_max=3)
 
 
 @pytest.mark.parametrize("d", [8, 12])
@@ -86,7 +93,8 @@ def test_grid_checks_reject_too_few_points(name, grid, least):
 
 
 @pytest.mark.parametrize("name,key,least", [("profile-monotone", "n_points", 2),
-                                            ("square-cap-monotone", "h_grid", 2)])
+                                            ("square-cap-monotone", "h_grid", 2),
+                                            ("reach-bound", "d_max", 4)])
 @pytest.mark.parametrize("size", [0, 1])
 def test_sweep_checks_reject_too_few_points(name, key, least, size):
     # one point compares no pair, so it passed having decided nothing, and
