@@ -7,10 +7,10 @@ Subcommands
     plot-data  columnar data files for external plotting
 
 Exit codes: 0 pass, 1 check failure, 2 usage or input error, 3 inconclusive
-only.  Dimensions run from 2 (4 where a wedge is built) to D_MAX = 64.  Every
-output embeds the seed and sample count; numbers carry nine significant
-digits.  The daniels and kl columns are asymptotic reference curves, not
-certified finite-dimension bounds.
+only.  Dimensions run from 2 (4 where a wedge is built) to D_MAX = 64, seeds
+from 0 to 2^64 - 1.  Every output embeds the seed and sample count; numbers
+carry nine significant digits.  The daniels and kl columns are asymptotic
+reference curves, not certified finite-dimension bounds.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def bundled_records_path() -> str:
 
 def _parse_records(path):
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, dmin=None, dmax=None, samples_help=None):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="an integer in [0, 2^64)")
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=samples_help)
         p.add_argument("--out", type=str, default=None, help="write output to FILE")
         if dmin is not None:
@@ -413,6 +413,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # spawn_key keeps a seed's low 64 bits, so a larger one would repeat another's draws
+        if not 0 <= args.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {args.seed}")
         # one stat before the work, so that output with nowhere to go fails at once;
         # _emit, the only writer, reports any other error
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):

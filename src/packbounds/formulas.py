@@ -245,7 +245,6 @@ def pair_gap_bound(d: int, tilt_i, tilt_j):
     dominates the true squared distance for every admissible configuration;
     it is nondecreasing in either tilt.
     """
-    _check_dimension(d, 4)
     tilt_max = math.acos(max_tilt_cosine(d))
     for name, a in (("tilt_i", tilt_i), ("tilt_j", tilt_j)):
         if np.count_nonzero((a < -EDGE_TOL) | (a > tilt_max + EDGE_TOL)):

@@ -110,18 +110,9 @@ class ChainSpec:
     def eta_array(self) -> np.ndarray:
         return np.asarray(self.eta)
 
-    def vertices(self) -> np.ndarray:
-        """Chain vertex coordinates, shape (k, d), row j-1 holding w_j."""
-        out = np.zeros((self.k, self.d))
-        for j in range(self.k):
-            out[j, : j + 1] = self.eta[: j + 1]
-        return out
-
 
 def canonical_chain(d: int, k: int) -> ChainSpec:
     """Chain with xi_i = m_i exactly."""
-    if not (1 <= k <= d):
-        raise ValueError(f"levels k must satisfy 1 <= k <= d, got k={k}, d={d}")
     return ChainSpec(d=d, k=k, xi=tuple(chain_floor(i) for i in range(1, k + 1)))
 
 
@@ -535,11 +526,13 @@ def canonical_simplex(d: int) -> WedgeConfig:
 
 
 def canonical_wedge(d: int) -> WedgeConfig:
-    return WedgeConfig(chain=canonical_chain(d, d - 2), domain=wedge_domain(d))
+    domain = wedge_domain(d)
+    return WedgeConfig(chain=canonical_chain(d, d - 2), domain=domain)
 
 
 def sector_wedge(d: int) -> WedgeConfig:
-    return WedgeConfig(chain=canonical_chain(d, d - 2), domain=sector_domain(d))
+    domain = sector_domain(d)
+    return WedgeConfig(chain=canonical_chain(d, d - 2), domain=domain)
 
 
 def truncated_wedge(d: int, h: float, shape: str = "disc", vertices=None) -> WedgeConfig:
@@ -553,8 +546,8 @@ def truncated_wedge(d: int, h: float, shape: str = "disc", vertices=None) -> Wed
 # membership
 
 
-def cone_contains_many(config: WedgeConfig, dirs, tol: float = EDGE_TOL) -> np.ndarray:
-    """Vectorized membership of rays in the cone over the base."""
+def cone_contains_many(config: WedgeConfig, dirs) -> np.ndarray:
+    """Vectorized membership of rays in the cone over the base, within EDGE_TOL."""
     u = np.atleast_2d(np.asarray(dirs, dtype=float))
     if u.shape[1] != config.d:
         raise ValueError(f"directions must have dimension {config.d}")
@@ -573,30 +566,30 @@ def cone_contains_many(config: WedgeConfig, dirs, tol: float = EDGE_TOL) -> np.n
     ok = np.ones(len(y), dtype=bool)
     prev = np.ones(len(y))
     for j in range(tl.shape[1]):
-        ok &= tl[:, j] <= prev + tol
+        ok &= tl[:, j] <= prev + EDGE_TOL
         prev = tl[:, j]
     if config.is_simplex:
         if k > 1:
-            ok &= tl[:, -1] >= -tol
+            ok &= tl[:, -1] >= -EDGE_TOL
     else:
         a = tl[:, -1] if k > 1 else np.ones(len(y))
-        ok &= a >= -tol
+        ok &= a >= -EDGE_TOL
         q1, q2 = y[:, -2], y[:, -1]
-        small = a <= tol
-        ok_small = small & (np.abs(q1) <= tol) & (np.abs(q2) <= tol)
+        small = a <= EDGE_TOL
+        ok_small = small & (np.abs(q1) <= EDGE_TOL) & (np.abs(q2) <= EDGE_TOL)
         big = ok & ~small
         ok_big = np.zeros(len(y), dtype=bool)
         if np.any(big):
             pts = np.column_stack([q1[big] / a[big], q2[big] / a[big]])
-            ok_big[big] = config.domain.contains(pts, tol)
+            ok_big[big] = config.domain.contains(pts, EDGE_TOL)
         ok = (ok & ok_small) | ok_big
     out[pos] = ok
     return out
 
 
-def cone_contains(config: WedgeConfig, u, tol: float = EDGE_TOL) -> bool:
-    """True iff the ray from the origin through u meets the base."""
-    return bool(cone_contains_many(config, np.asarray(u, dtype=float)[None, :], tol)[0])
+def cone_contains(config: WedgeConfig, u) -> bool:
+    """True iff the ray from the origin through u meets the base, within EDGE_TOL."""
+    return bool(cone_contains_many(config, np.asarray(u, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,12 @@ INCONCLUSIVE = "inconclusive"
 # wedge bound is proved for d >= 8 only
 MIN_D = {"truncated-max": 8, "square-cap-monotone": 8}
 
+# radii of the profile-monotone sweep, heights of the square-cap sweep, and
+# the draws _random_admissible_quadrilateral makes before it gives up
+_PROFILE_RADII = 6
+_CAP_HEIGHTS = 5
+_QUAD_ATTEMPTS = 50
+
 
 @dataclass
 class CheckResult:
@@ -265,16 +271,14 @@ def check_radius_ratio(d: int = 8, grid: int = 1000) -> CheckResult:
 # density comparisons by the quadrature oracle
 
 
-def check_profile_monotone(d: int = 8, n_points: int = 6) -> CheckResult:
-    """Limiting density profile is nonincreasing in the local radius."""
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+def check_profile_monotone(d: int = 8) -> CheckResult:
+    """Limiting density profile is nonincreasing over _PROFILE_RADII local radii."""
     chain = geo.canonical_chain(d, d - 2)
     rmax = 2.0 * fm.sector_geometry(d).radius
-    radii = np.linspace(0.0, rmax, n_points)
+    radii = np.linspace(0.0, rmax, _PROFILE_RADII)
     values, errors = quadrature_profile(chain, radii)
     failures = []
-    for i in range(n_points - 1):
+    for i in range(_PROFILE_RADII - 1):
         diff = values[i] - values[i + 1]
         err = errors[i] + errors[i + 1]
         if _decide(diff, err) == FAIL:
@@ -284,7 +288,7 @@ def check_profile_monotone(d: int = 8, n_points: int = 6) -> CheckResult:
             )
     return _result(
         "profile-monotone", failures, [],
-        f"d={d}: profile nonincreasing over {n_points} radii in [0, {rmax:.4f}]",
+        f"d={d}: profile nonincreasing over {_PROFILE_RADII} radii in [0, {rmax:.4f}]",
         {
             "d": d,
             "method": "quadrature",
@@ -336,27 +340,27 @@ def check_truncation_gain(d: int = 8, seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
-def _repaired_chain(d: int, k: int, h: float | None, rng) -> geo.ChainSpec:
-    """Random chain with norms >= floors, multipliers in [1, 1.2].
+def _repaired_chain(d: int, h: float, rng) -> geo.ChainSpec:
+    """Random wedge chain (k = d - 2) ending at h, norms >= floors, multipliers in [1, 1.2].
 
     Raw independent multipliers can break strict monotonicity (the floors
     get closer with the level), so a backward pass caps each norm below its
     successor; floors stay intact because they are themselves increasing.
     """
+    k = d - 2
     mult = 1.0 + 0.2 * rng.random(k)
     xi = [fm.chain_floor(i + 1) * mult[i] for i in range(k)]
-    if h is not None:
-        xi[-1] = h
+    xi[-1] = h
     for i in range(k - 2, -1, -1):
         cap = xi[i + 1] * (1.0 - 1e-9)
         xi[i] = max(min(xi[i], cap), fm.chain_floor(i + 1))
     return geo.ChainSpec(d=d, k=k, xi=tuple(xi))
 
 
-def _random_admissible_quadrilateral(d: int, h: float, rng, attempts: int = 50):
+def _random_admissible_quadrilateral(d: int, h: float, rng):
     """Quadrilateral with sides at distance >= clearance and vertices off the disc."""
     g0, g = fm.truncation_scalars(d, h)
-    for _ in range(attempts):
+    for _ in range(_QUAD_ATTEMPTS):
         angles = (np.arange(4) * math.pi / 2.0) + rng.uniform(-0.2, 0.2, size=4)
         offsets = rng.uniform(g, g0, size=4)
         verts = []
@@ -406,7 +410,7 @@ def check_truncated_max(d: int = 8, trials: int = 50, seed: int = DEFAULT_SEED) 
             else:
                 h = float(rng.uniform(mid, hi * (1.0 - 1e-6)))
                 domain = geo.truncation_domain(d, h, "disc")
-            chain = _repaired_chain(d, d - 2, h, rng)
+            chain = _repaired_chain(d, h, rng)
             est = quadrature_density(geo.WedgeConfig(chain, domain))
             band = est.stderr + ref.stderr
             excess = est.value - ref.value
@@ -447,8 +451,8 @@ def check_truncated_max(d: int = 8, trials: int = 50, seed: int = DEFAULT_SEED) 
     )
 
 
-def check_square_cap(d: int = 8, h_grid: int = 5) -> CheckResult:
-    """Disc-capped-square density falls as the face height grows.
+def check_square_cap(d: int = 8) -> CheckResult:
+    """Disc-capped-square density falls over _CAP_HEIGHTS rising face heights.
 
     The value at the lowest height must reproduce the wedge bound (the
     capped region splits into congruent copies of the base domain there)
@@ -456,10 +460,8 @@ def check_square_cap(d: int = 8, h_grid: int = 5) -> CheckResult:
     """
     if d < MIN_D["square-cap-monotone"]:
         raise ValueError("the capped-square sweep is stated for d >= 8")
-    if h_grid < 2:
-        raise ValueError("h_grid must be >= 2")
     lo, mid, _ = fm.height_breakpoints(d)
-    hs = np.linspace(lo, mid, h_grid, endpoint=False)
+    hs = np.linspace(lo, mid, _CAP_HEIGHTS, endpoint=False)
     ests = [quadrature_density(geo.truncated_wedge(d, float(h), "disc_cap_square")) for h in hs]
     failures = []
     for i in range(len(hs) - 1):
@@ -479,7 +481,7 @@ def check_square_cap(d: int = 8, h_grid: int = 5) -> CheckResult:
     g0_lo, g_lo = fm.truncation_scalars(d, lo)
     return _result(
         "square-cap-monotone", failures, [],
-        f"d={d}: capped-square density nonincreasing over {h_grid} heights; "
+        f"d={d}: capped-square density nonincreasing over {_CAP_HEIGHTS} heights; "
         f"anchor matches the bound within {band0:.1e}",
         {
             "d": d,

@@ -11,6 +11,14 @@ import math
 import numpy as np
 
 
+def chain_vertices(chain):
+    """Chain vertex coordinates, shape (k, d), row j-1 holding w_j."""
+    out = np.zeros((chain.k, chain.d))
+    for j in range(chain.k):
+        out[j, : j + 1] = chain.eta[: j + 1]
+    return out
+
+
 def membership_oracle(config, dirs, band=1e-9):
     """Classify rays against the cone by convex-combination solving.
 
@@ -44,7 +52,7 @@ def membership_oracle(config, dirs, band=1e-9):
         return np.linalg.solve(mat, rhs)
 
     if config.is_simplex:
-        verts = chain.vertices()
+        verts = chain_vertices(chain)
         weights = simplex_weights(verts, z)
         margin = weights.min(axis=0)
         ok = margin >= 0.0
@@ -75,7 +83,7 @@ def membership_oracle(config, dirs, band=1e-9):
         # p_1 = (z_1 - t eta_1)/(1 - t) = eta_1 identically: nothing to test
         pass
     else:
-        prefix = chain.vertices()[:kpre, :kpre]
+        prefix = chain_vertices(chain)[:kpre, :kpre]
         weights = simplex_weights(prefix, pcoords)
         margin = weights.min(axis=0)
         near |= np.abs(margin) <= band

@@ -228,7 +228,7 @@ def test_13_truncation_spot_checks():
     r2 = vf.check_truncated_max(d=8, trials=50, seed=spawn_key(SEED, 13, 2))
     assert r2.passed, r2.summary
     assert r2.witness["skipped"] <= 10
-    r3 = vf.check_square_cap(d=8, h_grid=5)
+    r3 = vf.check_square_cap(d=8)
     assert r3.passed, r3.summary
     report(13, "truncation raises density; 100 random admissible truncated "
                "wedges stay below the bound; capped-square sweep nonincreasing "

@@ -233,6 +233,15 @@ def test_records_bad_header(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_records_accept_byte_order_mark(capsys, tmp_path):
+    # spreadsheet exports start the file with U+FEFF, which used to break the header
+    f = tmp_path / "exported.csv"
+    f.write_text("d,density,name,source\n2,0.9068996821,hexagonal,Thue\n", encoding="utf-8-sig")
+    code, out, err = run_cli(capsys, "records", str(f), "--samples", "10000")
+    assert (code, err) == (0, "")
+    assert "hexagonal" in out
+
+
 def test_records_inconsistent_flagged(capsys, tmp_path):
     f = tmp_path / "impossible.csv"
     f.write_text("d,density,name,source\n8,0.9,too dense to exist,made up\n")
@@ -379,26 +388,52 @@ def test_plot_unknown_kind():
 
 
 # ---------------------------------------------------------------------------
-# output files
+# --seed and --out
 
 
-@pytest.mark.parametrize(
+EVERY_COMMAND = pytest.mark.parametrize(
     "argv",
     [
         ["bounds", "--dmin", "8", "--dmax", "8", "--samples", "10000"],
         ["verify", "floor-recursion"],
         ["records", "--dmax", "3", "--samples", "10000"],
-        ["plot-data", "g_ratio"],
+        ["plot-data", "dlim_profile", "--samples", "10000"],
     ],
     ids=lambda argv: argv[0],
 )
+
+
+def forbid_work(monkeypatch):
+    """Make every estimate and check the commands run raise if called."""
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the arguments were checked")
+
+    for name in ("improvement_gap", "limiting_density_profile", "run_checks", "simplex_density"):
+        monkeypatch.setattr(cli, name, never)
+
+
+@EVERY_COMMAND
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_u64_is_a_usage_error(capsys, monkeypatch, argv, seed):
+    # streams keep a seed's low 64 bits, so 2^64 + 1 would have drawn seed 1's numbers
+    forbid_work(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, "--seed", str(seed))
+    assert (code, out) == (2, "")
+    assert err == f"error: seed must be in [0, 2^64), got {seed}\n"
+
+
+def test_largest_seed_is_accepted(capsys):
+    seed = 2**64 - 1
+    code, out, _ = run_cli(capsys, "bounds", "--dmin", "8", "--dmax", "8", "--samples", "10000",
+                           "--format", "json", "--seed", str(seed))
+    assert code == 0
+    assert json.loads(out)["meta"]["seed"] == seed
+
+
+@EVERY_COMMAND
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
     # a missing directory is found before any work: no estimate or check runs
-    def never(*args, **kwargs):
-        raise AssertionError("computed before --out was checked")
-
-    for name in ("improvement_gap", "run_checks", "simplex_density"):
-        monkeypatch.setattr(cli, name, never)
+    forbid_work(monkeypatch)
     path = tmp_path / "missing" / "out.txt"
     code, out, err = run_cli(capsys, *argv, "--out", str(path))
     assert code == 2

@@ -599,12 +599,18 @@ def test_surface_density_rejects_bad_n():
         dn.simplex_density(8, 0, SEED)
     with pytest.raises(ValueError):
         dn.simplex_density(8, 1, SEED)  # one sample has no error estimate
-    with pytest.raises(ValueError):
-        dn.simplex_density(1, 100, SEED)
-    with pytest.raises(ValueError):
-        dn.wedge_density(3, 100, SEED)
-    with pytest.raises(ValueError):
-        dn.sector_density(3, 100, SEED)
+    # the constructors' own messages: ChainSpec's for the simplex, the wedge
+    # domains' for the rest, which are built before the wedge chain
+    for d in (-1, 0, 1):
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            dn.simplex_density(d, 100, SEED)
+    for d in (-1, 0, 2, 3):
+        for estimate in (dn.wedge_density, dn.sector_density, dn.improvement_gap):
+            with pytest.raises(ValueError, match="d >= 4"):
+                estimate(d, 100, SEED)
+        for build in (dn.quadrature_gap, geo.canonical_wedge, geo.sector_wedge):
+            with pytest.raises(ValueError, match="d >= 4"):
+                build(d)
 
 
 def _reference_configs():

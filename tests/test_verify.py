@@ -74,11 +74,11 @@ def test_radius_ratio_check(d):
 
 
 def test_profile_monotone_check():
-    r = vf.check_profile_monotone(d=8, n_points=5)
+    r = vf.check_profile_monotone(d=8)
     assert r.passed
     assert r.witness["method"] == "quadrature"
     vals = r.witness["values"]
-    assert len(vals) == 5
+    assert len(vals) == 6
 
 
 @pytest.mark.parametrize("name,grid,least", [("pair-separation", 1, 2), ("pair-separation", 0, 2),
@@ -92,13 +92,10 @@ def test_grid_checks_reject_too_few_points(name, grid, least):
     assert r.passed and r.witness["grid"] == least
 
 
-@pytest.mark.parametrize("name,key,least", [("profile-monotone", "n_points", 2),
-                                            ("square-cap-monotone", "h_grid", 2),
-                                            ("reach-bound", "d_max", 4)])
+@pytest.mark.parametrize("name,key,least", [("reach-bound", "d_max", 4)])
 @pytest.mark.parametrize("size", [0, 1])
 def test_sweep_checks_reject_too_few_points(name, key, least, size):
-    # one point compares no pair, so it passed having decided nothing, and
-    # square-cap-monotone's empty sweep raised IndexError
+    # a sweep ending below d = 4 compares no pair of dimensions, so it would decide nothing
     with pytest.raises(ValueError, match=f"^{key} must be >= {least}$"):
         vf.run_check(name, **{key: size})
     assert vf.run_check(name, **{key: least}).passed
@@ -123,7 +120,7 @@ def test_truncated_max_check_small():
 
 
 def test_square_cap_check_small():
-    r = vf.check_square_cap(d=8, h_grid=3)
+    r = vf.check_square_cap(d=8)
     assert r.passed
     assert r.witness["anchor_deviation"] <= 5e-3
     # square half-width at the lowest height is the clearance radius there
