@@ -179,15 +179,7 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     if args.d is not None:
         _check_dims("verify", 4, d=args.d)
-    overrides = {
-        "d": args.d,
-        "grid": args.grid,
-        "seed": args.seed,
-        "trials": args.trials,
-        "i_max": args.i_max,
-        "d_max": args.d_max,
-    }
-    results = run_checks(args.checks, **overrides)
+    results = run_checks(args.checks, d=args.d, grid=args.grid, seed=args.seed)
     for r in results:
         print(f"[{r.status:>12s}] {r.name}: {r.summary}", file=sys.stderr)
     report = {
@@ -386,11 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("checks", nargs="*", metavar="CHECK",
                           help=f"subset of: {', '.join(sorted(REGISTRY))}")
     common(p_verify, samples_help="ignored: no check draws Monte-Carlo samples")
-    p_verify.add_argument("--d", type=int, default=None)
-    p_verify.add_argument("--grid", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--i-max", dest="i_max", type=int, default=None)
-    p_verify.add_argument("--d-max", dest="d_max", type=int, default=None)
+    p_verify.add_argument("--d", type=int, default=None,
+                          help="dimension of every check that takes one "
+                               "(default: each check's own)")
+    p_verify.add_argument("--grid", type=int, default=None,
+                          help="points of tilt-extremum's grid, at least 1000 (default: 100000)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_records = sub.add_parser("records", help="compare record densities to the bounds")
@@ -413,7 +405,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # spawn_key keeps a seed's low 64 bits, so a larger one would repeat another's draws
+        # spawn_key rejects the same seeds, but only once a check or row draws;
+        # this rejects them before any work
         if not 0 <= args.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2^64), got {args.seed}")
         # one stat before the work, so that output with nowhere to go fails at once;

@@ -84,7 +84,7 @@ EDGE_TOL = 1e-12
 
 
 def _check_dimension(d, minimum):
-    if not isinstance(d, (int,)) or isinstance(d, bool):
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
         raise ValueError(f"dimension must be an integer, got {d!r}")
     if d < minimum:
         raise ValueError(f"dimension must be >= {minimum}, got {d}")

@@ -24,7 +24,10 @@ def spawn_key(seed: int, *indices: int) -> int:
     """Fold (seed, indices...) into one 64-bit key (splitmix64 finalizer chain)."""
     acc = 0x9E3779B97F4A7C15
     for w in (seed, *indices):
-        acc = (acc + (int(w) & _MASK)) & _MASK
+        # a wider word would alias the one with its low 64 bits: -1 would repeat 2^64 - 1
+        if not (isinstance(w, (int, np.integer)) and 0 <= w <= _MASK):
+            raise ValueError(f"seed words must be integers in [0, 2^64), got {w!r}")
+        acc = (acc + int(w)) & _MASK
         z = acc
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK

@@ -50,9 +50,14 @@ INCONCLUSIVE = "inconclusive"
 # wedge bound is proved for d >= 8 only
 MIN_D = {"truncated-max": 8, "square-cap-monotone": 8}
 
-# radii of the profile-monotone sweep, heights of the square-cap sweep, and
+# the sizes of the checks' sweeps, each named in its check's docstring, and
 # the draws _random_admissible_quadrilateral makes before it gives up
+_FLOOR_LEVELS = 100
+_REACH_D_MAX = 1000
+_PAIR_GRID = 200
+_RATIO_HEIGHTS = 1000
 _PROFILE_RADII = 6
+_TRIALS = 50
 _CAP_HEIGHTS = 5
 _QUAD_ATTEMPTS = 50
 
@@ -101,13 +106,11 @@ def _decide(diff: float, err: float, strict: bool = False) -> str:
 # deterministic closed-form checks
 
 
-def check_floor_recursion(i_max: int = 100) -> CheckResult:
-    """The floor recursion maps m_i to m_{i+1} and fixes sqrt(2)."""
-    if i_max < 2:
-        raise ValueError("i_max must be >= 2")
+def check_floor_recursion() -> CheckResult:
+    """The floor recursion maps m_i to m_{i+1} for i < _FLOOR_LEVELS and fixes sqrt(2)."""
     devs = [
         abs(fm.next_chain_floor(fm.chain_floor(i)) - fm.chain_floor(i + 1))
-        for i in range(1, i_max)
+        for i in range(1, _FLOOR_LEVELS)
     ]
     worst = int(np.argmax(devs)) + 1
     fixed_dev = abs(fm.next_chain_floor(math.sqrt(2.0)) - math.sqrt(2.0))
@@ -118,8 +121,8 @@ def check_floor_recursion(i_max: int = 100) -> CheckResult:
         failures.append(f"sqrt(2) fixed point deviates by {fixed_dev:.3e}")
     return _result(
         "floor-recursion", failures, [],
-        f"max deviation {max(devs):.2e} over i < {i_max}; sqrt(2) fixed to {fixed_dev:.1e}",
-        {"i_max": i_max, "max_deviation": max(devs), "argmax_i": worst},
+        f"max deviation {max(devs):.2e} over i < {_FLOOR_LEVELS}; sqrt(2) fixed to {fixed_dev:.1e}",
+        {"i_max": _FLOOR_LEVELS, "max_deviation": max(devs), "argmax_i": worst},
     )
 
 
@@ -169,18 +172,16 @@ def check_tilt_extremum(d: int = 8, grid: int = 10**5) -> CheckResult:
     )
 
 
-def check_pair_separation(d: int = 8, grid: int = 200) -> CheckResult:
-    """Grid maximum of the pair bound vs its closed-form corner value.
+def check_pair_separation(d: int = 8) -> CheckResult:
+    """Maximum of the pair bound on a _PAIR_GRID^2 grid vs its closed-form corner value.
 
     For d >= 8 the corner value must be <= 4 (at d = 8 the d-1 case is
     checked to exceed 4, bracketing the threshold); for 4 <= d < 8 the
     corner value exceeding 4 is the expected out-of-domain behavior.
     Finite-difference partial slopes must be nonnegative for every d >= 4.
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
     tilt_max = math.acos(fm.max_tilt_cosine(d))
-    angles = np.linspace(0.0, tilt_max, grid)
+    angles = np.linspace(0.0, tilt_max, _PAIR_GRID)
     values = fm.pair_gap_bound(d, angles[:, None], angles[None, :])
     corner = fm.pair_gap_max(d)
     failures = []
@@ -208,7 +209,7 @@ def check_pair_separation(d: int = 8, grid: int = 200) -> CheckResult:
         + f", grid max {gmax:.7f} at the corner",
         {
             "d": d,
-            "grid": grid,
+            "grid": _PAIR_GRID,
             "corner_value": corner,
             "grid_max": gmax,
             "argmax_tilts": [float(angles[i_max]), float(angles[j_max])],
@@ -217,12 +218,9 @@ def check_pair_separation(d: int = 8, grid: int = 200) -> CheckResult:
     )
 
 
-def check_reach_bound(d_max: int = 1000) -> CheckResult:
-    """Neighbor reach stays below 2 and decreases with dimension."""
-    # d = 3 alone compares no pair
-    if d_max < 4:
-        raise ValueError("d_max must be >= 4")
-    ds = np.arange(3, d_max + 1)
+def check_reach_bound() -> CheckResult:
+    """Neighbor reach stays below 2 and decreases with dimension up to _REACH_D_MAX."""
+    ds = np.arange(3, _REACH_D_MAX + 1)
     vals = np.array([fm.reach_bound(int(d)) for d in ds])
     top = int(np.argmax(vals))
     failures = []
@@ -233,17 +231,16 @@ def check_reach_bound(d_max: int = 1000) -> CheckResult:
         failures.append(f"reach bound not decreasing at d={ds[k]}")
     return _result(
         "reach-bound", failures, [],
-        f"bound <= 2 and decreasing for 3 <= d <= {d_max} (max {vals[top]:.7f} at d={ds[top]})",
-        {"d_max": d_max, "max_value": float(vals[top]), "at_d": int(ds[top])},
+        f"bound <= 2 and decreasing for 3 <= d <= {_REACH_D_MAX} "
+        f"(max {vals[top]:.7f} at d={ds[top]})",
+        {"d_max": _REACH_D_MAX, "max_value": float(vals[top]), "at_d": int(ds[top])},
     )
 
 
-def check_radius_ratio(d: int = 8, grid: int = 1000) -> CheckResult:
-    """Trace/clearance radius ratio decreases strictly across the lower heights."""
-    if grid < 3:
-        raise ValueError("grid must be >= 3")
+def check_radius_ratio(d: int = 8) -> CheckResult:
+    """Trace/clearance radius ratio decreases strictly across _RATIO_HEIGHTS lower heights."""
     lo, mid, _ = fm.height_breakpoints(d)
-    hs = np.linspace(lo, mid, grid, endpoint=False)
+    hs = np.linspace(lo, mid, _RATIO_HEIGHTS, endpoint=False)
     ratio = np.array([np.divide(*fm.truncation_scalars(d, float(h))) for h in hs])
     slopes = (ratio[2:] - ratio[:-2]) / (hs[2:] - hs[:-2])
     failures = []
@@ -256,10 +253,10 @@ def check_radius_ratio(d: int = 8, grid: int = 1000) -> CheckResult:
         failures.append(f"left endpoint ratio off by {left_dev:.3e}")
     return _result(
         "radius-ratio", failures, [],
-        f"d={d}: ratio strictly decreasing on grid of {grid}, left value {ratio[0]:.9f}",
+        f"d={d}: ratio strictly decreasing on grid of {_RATIO_HEIGHTS}, left value {ratio[0]:.9f}",
         {
             "d": d,
-            "grid": grid,
+            "grid": _RATIO_HEIGHTS,
             "left_ratio": float(ratio[0]),
             "left_expected": left_expected,
             "max_slope": float(slopes.max()),
@@ -376,8 +373,8 @@ def _random_admissible_quadrilateral(d: int, h: float, rng):
     return None
 
 
-def check_truncated_max(d: int = 8, trials: int = 50, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Random admissible truncated wedges never beat the wedge bound.
+def check_truncated_max(d: int = 8, seed: int = DEFAULT_SEED) -> CheckResult:
+    """Random admissible truncated wedges, _TRIALS of each type, never beat the wedge bound.
 
     Type-I instances live at heights below the radii crossover and carry a
     disc-capped admissible quadrilateral; type-II instances live above the
@@ -386,15 +383,13 @@ def check_truncated_max(d: int = 8, trials: int = 50, seed: int = DEFAULT_SEED) 
     """
     if d < MIN_D["truncated-max"]:
         raise ValueError("type-I truncated wedges require d >= 8")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     ref = quadrature_density(geo.canonical_wedge(d))
     lo, mid, hi = fm.height_breakpoints(d)
     rng = substream(seed, 1)
     failures = []
     skipped = 0
     worst = {"excess": -math.inf}
-    for trial in range(trials):
+    for trial in range(_TRIALS):
         for kind in ("I", "II"):
             if kind == "I":
                 h = float(rng.uniform(lo, mid * (1.0 - 1e-9)))
@@ -436,7 +431,7 @@ def check_truncated_max(d: int = 8, trials: int = 50, seed: int = DEFAULT_SEED) 
         failures.append(f"crossover areas differ by {area_dev:.3e}")
     return _result(
         "truncated-max", failures, [],
-        f"d={d}: {2 * trials - skipped} truncated wedges all below the bound "
+        f"d={d}: {2 * _TRIALS - skipped} truncated wedges all below the bound "
         f"({skipped} skipped as inadmissible); worst excess {worst['excess']:.3e}",
         {
             "d": d,

@@ -138,7 +138,7 @@ def test_08_reach_bound():
 
 def test_09_radius_ratio_monotone():
     for d in (8, 12, 42):
-        r = vf.check_radius_ratio(d=d, grid=10**3)
+        r = vf.check_radius_ratio(d=d)
         assert r.passed, r.summary
         assert abs(r.witness["left_ratio"] - math.sqrt(2.0 * d / (d + 1))) <= 1e-9
     report(9, "trace/clearance ratio strictly decreasing with the exact left "
@@ -225,7 +225,7 @@ def test_12_profile_representation():
 def test_13_truncation_spot_checks():
     r1 = vf.check_truncation_gain(d=8, seed=spawn_key(SEED, 13, 1))
     assert r1.passed, r1.summary
-    r2 = vf.check_truncated_max(d=8, trials=50, seed=spawn_key(SEED, 13, 2))
+    r2 = vf.check_truncated_max(d=8, seed=spawn_key(SEED, 13, 2))
     assert r2.passed, r2.summary
     assert r2.witness["skipped"] <= 10
     r3 = vf.check_square_cap(d=8)

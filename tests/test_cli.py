@@ -87,9 +87,7 @@ def test_bounds_deterministic(capsys):
 
 
 def test_verify_subset(capsys):
-    code, out, err = run_cli(
-        capsys, "verify", "floor-recursion", "reach-bound", "--d-max", "300"
-    )
+    code, out, err = run_cli(capsys, "verify", "floor-recursion", "reach-bound")
     assert code == 0
     doc = json.loads(out)
     assert [c["name"] for c in doc["checks"]] == ["floor-recursion", "reach-bound"]
@@ -98,7 +96,7 @@ def test_verify_subset(capsys):
 
 
 def test_verify_threshold_semantics(capsys):
-    code, out, _ = run_cli(capsys, "verify", "pair-separation", "--d", "7", "--grid", "80")
+    code, out, _ = run_cli(capsys, "verify", "pair-separation", "--d", "7")
     assert code == 0
     doc = json.loads(out)
     check = doc["checks"][0]
@@ -107,21 +105,17 @@ def test_verify_threshold_semantics(capsys):
     assert "expected-outside-domain" in check["witness"]["notes"]
 
 
-@pytest.mark.parametrize("name,grid,least", [("pair-separation", "1", 2), ("pair-separation", "0", 2),
-                                             ("radius-ratio", "2", 3)])
-def test_verify_rejects_small_grid(capsys, name, grid, least):
-    code, out, err = run_cli(capsys, "verify", name, "--grid", grid)
+def test_verify_grid_reaches_tilt_extremum_alone(capsys):
+    # --grid sets tilt-extremum's grid; the other grids and sweeps keep their sizes
+    code, out, _ = run_cli(capsys, "verify", "tilt-extremum", "pair-separation",
+                           "radius-ratio", "--grid", "2000")
+    assert code == 0
+    doc = json.loads(out)
+    assert [c["witness"]["grid"] for c in doc["checks"]] == [2000, 200, 1000]
+    code, out, err = run_cli(capsys, "verify", "tilt-extremum", "--grid", "999")
     assert code == 2
     assert out == ""
-    assert err == f"error: grid must be >= {least}\n"
-
-
-def test_verify_rejects_small_d_max(capsys):
-    # d = 3 alone compares no pair, so the reach bound's "decreasing" decided nothing
-    code, out, err = run_cli(capsys, "verify", "reach-bound", "--d-max", "3")
-    assert code == 2
-    assert out == ""
-    assert err == "error: d_max must be >= 4\n"
+    assert err == "error: grid must be >= 1e3\n"
 
 
 def test_verify_unknown_name(capsys):
@@ -131,23 +125,12 @@ def test_verify_unknown_name(capsys):
 
 
 def test_verify_all_defaults_pass(capsys):
-    # the whole registry through the CLI, truncated-max's trials reduced for speed
-    code, out, _ = run_cli(capsys, "verify", "--trials", "4")
+    # the whole registry through the CLI
+    code, out, _ = run_cli(capsys, "verify")
     assert code == 0
     doc = json.loads(out)
     assert len(doc["checks"]) == 10
     assert all(c["status"] == "pass" for c in doc["checks"])
-
-
-def test_verify_rejects_empty_truncated_max(capsys, tmp_path):
-    # zero trials would report "0 truncated wedges all below the bound" and
-    # write an excess of -Infinity, which is not JSON
-    out = tmp_path / "verify.json"
-    code, stdout, err = run_cli(capsys, "verify", "truncated-max", "--trials", "0",
-                                "--out", str(out))
-    assert code == 2
-    assert stdout == "" and not out.exists()
-    assert err == "error: trials must be >= 1\n"
 
 
 def test_verify_rejects_large_d(capsys):

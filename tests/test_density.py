@@ -120,6 +120,20 @@ def test_substream_deterministic_and_distinct():
             assert not np.any(draws[i] == draws[j]), (keys[i], keys[j])
 
 
+def test_seed_words_outside_64_bits_rejected():
+    # a word's low 64 bits alone would make -1 repeat 2^64 - 1 and 2^64 + 1 repeat 1
+    top = 2**64 - 1
+    for words in [(-1,), (2**64,), (2**64 + 1,), (SEED, -1), (SEED, 2**64), (1.0,), ("1",)]:
+        with pytest.raises(ValueError, match=r"^seed words must be integers in \[0, 2\^64\)"):
+            spawn_key(*words)
+    assert spawn_key(top) == spawn_key(np.uint64(top)) != spawn_key(0)
+    assert spawn_key(SEED, True) == spawn_key(SEED, 1)
+    for seed in (-1, 2**64 + 1):
+        with pytest.raises(ValueError):
+            dn.simplex_density(8, 10_000, seed)
+    assert dn.simplex_density(8, 10_000, top).value != dn.simplex_density(8, 10_000, 1).value
+
+
 @pytest.mark.parametrize("simplex", [True, False], ids=["simplex", "wedge"])
 @pytest.mark.parametrize("d", [4, 5, 8, 24, 42, 64])
 def test_contracted_chain_norm_matches_coordinates(d, simplex):
@@ -611,6 +625,21 @@ def test_surface_density_rejects_bad_n():
         for build in (dn.quadrature_gap, geo.canonical_wedge, geo.sector_wedge):
             with pytest.raises(ValueError, match="d >= 4"):
                 build(d)
+
+
+def test_numpy_integer_dimensions_accepted():
+    # a numpy integer dimension gives what the int does
+    d, lo = np.int64(8), fm.height_breakpoints(8)[0]
+    assert fm.sector_geometry(d) == fm.sector_geometry(8)
+    assert fm.reference_bounds(d) == fm.reference_bounds(8)
+    hat = dn.quadrature_density(geo.canonical_wedge(8))
+    assert dn.voronoi_bounds(d, hat) == dn.voronoi_bounds(8, hat)
+    cut, cut_int = geo.truncated_wedge(d, lo), geo.truncated_wedge(8, lo)
+    assert cut.chain == cut_int.chain and cut.domain.area == cut_int.domain.area
+    assert dn.quadrature_density(cut) == dn.quadrature_density(cut_int)
+    assert vf.check_tilt_extremum(d).to_dict() == vf.check_tilt_extremum(8).to_dict()
+    with pytest.raises(ValueError, match="^dimension must be an integer, got True$"):
+        fm.reference_bounds(True)
 
 
 def _reference_configs():

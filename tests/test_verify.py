@@ -32,7 +32,7 @@ def test_unknown_check_rejected():
 
 
 def test_floor_recursion_check():
-    r = vf.check_floor_recursion(i_max=100)
+    r = vf.check_floor_recursion()
     assert r.passed
     assert r.witness["max_deviation"] < 1e-13
 
@@ -45,30 +45,27 @@ def test_tilt_extremum_check(d):
 
 
 def test_pair_separation_check_threshold():
-    r8 = vf.check_pair_separation(d=8, grid=120)
+    r8 = vf.check_pair_separation(d=8)
     assert r8.passed
-    r7 = vf.check_pair_separation(d=7, grid=120)
+    r7 = vf.check_pair_separation(d=7)
     assert r7.passed
     assert "expected-outside-domain" in r7.witness["notes"]
     assert r7.witness["corner_value"] > 4.0
-    r4 = vf.check_pair_separation(d=4, grid=120)
+    r4 = vf.check_pair_separation(d=4)
     assert r4.passed  # partial slopes nonnegative already from d = 4
 
 
 def test_reach_bound_check():
-    r = vf.check_reach_bound(d_max=500)
+    r = vf.check_reach_bound()
     assert r.passed
     # the witness and the summary name the largest value's d, read from the values
     assert r.witness["at_d"] == 3 and r.witness["max_value"] == fm.reach_bound(3)
     assert r.summary.endswith(f"(max {fm.reach_bound(3):.7f} at d=3)")
-    # d = 3 alone compares no pair, so "decreasing" passed having decided nothing
-    with pytest.raises(ValueError, match="^d_max must be >= 4$"):
-        vf.check_reach_bound(d_max=3)
 
 
 @pytest.mark.parametrize("d", [8, 12])
 def test_radius_ratio_check(d):
-    r = vf.check_radius_ratio(d=d, grid=800)
+    r = vf.check_radius_ratio(d=d)
     assert r.passed
     assert abs(r.witness["left_ratio"] - r.witness["left_expected"]) < 1e-9
 
@@ -81,26 +78,6 @@ def test_profile_monotone_check():
     assert len(vals) == 6
 
 
-@pytest.mark.parametrize("name,grid,least", [("pair-separation", 1, 2), ("pair-separation", 0, 2),
-                                             ("radius-ratio", 2, 3)])
-def test_grid_checks_reject_too_few_points(name, grid, least):
-    # pair-separation's one-point grid is tilt 0 alone, which passed without
-    # reaching the corner; radius-ratio's two points leave no slope at all
-    with pytest.raises(ValueError, match=f"^grid must be >= {least}$"):
-        vf.run_check(name, grid=grid)
-    r = vf.run_check(name, grid=least)
-    assert r.passed and r.witness["grid"] == least
-
-
-@pytest.mark.parametrize("name,key,least", [("reach-bound", "d_max", 4)])
-@pytest.mark.parametrize("size", [0, 1])
-def test_sweep_checks_reject_too_few_points(name, key, least, size):
-    # a sweep ending below d = 4 compares no pair of dimensions, so it would decide nothing
-    with pytest.raises(ValueError, match=f"^{key} must be >= {least}$"):
-        vf.run_check(name, **{key: size})
-    assert vf.run_check(name, **{key: least}).passed
-
-
 def test_truncation_gain_check():
     r = vf.check_truncation_gain(d=8)
     assert r.passed
@@ -108,15 +85,11 @@ def test_truncation_gain_check():
 
 
 def test_truncated_max_check_small():
-    r = vf.check_truncated_max(d=8, trials=6)
+    r = vf.check_truncated_max(d=8)
     assert r.passed
     assert r.witness["crossover_area_deviation"] < 1e-12
     with pytest.raises(ValueError):
         vf.check_truncated_max(d=7)
-    # no trial checks nothing: it must not pass with a worst excess of -inf
-    for trials in (0, -3):
-        with pytest.raises(ValueError, match="trials must be >= 1"):
-            vf.check_truncated_max(d=8, trials=trials)
 
 
 def test_square_cap_check_small():
@@ -154,23 +127,29 @@ def test_density_checks_oracle_matches_monte_carlo(monkeypatch):
 
     monkeypatch.setattr(vf, "quadrature_density", recording)
     vf.check_truncation_gain()
-    vf.check_truncated_max(trials=3)
+    vf.check_truncated_max()
     vf.check_square_cap()
     vf.check_chain_inflation()
     z2 = []
     for k, (cfg, q) in enumerate(seen):
         m = surface_density(cfg, 10**5, spawn_key(DEFAULT_SEED, k))
         z2.append(((m.value - q.value) / math.hypot(m.stderr, q.stderr)) ** 2)
-    assert len(z2) == 21
+    assert len(z2) == 115
     assert sum(z2) <= chi2.ppf(0.999, len(z2))
 
 
 def test_run_checks_filters_overrides():
-    results = vf.run_checks(["floor-recursion", "reach-bound"], d_max=200, i_max=50)
-    assert [r.name for r in results] == ["floor-recursion", "reach-bound"]
+    # each check takes the overrides it has a parameter for: d, grid (tilt-extremum
+    # alone) and seed; floor-recursion takes none
+    names = ["floor-recursion", "tilt-extremum", "pair-separation", "radius-ratio",
+             "truncation-gain"]
+    results = vf.run_checks(names, d=9, grid=2000, seed=5)
+    assert [r.name for r in results] == names
     assert all(r.passed for r in results)
-    assert results[0].witness["i_max"] == 50
-    assert results[1].witness["d_max"] == 200
+    assert results[0].witness["i_max"] == 100
+    assert [r.witness["d"] for r in results[1:]] == [9, 9, 9, 9]
+    assert [r.witness["grid"] for r in results[1:4]] == [2000, 200, 1000]
+    assert results[4].to_dict() == vf.check_truncation_gain(d=9, seed=5).to_dict()
 
 
 def test_run_checks_matches_the_command(tmp_path, capsys):
@@ -240,7 +219,7 @@ def test_decide_boundaries(diff, strict, status):
 
 
 def test_check_results_serialize():
-    r = vf.check_floor_recursion(i_max=10)
+    r = vf.check_floor_recursion()
     doc = r.to_dict()
     assert doc["name"] == "floor-recursion"
     assert doc["status"] in ("pass", "fail", "inconclusive")
