@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Trust-but-verify: exact anchors and two independent evaluation routes.
 
-The d=2 and d=3 simplex densities have elementary closed forms, which
-check both instruments: the Monte-Carlo estimator and the Laplace-Chebyshev
-quadrature (a Laplace transform over lambda, carried down the chain levels
-by Chebyshev averaging operators), which runs the same recursion there as
-at every other d.  Beyond those, the two are independent instruments for
+The d=2 and d=3 simplex densities have elementary closed forms (EXACT),
+which check both instruments: the Monte-Carlo estimator and the
+Laplace-Chebyshev quadrature (a Laplace transform over lambda, carried down
+the chain levels by Chebyshev averaging operators), which runs the same
+recursion there as at every other d.  Beyond those, the two are independent instruments for
 the same solid-angle integral, at any dimension, and they must agree
 within their stated uncertainties.  The quadrature's own error is near 1e-13 relative, so each
 separation measures the Monte-Carlo error; the last block does the same
@@ -24,7 +24,6 @@ import time
 from packbounds import (
     canonical_simplex,
     canonical_wedge,
-    closed_form_simplex_density,
     improvement_gap,
     quadrature_density,
     quadrature_gap,
@@ -33,19 +32,26 @@ from packbounds import (
 
 SEED = 31337
 
+# d = 2: three pi/3 sectors of the unit disc over the area sqrt(3) of the
+# regular triangle of edge 2; d = 3: four corner solid angles (spherical
+# excess 3 acos(1/3) - pi) over 3 times the tetrahedron's volume 2 sqrt(2)/3
+EXACT = {
+    2: math.pi / (2.0 * math.sqrt(3.0)),
+    3: (4.0 / 3.0) * (3.0 * math.acos(1.0 / 3.0) - math.pi) / (2.0 * math.sqrt(2.0) / 3.0),
+}
+
 
 def main():
     worst_anchor = worst_sep = 0.0
     print("exact anchors:")
-    for d in (2, 3):
-        exact = closed_form_simplex_density(d)
+    for d, exact in EXACT.items():
         quad = quadrature_density(canonical_simplex(d))
         mc = surface_density(canonical_simplex(d), 10**6, SEED + d)
-        z = (mc.value - exact.value) / mc.stderr
-        rel = abs(quad.value - exact.value) / exact.value
+        z = (mc.value - exact) / mc.stderr
+        rel = abs(quad.value - exact) / exact
         worst_anchor = max(worst_anchor, rel)
         worst_sep = max(worst_sep, abs(z))
-        print(f"  d={d}: exact {exact.value:.10f}")
+        print(f"  d={d}: exact {exact:.10f}")
         print(f"        quadrature {quad.value:.15f}  (relative deviation {rel:.1e})")
         print(f"        monte-carlo {mc.value:.10f} +- {mc.stderr:.1e}  ({z:+.2f} se)")
 

@@ -45,7 +45,6 @@ from .density import (
     DensityEstimate,
     ImprovementGap,
     ProfileEstimate,
-    closed_form_simplex_density,
     improvement_gap,
     limiting_density_profile,
     quadrature_density,

@@ -336,7 +336,7 @@ def cmd_plot_data(args) -> int:
             prev = v
             rows.append([_fmt(r), _fmt(v), _fmt(float(se)), "1" if ok else "0"])
         text = _tsv(["r", "estimate", "stderr", "nonincreasing"], rows)
-    elif kind == "g_ratio":
+    else:  # g_ratio; argparse's choices admit no other kind
         lo, mid, _ = height_breakpoints(d)
         rows = []
         for k in range(200):
@@ -344,8 +344,6 @@ def cmd_plot_data(args) -> int:
             g0, g = truncation_scalars(d, h)
             rows.append([_fmt(h), _fmt(g0), _fmt(g), _fmt(g0 / g)])
         text = _tsv(["h", "g0", "g", "ratio"], rows)
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
     _emit(text, args.out)
     return 0
 

@@ -94,7 +94,6 @@ __all__ = [
     "simplex_density",
     "wedge_density",
     "sector_density",
-    "closed_form_simplex_density",
     "limiting_density_profile",
     "quadrature_density",
     "quadrature_profile",
@@ -114,9 +113,8 @@ _ROWS = 128
 class DensityEstimate:
     """A measured density with one-standard-error uncertainty.
 
-    method is one of monte_carlo, quadrature, closed_form; for the latter
-    two, stderr carries the reported truncation bound instead of a
-    statistical error.
+    method is monte_carlo or quadrature; for the latter, stderr carries the
+    reported refinement error instead of a statistical error.
     """
 
     value: float
@@ -542,22 +540,6 @@ def sector_density(d: int, n: int, seed: int) -> DensityEstimate:
     return surface_density(sector_wedge(d), n, seed)
 
 
-def closed_form_simplex_density(d: int) -> DensityEstimate:
-    """Exact low-dimensional anchors: the canonical simplex at d = 2 and 3.
-
-    The values are pi/(2 sqrt(3)) at d = 2, the covered area of the regular
-    triangle of edge 2 over its area, and at d = 3 the regular tetrahedron's
-    (4/3)(3 acos(1/3) - pi) over 2 sqrt(2)/3.
-    """
-    if d == 2:
-        value = math.pi / (2.0 * math.sqrt(3.0))
-    elif d == 3:
-        value = (4.0 / 3.0) * (3.0 * math.acos(1.0 / 3.0) - math.pi) / (2.0 * math.sqrt(2.0) / 3.0)
-    else:
-        raise ValueError("closed forms are kept for d in {2, 3} only")
-    return DensityEstimate(value=value, stderr=1e-15, n=0, seed=0, method="closed_form")
-
-
 # ---------------------------------------------------------------------------
 # limiting density at a point of the terminal plane
 
@@ -900,9 +882,9 @@ def quadrature_density(
     the canonical wedge or the sector wedge at d = 8..64 once its operators
     are cached (best of 7); building them adds 0.07 s at d = 8 and 0.47 s
     at d = 42 to the first call.  Every d >= 2 takes the same recursion,
-    so at d = 2 and 3 the value is checked against, not taken from,
-    closed_form_simplex_density.  n counts the second pass's kept lambda
-    rows times its Chebyshev nodes.
+    so at d = 2 and 3 the value is checked against, not taken from, the
+    elementary closed forms.  n counts the second pass's kept lambda rows
+    times its Chebyshev nodes.
     """
     for name, value in (("ns", ns), ("na", na), ("nr", nr)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:

@@ -326,7 +326,6 @@ class ReferenceBounds:
     daniels: float
     kl: float
     ball_lower: float
-    omega_d: float
 
 
 def reference_bounds(d: int) -> ReferenceBounds:
@@ -335,5 +334,4 @@ def reference_bounds(d: int) -> ReferenceBounds:
         daniels=(d / math.e) * 2.0 ** (-0.5 * d),
         kl=2.0 ** (-0.599 * d),
         ball_lower=(d - 1.0) * zeta(d) / 2.0 ** (d - 1),
-        omega_d=unit_ball_volume(d),
     )

@@ -45,6 +45,7 @@ import numpy as np
 
 from .formulas import (
     EDGE_TOL,
+    _check_dimension,
     chain_floor,
     chain_height,
     truncation_scalars,
@@ -87,8 +88,7 @@ class ChainSpec:
     eta: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.d}")
+        _check_dimension(self.d, 2)
         if not (1 <= self.k <= self.d):
             raise ValueError(f"levels k must satisfy 1 <= k <= d, got k={self.k}, d={self.d}")
         if len(self.xi) != self.k:
@@ -103,6 +103,9 @@ class ChainSpec:
                 raise ValueError(f"norms must increase strictly, xi_{i}={x} after {prev}")
             etas.append(math.sqrt(max(x * x - prev * prev, 0.0)))
             prev = x
+        # Python ints, so that a numpy-integer d stays out of records and reports
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "xi", tuple(float(x) for x in self.xi))
         object.__setattr__(self, "eta", tuple(etas))
 
@@ -568,12 +571,10 @@ def cone_contains_many(config: WedgeConfig, dirs) -> np.ndarray:
     for j in range(tl.shape[1]):
         ok &= tl[:, j] <= prev + EDGE_TOL
         prev = tl[:, j]
-    if config.is_simplex:
-        if k > 1:
-            ok &= tl[:, -1] >= -EDGE_TOL
-    else:
-        a = tl[:, -1] if k > 1 else np.ones(len(y))
-        ok &= a >= -EDGE_TOL
+    # a simplex has k = d >= 2 and a wedge k = d - 2 >= 2, so tl has a last column
+    a = tl[:, -1]
+    ok &= a >= -EDGE_TOL
+    if not config.is_simplex:
         q1, q2 = y[:, -2], y[:, -1]
         small = a <= EDGE_TOL
         ok_small = small & (np.abs(q1) <= EDGE_TOL) & (np.abs(q2) <= EDGE_TOL)

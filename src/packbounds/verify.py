@@ -161,7 +161,7 @@ def check_tilt_extremum(d: int = 8, grid: int = 10**5) -> CheckResult:
         "tilt-extremum", failures, [],
         f"d={d}: tilt max at left end, cos={cos_closed:.7f} (dev {cos_dev:.1e})",
         {
-            "d": d,
+            "d": int(d),
             "grid": grid,
             "x_argmax": float(xs[k_max]),
             "cos_tilt_max": cos_closed,
@@ -208,7 +208,7 @@ def check_pair_separation(d: int = 8) -> CheckResult:
         + (" (expected-outside-domain, > 4)" if expected_outside else " <= 4")
         + f", grid max {gmax:.7f} at the corner",
         {
-            "d": d,
+            "d": int(d),
             "grid": _PAIR_GRID,
             "corner_value": corner,
             "grid_max": gmax,
@@ -255,7 +255,7 @@ def check_radius_ratio(d: int = 8) -> CheckResult:
         "radius-ratio", failures, [],
         f"d={d}: ratio strictly decreasing on grid of {_RATIO_HEIGHTS}, left value {ratio[0]:.9f}",
         {
-            "d": d,
+            "d": int(d),
             "grid": _RATIO_HEIGHTS,
             "left_ratio": float(ratio[0]),
             "left_expected": left_expected,
@@ -287,7 +287,7 @@ def check_profile_monotone(d: int = 8) -> CheckResult:
         "profile-monotone", failures, [],
         f"d={d}: profile nonincreasing over {_PROFILE_RADII} radii in [0, {rmax:.4f}]",
         {
-            "d": d,
+            "d": int(d),
             "method": "quadrature",
             "radii": [float(r) for r in radii],
             "values": [float(v) for v in values],
@@ -323,7 +323,7 @@ def check_truncation_gain(d: int = 8, seed: int = DEFAULT_SEED) -> CheckResult:
         band = full.stderr + trunc.stderr
         rows.append(
             {"pair": label, "full": full.value, "truncated": trunc.value,
-             "band": band, "d": dim}
+             "band": band, "d": int(dim)}
         )
         if _decide(trunc.value - full.value, band) == FAIL:
             failures.append(
@@ -333,7 +333,7 @@ def check_truncation_gain(d: int = 8, seed: int = DEFAULT_SEED) -> CheckResult:
     return _result(
         "truncation-gain", failures, [],
         f"truncation never lowered density across {len(rows)} domain pairs",
-        {"d": d, "seed": seed, "method": "quadrature", "pairs": rows},
+        {"d": int(d), "seed": int(seed), "method": "quadrature", "pairs": rows},
     )
 
 
@@ -397,11 +397,7 @@ def check_truncated_max(d: int = 8, seed: int = DEFAULT_SEED) -> CheckResult:
                 if quad is None:
                     skipped += 1
                     continue
-                try:
-                    domain = geo.truncation_domain(d, h, "disc_cap_polygon", vertices=quad)
-                except ValueError:
-                    skipped += 1
-                    continue
+                domain = geo.truncation_domain(d, h, "disc_cap_polygon", vertices=quad)
             else:
                 h = float(rng.uniform(mid, hi * (1.0 - 1e-6)))
                 domain = geo.truncation_domain(d, h, "disc")
@@ -434,8 +430,8 @@ def check_truncated_max(d: int = 8, seed: int = DEFAULT_SEED) -> CheckResult:
         f"d={d}: {2 * _TRIALS - skipped} truncated wedges all below the bound "
         f"({skipped} skipped as inadmissible); worst excess {worst['excess']:.3e}",
         {
-            "d": d,
-            "seed": seed,
+            "d": int(d),
+            "seed": int(seed),
             "method": "quadrature",
             "reference": ref.value,
             "reference_stderr": ref.stderr,
@@ -479,7 +475,7 @@ def check_square_cap(d: int = 8) -> CheckResult:
         f"d={d}: capped-square density nonincreasing over {_CAP_HEIGHTS} heights; "
         f"anchor matches the bound within {band0:.1e}",
         {
-            "d": d,
+            "d": int(d),
             "method": "quadrature",
             "heights": [float(h) for h in hs],
             "values": [e.value for e in ests],
@@ -518,7 +514,7 @@ def check_chain_inflation(d: int = 5) -> CheckResult:
         "chain-inflation", failures, inconclusive,
         f"inflated chains strictly below canonical (separations "
         f"{rows[0]['separation']:.2e}, {rows[1]['separation']:.2e})",
-        {"d": d, "method": "quadrature", "canonical": canonical[0], "cases": rows},
+        {"d": int(d), "method": "quadrature", "canonical": canonical[0], "cases": rows},
     )
 
 

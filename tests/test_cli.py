@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from packbounds import cli, verify
+from packbounds import __version__, cli, verify
 from packbounds.cli import bundled_records_path, main
 from packbounds.density import simplex_density
-from packbounds.streams import spawn_key
+from packbounds.streams import DEFAULT_SEED, spawn_key
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +72,26 @@ def test_bounds_rejects_bad_range(capsys):
     )
     assert code == 2
     assert err == "error: bounds requires at least 1e4 samples\n"
+
+
+def test_bounds_markdown_matches_csv(capsys):
+    args = ("bounds", "--dmin", "8", "--dmax", "9", "--samples", "10000")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    _, csv_out, _ = run_cli(capsys, *args, "--format", "csv")
+    header, *rows = list(csv.reader(io.StringIO(csv_out)))
+    lines = out.split("\n")
+    assert lines[0] == (f"Ball packing density bounds (n=10000, seed={DEFAULT_SEED}, "
+                        f"version {__version__})")
+    assert lines[1] == ""
+    assert len(header) == 13 and lines[2] == "| " + " | ".join(header) + " |"
+    assert lines[3] == "|" + "|".join(["---"] * 13) + "|"
+    assert [row[0] for row in rows] == ["8", "9"]
+    assert [line[2:-2].split(" | ") for line in lines[4:6]] == rows
+    assert lines[6] == ""
+    assert lines[7].startswith("daniels_asymptotic and kl_asymptotic are asymptotic reference")
+    assert lines[7].endswith("three standard errors of the paired gap.")
+    assert lines[8:] == [""]
 
 
 def test_bounds_deterministic(capsys):
@@ -159,6 +179,41 @@ def test_verify_checks_every_d_range_before_running(capsys, tmp_path, monkeypatc
     assert json.loads(stdout)["checks"][0]["status"] == "pass"
 
 
+def assert_one_failure(code, out, err, name):
+    """A violated inequality is one fail record and one stderr line, with exit 1."""
+    (check,) = json.loads(out)["checks"]
+    assert (code, check["name"], check["status"]) == (1, name, "fail")
+    assert err == f"[        fail] {name}: {check['summary']}\n"
+    return check
+
+
+def test_verify_closed_form_violation_fails(capsys, monkeypatch):
+    # a pair bound of 4.1 at the corner breaks the d >= 8 claim that it is <= 4
+    monkeypatch.setattr(verify.fm, "pair_gap_max", lambda d: 4.1)
+    check = assert_one_failure(*run_cli(capsys, "verify", "pair-separation"),
+                               "pair-separation")
+    assert check["summary"] == "corner value 4.100000000 > 4 for d=8"
+    assert check["witness"]["corner_value"] == 4.1
+
+
+def test_verify_density_violation_fails(capsys, monkeypatch):
+    # the first truncated wedge lifted 1e-3 above the wedge bound, far beyond its band
+    oracle = verify.quadrature_density
+    seen = []
+
+    def lifted(cfg):
+        seen.append(oracle(cfg))
+        if len(seen) == 2:  # the bound itself comes first
+            return dataclasses.replace(seen[1], value=seen[0].value + 1e-3)
+        return seen[-1]
+
+    monkeypatch.setattr(verify, "quadrature_density", lifted)
+    check = assert_one_failure(*run_cli(capsys, "verify", "truncated-max"), "truncated-max")
+    assert check["summary"].startswith("type-I trial 0 at h=")
+    assert " exceeds the bound by 1.000e-03 > error " in check["summary"]
+    assert check["witness"]["worst"]["excess"] == pytest.approx(1e-3, rel=1e-9)
+
+
 def test_verify_inconclusive_exit_code(capsys, monkeypatch):
     # an oracle whose stated error exceeds chain-inflation's separations
     # (0.167 and 0.012) leaves the strict claim undecided: exit 3
@@ -199,6 +254,29 @@ def test_records_malformed_density(capsys, tmp_path):
     code, _, err = run_cli(capsys, "records", str(f))
     assert code == 2
     assert err == "error: malformed records file: line 2: bad density 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ("3,0.5,thing\n", "line 2: expected 4 fields, got 3"),
+        ("x,0.5,thing,src\n", "line 2: bad dimension 'x'"),
+        ("3,1.5,thing,src\n", "line 2: density 1.5 outside (0, 1]"),
+        ("3,0,thing,src\n", "line 2: density 0.0 outside (0, 1]"),
+        ("1,0.5,thing,src\n", "line 2: dimension 1 below 2"),
+        ("3,0.5,thing,src\n3,0.6,thing,other\n", "line 3: duplicate row for (3, 'thing')"),
+        # blank rows are skipped, and still counted in the line numbers
+        ("\n , ,,\n3,abc,thing,src\n", "line 4: bad density 'abc'"),
+    ],
+    ids=["fields", "dimension", "density-above", "density-zero", "dimension-below",
+         "duplicate", "blank-rows"],
+)
+def test_records_malformed_rows(capsys, tmp_path, rows, message):
+    f = tmp_path / "bad.csv"
+    f.write_text("d,density,name,source\n" + rows)
+    code, out, err = run_cli(capsys, "records", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed records file: {message}\n"
 
 
 def test_records_unreadable_file(capsys, tmp_path):

@@ -72,18 +72,6 @@ def test_spatial_anchor():
     assert abs(est.value - oracle) <= 3.0 * est.stderr
 
 
-def test_closed_forms():
-    assert dn.closed_form_simplex_density(2).value == pytest.approx(
-        0.9068997, abs=1e-7
-    )
-    assert dn.closed_form_simplex_density(3).value == pytest.approx(
-        tetrahedron_corner_density(), abs=1e-15
-    )
-    assert dn.closed_form_simplex_density(3).method == "closed_form"
-    with pytest.raises(ValueError):
-        dn.closed_form_simplex_density(4)
-
-
 def test_anchor_failure_rate_binomial():
     # 20 independent seeds per anchor; at three standard errors the expected
     # miss count is 20 * 2 * 0.0027, so three misses are already suspicious
@@ -894,9 +882,8 @@ def test_profile_diff_stderr_takes_adjacent_radii_only():
 def test_quadrature_anchors():
     # d = 2 and 3 run the same chain recursion as every other d, so the
     # closed forms check it rather than replace it
-    for d in (2, 3):
+    for d, exact in ((2, planar_corner_density()), (3, tetrahedron_corner_density())):
         q = dn.quadrature_density(geo.canonical_simplex(d))
-        exact = dn.closed_form_simplex_density(d).value
         assert abs(q.value - exact) <= 1e-13 * exact, d
         assert q.stderr <= 1e-13 * exact, d
         assert q.method == "quadrature" and q.n > 0
@@ -1247,28 +1234,29 @@ def test_quadrature_handles_general_chain():
 
 
 def test_voronoi_bounds_exact_planar_case():
-    vol, surf = dn.voronoi_bounds(2, dn.closed_form_simplex_density(2))
+    est = dn.DensityEstimate(planar_corner_density(), 0.0, 0, 0, "quadrature")
+    vol, surf = dn.voronoi_bounds(2, est)
     assert vol == pytest.approx(2.0 * math.sqrt(3.0), abs=1e-12)
     assert surf == pytest.approx(2.0 * vol, abs=1e-12)
 
 
 def test_voronoi_bounds_d8():
-    est = dn.DensityEstimate(0.25, 0.0, 0, 0, "closed_form")
+    est = dn.DensityEstimate(0.25, 0.0, 0, 0, "quadrature")
     vol, surf = dn.voronoi_bounds(8, est)
     assert vol == pytest.approx(fm.unit_ball_volume(8) / 0.25, rel=1e-12)
     assert surf == pytest.approx(8.0 * vol, rel=1e-12)
-    smaller = dn.DensityEstimate(0.2, 0.0, 0, 0, "closed_form")
+    smaller = dn.DensityEstimate(0.2, 0.0, 0, 0, "quadrature")
     vol2, _ = dn.voronoi_bounds(8, smaller)
     assert vol2 > vol
     with pytest.raises(ValueError):
-        dn.voronoi_bounds(8, dn.DensityEstimate(0.0, 0.0, 0, 0, "closed_form"))
+        dn.voronoi_bounds(8, dn.DensityEstimate(0.0, 0.0, 0, 0, "quadrature"))
 
 
 def test_density_estimate_validation():
     with pytest.raises(ValueError):
-        dn.DensityEstimate(1.5, 0.0, 0, 0, "closed_form")
+        dn.DensityEstimate(1.5, 0.0, 0, 0, "quadrature")
     with pytest.raises(ValueError):
-        dn.DensityEstimate(0.5, -1.0, 0, 0, "closed_form")
+        dn.DensityEstimate(0.5, -1.0, 0, 0, "quadrature")
 
 
 @pytest.mark.parametrize("stderr", [math.nan, math.inf])
@@ -1294,8 +1282,7 @@ import sys
 sys.modules["scipy"] = None
 sys.path.insert(0, {src!r})
 from packbounds import cli, density as dn, geometry as geo
-for d in (2, 3):
-    exact = dn.closed_form_simplex_density(d).value
+for d, exact in ((2, {planar_corner_density()!r}), (3, {tetrahedron_corner_density()!r})):
     quad = dn.quadrature_density(geo.canonical_simplex(d)).value
     assert abs(quad - exact) <= 1e-13 * exact
 assert cli.main(["bounds", "--dmin", "8", "--dmax", "9", "--samples", "10000",

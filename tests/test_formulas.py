@@ -349,7 +349,6 @@ def test_reference_bounds_d8():
     assert ref.daniels == pytest.approx((8.0 / math.e) * 2.0**-4, abs=1e-12)
     assert ref.daniels == pytest.approx(0.1839397, abs=1e-7)
     assert ref.kl == pytest.approx(2.0 ** (-0.599 * 8), abs=1e-12)
-    assert ref.omega_d == pytest.approx(4.0587121, abs=1e-7)
     assert ref.ball_lower == pytest.approx(7.0 * fm.zeta(8) / 128.0, abs=1e-12)
 
 

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 import math
 from unittest import mock
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from packbounds import formulas as fm
+from packbounds import geometry as geo
 from packbounds import verify as vf
 
 
@@ -224,3 +226,20 @@ def test_check_results_serialize():
     assert doc["name"] == "floor-recursion"
     assert doc["status"] in ("pass", "fail", "inconclusive")
     json.dumps(doc)
+
+
+def test_numpy_integers_stay_out_of_records():
+    # every chain and every record holds Python ints, so a numpy-integer d or
+    # seed serialises as the int does
+    d = np.int64(8)
+    lo = fm.height_breakpoints(8)[0]
+    assert type(geo.canonical_wedge(d).chain.d) is int
+    assert type(geo.truncated_wedge(d, lo).chain.d) is int
+    takes_d = [n for n, fn in vf.REGISTRY.items() if "d" in inspect.signature(fn).parameters]
+    assert len(takes_d) == 8
+    for name in takes_d:
+        r = vf.run_check(name, d=d, seed=np.int64(5))
+        json.dumps(r.to_dict())
+        assert type(r.witness["d"]) is int, name
+        assert type(r.witness.get("seed", 0)) is int, name
+        assert all(type(p["d"]) is int for p in r.witness.get("pairs", [])), name
